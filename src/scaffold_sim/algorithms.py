@@ -107,13 +107,16 @@ def _local_endpoints(problem, theta, corrections, round_index, config):
     idx = batch_uniform_indices(
         config.seed, round_index, ids, local_steps, n_records, problem.batch_size
     )
-    rows = np.arange(n_clients)[:, None]
+    # row of (client i, record r) in the flattened (N*n, d) data: i*n + r,
+    # so each step gathers its (N, b) batch with a single take
+    idx += (np.arange(n_clients) * n_records)[:, None]
+    flat_x = features.reshape(-1, features.shape[2])
+    flat_y = targets.reshape(-1)
     with np.errstate(over="ignore", invalid="ignore"):
         for h in range(local_steps):
-            batch_x = features[rows, idx[h]]
-            batch_y = targets[rows, idx[h]]
             grads = stacked_minibatch_gradient(
-                batch_x, batch_y, thetas, problem.loss, problem.l2_weight
+                flat_x.take(idx[h], axis=0), flat_y.take(idx[h]), thetas,
+                problem.loss, problem.l2_weight,
             )
             thetas = thetas - gamma * (grads + corrections)
     return thetas
@@ -144,15 +147,18 @@ def scaffold_round(state: ChainState, problem: Problem, config: RunConfig,
     """One Scaffold round: corrected local steps, average, control update.
 
     The control variates move by (endpoint - average) / (gamma * H) and are
-    re-centered so their sum stays exactly on the zero subspace.
+    re-centered so their sum stays exactly on the zero subspace.  Raises
+    DivergenceError if any entry of the new state is not finite; an overflow
+    anywhere in the round leaves one, so this single check covers the round.
     """
     endpoints = _local_endpoints(problem, state.theta, state.xis, round_index, config)
-    if not np.all(np.isfinite(endpoints)):
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta_next = endpoints.mean(axis=0)
+        xis_next = state.xis + (endpoints - theta_next) / (config.gamma * config.local_steps)
+        new_state = ChainState.unchecked(theta_next, xis_next)
+        new_state.recenter()
+    if not (np.isfinite(theta_next).all() and np.isfinite(new_state.xis).all()):
         raise DivergenceError(round_index)
-    theta_next = endpoints.mean(axis=0)
-    xis_next = state.xis + (endpoints - theta_next) / (config.gamma * config.local_steps)
-    new_state = ChainState(theta_next, xis_next)
-    new_state.recenter()
     return new_state
 
 
@@ -161,11 +167,6 @@ def fedavg_round(theta, problem: Problem, config: RunConfig, round_index: int):
     corrections = np.zeros((problem.n_clients, theta.shape[0]))
     endpoints = _local_endpoints(problem, theta, corrections, round_index, config)
     return endpoints.mean(axis=0)
-
-
-def _check_finite(arr, round_index):
-    if not np.all(np.isfinite(arr)):
-        raise DivergenceError(round_index)
 
 
 def run(problem: Problem, certificate, config: RunConfig,
@@ -188,7 +189,8 @@ def run(problem: Problem, certificate, config: RunConfig,
         mse[0] = np.sum((theta - theta_star) ** 2)
         for t in range(config.rounds):
             theta = fedavg_round(theta, problem, config, t)
-            _check_finite(theta, t)
+            if not np.all(np.isfinite(theta)):
+                raise DivergenceError(t)
             mse[t + 1] = np.sum((theta - theta_star) ** 2)
         return Trajectory(rounds, mse)
 
@@ -200,8 +202,6 @@ def run(problem: Problem, certificate, config: RunConfig,
     lam_dist[0] = lambda_norm_sq(state, target, config.gamma, config.local_steps)
     for t in range(config.rounds):
         state = scaffold_round(state, problem, config, t)
-        _check_finite(state.theta, t)
-        _check_finite(state.xis, t)
         with np.errstate(over="ignore"):
             mse[t + 1] = np.sum((state.theta - theta_star) ** 2)
         lam_dist[t + 1] = lambda_norm_sq(state, target, config.gamma, config.local_steps)
@@ -223,7 +223,5 @@ def coupled_run(problem: Problem, config: RunConfig,
     for t in range(config.rounds):
         a = scaffold_round(a, problem, config, t)
         b = scaffold_round(b, problem, config, t)
-        _check_finite(a.theta, t)
-        _check_finite(b.theta, t)
         dist[t + 1] = lambda_norm_sq(a, b, config.gamma, config.local_steps)
     return dist

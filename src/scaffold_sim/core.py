@@ -170,6 +170,18 @@ class ChainState:
         return ChainState(self.theta.copy(), self.xis.copy())
 
     @classmethod
+    def unchecked(cls, theta, xis):
+        """Wrap float64 arrays of shapes (d,) and (N, d) without validation.
+
+        For the round operator, which builds states from arrays of known
+        shape and checks their finiteness itself once per round.
+        """
+        state = object.__new__(cls)
+        state.theta = theta
+        state.xis = xis
+        return state
+
+    @classmethod
     def zeros(cls, d, n_clients):
         return cls(np.zeros(d), np.zeros((n_clients, d)))
 

@@ -123,6 +123,11 @@ class ExperimentConfig:
                 raise ConfigError(f"key `algorithms`: unknown algorithm {a!r}")
         if len(self.informative) != 2:
             raise ConfigError(f"key `informative`: need exactly 2 counts, got {self.informative}")
+        if any(not 1 <= k <= self.n_features for k in self.informative):
+            raise ConfigError(
+                f"key `informative`: counts must be in [1, n_features={self.n_features}], "
+                f"got {self.informative}"
+            )
         if len(self.generator_seeds) != 2:
             raise ConfigError(f"key `generator_seeds`: need exactly 2 seeds, got {self.generator_seeds}")
         if self.task == "complexity" and self.epsilon is None:

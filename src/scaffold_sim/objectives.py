@@ -72,12 +72,11 @@ class Problem:
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) is exp(-z) where z >= 0 and exp(z) elsewhere, so each branch
+    # sees the same IEEE operations as a masked evaluation, and never overflows
+    ez = np.exp(-np.abs(z))
+    den = 1.0 + ez
+    return np.where(z >= 0, 1.0 / den, ez / den)
 
 
 def loss_value(problem, client, theta):

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import objectives
+from .core import SUM_ZERO_TOL
 from .objectives import Problem
 
 __all__ = [
@@ -22,9 +23,6 @@ __all__ = [
     "build_certificate",
     "certificate_report",
 ]
-
-SUM_ZERO_TOL = 1e-8
-
 
 class SolverError(RuntimeError):
     """Newton iteration failed to reach the requested gradient norm."""
@@ -86,7 +84,8 @@ class OptimumCertificate:
     `mu_is_local_estimate` flags that for the logistic loss the strong
     convexity constant is measured at theta_star only; the l2 weight is the
     certified global lower bound.  `beta_is_estimate` flags that the noise
-    growth coefficient is a regression proxy, not a closed form.
+    growth coefficient is a regression proxy, not a closed form; it is
+    evaluated from `problem` on each read, since only reports use it.
     """
 
     theta_star: np.ndarray
@@ -98,10 +97,10 @@ class OptimumCertificate:
     zeta1: float
     zeta2: float
     sigma_star_sq: float
-    beta_proxy: float
     sigma_eps_per_client: np.ndarray  # (N, d, d)
     sigma_eps_avg: np.ndarray  # (d, d)
     hessian_star: np.ndarray  # (d, d), average Hessian at theta_star
+    problem: Problem = field(repr=False, compare=False)
     mu_is_local_estimate: bool = False
     beta_is_estimate: bool = True
     l2_weight: float = field(default=0.0)
@@ -113,6 +112,10 @@ class OptimumCertificate:
     @property
     def d(self):
         return self.theta_star.shape[0]
+
+    @property
+    def beta_proxy(self):
+        return _beta_proxy(self.problem, self.theta_star)
 
 
 def _operator_norm(matrix):
@@ -217,10 +220,10 @@ def build_certificate(problem: Problem, theta_star) -> OptimumCertificate:
         zeta1=zeta1,
         zeta2=zeta2,
         sigma_star_sq=sigma_star_sq,
-        beta_proxy=_beta_proxy(problem, theta_star),
         sigma_eps_per_client=sigma_eps,
         sigma_eps_avg=sigma_eps_avg,
         hessian_star=hess_avg,
+        problem=problem,
         mu_is_local_estimate=(problem.loss == "logistic"),
         beta_is_estimate=True,
         l2_weight=lam,

@@ -267,3 +267,43 @@ class TestTrajectoryCsv:
     def test_csv_without_lambda(self):
         traj = algorithms.Trajectory(np.array([0]), np.array([1.25]))
         assert traj.to_csv().splitlines() == ["t,mse", "0,1.25"]
+
+
+class TestFlatGather:
+    def test_round_matches_fancy_index_loop(self, logistic_problem):
+        # reference: the two-array fancy-index gather the flat take replaced
+        config = make_config(logistic_problem, local_steps=4, seed=11)
+        rng = np.random.default_rng(8)
+        theta = rng.standard_normal(logistic_problem.d)
+        corrections = rng.standard_normal((logistic_problem.n_clients, logistic_problem.d))
+        features, targets, ids = algorithms._stacked(logistic_problem)
+        idx = algorithms.batch_uniform_indices(
+            config.seed, 2, ids, config.local_steps, features.shape[1],
+            logistic_problem.batch_size)
+        rows = np.arange(logistic_problem.n_clients)[:, None]
+        thetas = np.tile(theta, (logistic_problem.n_clients, 1))
+        for h in range(config.local_steps):
+            grads = objectives.stacked_minibatch_gradient(
+                features[rows, idx[h]], targets[rows, idx[h]], thetas,
+                logistic_problem.loss, logistic_problem.l2_weight)
+            thetas = thetas - config.gamma * (grads + corrections)
+        got = algorithms._local_endpoints(logistic_problem, theta, corrections, 2, config)
+        assert np.array_equal(got, thetas)
+
+
+class TestDivergenceCheck:
+    def test_round_raises_with_its_index(self, quad_problem):
+        config = make_config(quad_problem, gamma=1e200, local_steps=3)
+        state = ChainState(np.ones(quad_problem.d), np.zeros((quad_problem.n_clients,
+                                                              quad_problem.d)))
+        with pytest.raises(algorithms.DivergenceError) as info:
+            algorithms.scaffold_round(state, quad_problem, config, 17)
+        assert info.value.round_index == 17
+
+    def test_coupled_run_raises(self, quad_problem):
+        config = make_config(quad_problem, gamma=50.0, local_steps=20, rounds=200)
+        a = ChainState.zeros(quad_problem.d, quad_problem.n_clients)
+        b = ChainState(np.ones(quad_problem.d), np.zeros((quad_problem.n_clients,
+                                                          quad_problem.d)))
+        with pytest.raises(algorithms.DivergenceError):
+            algorithms.coupled_run(quad_problem, config, a, b)

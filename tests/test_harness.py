@@ -82,6 +82,20 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="even"):
             parse_config(path)
 
+    @pytest.mark.parametrize("informative", ["2,21", "0,10", "-1,3"])
+    def test_informative_outside_feature_range_rejected(self, tmp_path, informative):
+        path = tmp_path / "c.txt"
+        path.write_text("[experiment]\ntask = figure1\n[problem]\nn_features = 20\n"
+                        f"informative = {informative}\n")
+        with pytest.raises(ConfigError, match="informative"):
+            parse_config(path)
+
+    def test_informative_equal_to_n_features_accepted(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("[experiment]\ntask = figure1\n[problem]\nn_features = 5\n"
+                        "informative = 1,5\n")
+        assert parse_config(path).informative == [1, 5]
+
     def test_complexity_requires_epsilon(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("[experiment]\ntask = complexity\n")

@@ -230,3 +230,31 @@ class TestProblemValidation:
         a = datagen.ClientDataset(np.ones((2, 2)), np.ones(2))
         with pytest.raises(ValueError, match="loss"):
             objectives.Problem([a], "huber", 0.1, 1)
+
+
+def _masked_sigmoid(z):
+    # reference: evaluate each sign branch on its own masked subset
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class TestSigmoid:
+    def test_bitwise_equal_to_masked_reference(self):
+        rng = np.random.default_rng(5)
+        z = np.concatenate([
+            [0.0, -0.0, np.inf, -np.inf, 750.0, -750.0, 36.7, -36.7, 5e-324, -5e-324],
+            rng.standard_normal(500) * 10.0,
+        ])
+        new, ref = objectives._sigmoid(z), _masked_sigmoid(z)
+        assert np.array_equal(new, ref)
+        assert np.array_equal(np.signbit(new), np.signbit(ref))
+
+    def test_nan_propagates(self):
+        z = np.array([np.nan, 1.0, -np.nan])
+        new, ref = objectives._sigmoid(z), _masked_sigmoid(z)
+        assert np.array_equal(new, ref, equal_nan=True)
+        assert np.isnan(new[0]) and np.isnan(new[2])

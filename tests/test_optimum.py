@@ -127,3 +127,23 @@ class TestCertificateReport:
         assert float(values["mu"]) == cert.mu
         assert float(values["sigma_star_sq"]) == cert.sigma_star_sq
         assert values["mu_is_local_estimate"] == "false"
+
+
+class TestLazyBetaProxy:
+    def test_certificate_skips_probe_until_read(self, logistic_problem, monkeypatch):
+        calls = []
+        original = objectives.noise_covariance_at
+
+        def counting(*args):
+            calls.append(args[1])
+            return original(*args)
+
+        monkeypatch.setattr(objectives, "noise_covariance_at", counting)
+        cert = optimum.build_certificate(logistic_problem,
+                                         optimum.solve_optimum(logistic_problem))
+        # one noise covariance per client at theta_star, none for the probe
+        assert len(calls) == logistic_problem.n_clients
+        first = cert.beta_proxy
+        assert len(calls) > logistic_problem.n_clients
+        assert cert.beta_proxy == first
+        assert "problem" not in repr(cert)

@@ -215,3 +215,58 @@ class TestEstimateReport:
             for row in lines[block + 1:block + 1 + quad_problem.d]
         ])
         assert np.allclose(matrix, est.cov_theta)
+
+
+class TestXiPairAccumulator:
+    def test_matches_per_pair_outer_loop(self):
+        # reference: the chain re-run with one np.outer accumulation per pair
+        from scaffold_sim.algorithms import scaffold_round
+        from scaffold_sim.core import ChainState
+
+        problem = random_problem("logistic", n_clients=13, n_records=12, d=3,
+                                 batch_size=2, seed=9)
+        cert = certificate_for(problem)
+        rc = RunConfig(gamma=0.05, local_steps=2, n_clients=13, rounds=1,
+                       batch_size=2, seed=4)
+        burn_in, n_samples, thinning = 3, 100, 2
+        est = stationary.estimate_stationary(problem, cert, rc, burn_in=burn_in,
+                                             n_samples=n_samples, thinning=thinning,
+                                             pair_seed=6)
+
+        pairs = stationary._xi_pair_subset(13, seed=6)
+        assert len(pairs) == 13 + stationary.MAX_XI_PAIRS
+        sums = {p: np.zeros((3, 3)) for p in pairs}
+        state = ChainState.zeros(3, 13)
+        for t in range(burn_in + n_samples * thinning):
+            state = scaffold_round(state, problem, rc, t)
+            if t >= burn_in and (t - burn_in + 1) % thinning == 0:
+                dxi = state.xis - cert.xi_star
+                for c, cp in pairs:
+                    sums[(c, cp)] += np.outer(dxi[c], dxi[cp])
+        assert list(est.cov_xi) == pairs
+        for p in pairs:
+            assert np.array_equal(est.cov_xi[p], sums[p] / n_samples)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_divergence_raises_with_round_index(self, quad_problem):
+        from scaffold_sim.algorithms import DivergenceError
+
+        cert = certificate_for(quad_problem)
+        rc = RunConfig(gamma=50.0, local_steps=20, n_clients=quad_problem.n_clients,
+                       rounds=1, batch_size=quad_problem.batch_size, seed=0)
+        with pytest.warns(RuntimeWarning, match="step-size conditions"):
+            with pytest.raises(DivergenceError) as info:
+                stationary.estimate_stationary(quad_problem, cert, rc, burn_in=0,
+                                               n_samples=100)
+        assert info.value.round_index >= 0
+
+
+class TestMatrixBlock:
+    def test_bytes_match_numpy_scalar_formatting(self):
+        rng = np.random.default_rng(2)
+        m = np.concatenate([rng.standard_normal((3, 4)) * 10.0 ** rng.integers(-300, 300, (3, 4)),
+                            [[0.0, -0.0, np.inf, np.nan]]])
+        lines = []
+        stationary._write_matrix_block(lines, "m", m)
+        ref = ["# m"] + [",".join(f"{v:.17g}" for v in row) for row in m]
+        assert lines == ref
