@@ -6,7 +6,15 @@ contraction under synchronous coupling, 1/N speed-up of the stationary
 parameter variance, and the first-order bias and covariance formulas.
 """
 
-from .algorithms import DivergenceError, Trajectory, coupled_run, fedavg_round, run, scaffold_round
+from .algorithms import (
+    DivergenceError,
+    Trajectory,
+    coupled_run,
+    fedavg_round,
+    run,
+    run_sweep,
+    scaffold_round,
+)
 from .core import ChainState, RngStream, RunConfig, derive_stream, lambda_norm_sq
 from .datagen import ClientDataset, make_classification, make_regression, split_two_blocks
 from .objectives import (
@@ -58,6 +66,7 @@ __all__ = [
     "noise_covariance_at",
     "predict_first_order",
     "run",
+    "run_sweep",
     "scaffold_round",
     "solve_optimum",
     "split_two_blocks",

@@ -62,7 +62,7 @@ def _build_parser():
         p.add_argument("--config", required=True, help="path to the config file")
         p.add_argument("--out", default=None, help="output file (overrides config)")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for independent cells")
+                       help="worker threads (figure1: one client count each)")
         p.add_argument("--seed-override", type=int, default=None,
                        help="replace the config's seed list with one seed")
     return parser

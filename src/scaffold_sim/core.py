@@ -111,7 +111,8 @@ def batch_uniform_indices(root_seed, round_idx, client_ids, n_steps, n_records, 
 
     Entry [h, i, :] equals derive_stream(root_seed, round_idx,
     client_ids[i], h).uniform_indices(n_records, batch), computed in one
-    vectorized pass.
+    vectorized pass.  `root_seed` is a scalar or, like `client_ids`, one
+    seed per column, so several seeds' clients are drawn in one call.
     """
     client_ids = np.asarray(client_ids, dtype=_U64)
     steps = np.arange(n_steps, dtype=_U64)

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import datagen, stationary
-from .algorithms import coupled_run, run
+# `run` stays importable here: perfbench/spans.py wraps `harness.run`
+from .algorithms import coupled_run, run, run_sweep  # noqa: F401
 from .core import ChainState, RunConfig
 from .objectives import Problem
 from .optimum import build_certificate, solve_optimum
@@ -116,6 +117,17 @@ class ExperimentConfig:
             raise ConfigError("key `n_clients`: list must be nonempty")
         if any(n < 2 or n % 2 for n in self.n_clients):
             raise ConfigError(f"key `n_clients`: entries must be even and >= 2, got {self.n_clients}")
+        if self.task == "speedup":
+            # every N re-splits one pool of records_per_client * max(N) / 2
+            # records per source into N/2 equal shards
+            pool = self.records_per_client * max(self.n_clients) // 2
+            uneven = [n for n in self.n_clients if pool % (n // 2)]
+            if uneven:
+                raise ConfigError(
+                    f"key `n_clients`: speedup splits {pool} records per source "
+                    f"(records_per_client * max(n_clients) / 2) over n/2 clients, "
+                    f"which is not even for n in {uneven}"
+                )
         if not self.seeds:
             raise ConfigError("key `seeds`: list must be nonempty")
         for a in self.algorithms:
@@ -289,38 +301,32 @@ def _resolve_gamma(config: ExperimentConfig, certificate):
 def run_figure1(config: ExperimentConfig, threads=1):
     """Trajectory sweep over (algorithm, N, seed) cells.
 
-    Returns (per_seed_csv, aggregate_csv).  Cells run in parallel; rows are
+    Returns (per_seed_csv, aggregate_csv).  All cells of one client count
+    run as one block of chains; client counts run in parallel.  Rows are
     sorted before writing, so the bytes do not depend on the thread count.
     """
-    setups = {}
-    for n in sorted(set(config.n_clients)):
+    n_list = sorted(set(config.n_clients))
+    algorithms = list(dict.fromkeys(config.algorithms))
+    seeds = list(dict.fromkeys(config.seeds))
+
+    def run_group(n):
         problem = build_problem(config, n)
         cert = build_certificate(problem, solve_optimum(problem))
-        setups[n] = (problem, cert)
-
-    cells = [
-        (algo, n, seed)
-        for algo in config.algorithms
-        for n in sorted(set(config.n_clients))
-        for seed in config.seeds
-    ]
-
-    def run_cell(cell):
-        algo, n, seed = cell
-        problem, cert = setups[n]
-        gamma = _resolve_gamma(config, cert)
         rc = RunConfig(
-            gamma=gamma, local_steps=config.local_steps, n_clients=n,
-            rounds=config.rounds, batch_size=config.batch_size,
-            seed=seed, algorithm=algo,
+            gamma=_resolve_gamma(config, cert), local_steps=config.local_steps,
+            n_clients=n, rounds=config.rounds, batch_size=config.batch_size,
         )
-        return cell, run(problem, cert, rc)
+        sweep = run_sweep(problem, cert, rc, algorithms, seeds)
+        return {(algo, n, seed): traj for (algo, seed), traj in sweep.items()}
 
+    results = {}
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = dict(pool.map(run_cell, cells))
+            for group in pool.map(run_group, n_list):
+                results.update(group)
     else:
-        results = dict(map(run_cell, cells))
+        for n in n_list:
+            results.update(run_group(n))
 
     rows = ["algorithm,N,seed,t,mse"]
     for algo, n, seed in sorted(results):
@@ -329,8 +335,8 @@ def run_figure1(config: ExperimentConfig, threads=1):
             rows.append(f"{algo},{n},{seed},{t},{mse:.17g}")
 
     agg = ["algorithm,N,t,mean_mse,std_mse"]
-    for algo in sorted(set(c[0] for c in cells)):
-        for n in sorted(set(config.n_clients)):
+    for algo in sorted(algorithms):
+        for n in n_list:
             stack = np.stack([results[(algo, n, s)].mse for s in config.seeds])
             mean = stack.mean(axis=0)
             std = stack.std(axis=0)

@@ -96,17 +96,19 @@ def loss_value(problem, client, theta):
 def stacked_minibatch_gradient(features, targets, thetas, loss, l2_weight):
     """Average per-record gradient for a stack of (client, batch) slices.
 
-    features: (N, m, d), targets: (N, m), thetas: (N, d); returns (N, d).
-    This kernel is the single arithmetic path used by both the per-client
-    `stochastic_gradient` and the round simulator, so that a one-client
-    simulation reproduces plain SGD bit for bit.
+    features: (N, m, d), targets: (N, m), thetas: (..., N, d); returns
+    (..., N, d).  Leading axes of `thetas` are chains that share the
+    gathered stack; each of their rows equals the one-chain result bit for
+    bit.  This kernel is the single arithmetic path used by both the
+    per-client `stochastic_gradient` and the round simulator, so that a
+    one-client simulation reproduces plain SGD bit for bit.
     """
-    margin = np.einsum("nmd,nd->nm", features, thetas)
+    margin = np.einsum("nmd,...nd->...nm", features, thetas)
     if loss == "quadratic":
         weights = margin - targets
     else:
         weights = -targets * (1.0 - _sigmoid(targets * margin))
-    grads = np.einsum("nm,nmd->nd", weights, features) / features.shape[1]
+    grads = np.einsum("...nm,nmd->...nd", weights, features) / features.shape[1]
     return grads + l2_weight * thetas
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import objectives
-from .algorithms import scaffold_round
+from .algorithms import DivergenceError, scaffold_round
 from .core import ChainState, RunConfig
 from .optimum import OptimumCertificate
 
@@ -140,18 +140,24 @@ def estimate_stationary(problem, certificate: OptimumCertificate, config: RunCon
     batch_size = n_samples // N_SE_BATCHES
     batch_means = np.zeros((N_SE_BATCHES, d))
 
-    for k in range(n_samples):
-        for _ in range(thinning):
-            state = scaffold_round(state, problem, config, t)
-            t += 1
-        dtheta = state.theta - theta_star
-        dxi = state.xis - xi_star
-        sum_dtheta += dtheta
-        sum_outer_theta += np.outer(dtheta, dtheta)
-        sum_theta_xi += dtheta[None, :, None] * dxi[:, None, :]
-        sum_xi += dxi[pair_c][:, :, None] * dxi[pair_cp][:, None, :]
-        b = min(k // batch_size, N_SE_BATCHES - 1)
-        batch_means[b] += dtheta
+    # a finite but huge state overflows the sums before the chain itself
+    # diverges; that is reported once, below, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_samples):
+            for _ in range(thinning):
+                state = scaffold_round(state, problem, config, t)
+                t += 1
+            dtheta = state.theta - theta_star
+            dxi = state.xis - xi_star
+            sum_dtheta += dtheta
+            sum_outer_theta += np.outer(dtheta, dtheta)
+            sum_theta_xi += dtheta[None, :, None] * dxi[:, None, :]
+            sum_xi += dxi[pair_c][:, :, None] * dxi[pair_cp][:, None, :]
+            b = min(k // batch_size, N_SE_BATCHES - 1)
+            batch_means[b] += dtheta
+    sums = (sum_dtheta, sum_outer_theta, sum_theta_xi, sum_xi, batch_means)
+    if not all(np.isfinite(x).all() for x in sums):
+        raise DivergenceError(t - 1)
 
     # trailing samples beyond 20*batch_size fold into the last batch
     counts = np.full(N_SE_BATCHES, batch_size, dtype=float)

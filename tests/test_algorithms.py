@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scaffold_sim import algorithms, datagen, objectives, optimum
-from scaffold_sim.core import ChainState, RunConfig, derive_stream
+from scaffold_sim.core import ChainState, RunConfig, derive_stream, lambda_norm_sq
 from scaffold_sim.objectives import stochastic_gradient
 
 from conftest import random_problem
@@ -307,3 +311,213 @@ class TestDivergenceCheck:
                                                           quad_problem.d)))
         with pytest.raises(algorithms.DivergenceError):
             algorithms.coupled_run(quad_problem, config, a, b)
+
+
+# Reference for the block round kernel: the per-chain loop it replaced, with
+# the one-chain gradient einsums, so each chain is drawn and gathered alone.
+def _reference_gradient(features, targets, thetas, loss, l2_weight):
+    margin = np.einsum("nmd,nd->nm", features, thetas)
+    if loss == "quadratic":
+        weights = margin - targets
+    else:
+        weights = -targets * (1.0 - objectives._sigmoid(targets * margin))
+    grads = np.einsum("nm,nmd->nd", weights, features) / features.shape[1]
+    return grads + l2_weight * thetas
+
+
+def _reference_endpoints(problem, theta, corrections, round_index, config):
+    features = np.stack([c.features for c in problem.clients])
+    targets = np.stack([c.targets for c in problem.clients])
+    ids = [c.client_id for c in problem.clients]
+    idx = algorithms.batch_uniform_indices(
+        config.seed, round_index, ids, config.local_steps, features.shape[1],
+        problem.batch_size)
+    rows = np.arange(problem.n_clients)[:, None]
+    thetas = np.tile(theta, (problem.n_clients, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for h in range(config.local_steps):
+            grads = _reference_gradient(features[rows, idx[h]], targets[rows, idx[h]],
+                                        thetas, problem.loss, problem.l2_weight)
+            thetas = thetas - config.gamma * (grads + corrections)
+    return thetas
+
+
+def _reference_scaffold_round(theta, xis, problem, config, t):
+    endpoints = _reference_endpoints(problem, theta, xis, t, config)
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta_next = endpoints.mean(axis=0)
+        xis_next = xis + (endpoints - theta_next) / (config.gamma * config.local_steps)
+        xis_next -= xis_next.mean(axis=0, keepdims=True)
+    if not (np.isfinite(theta_next).all() and np.isfinite(xis_next).all()):
+        raise algorithms.DivergenceError(t)
+    return theta_next, xis_next
+
+
+def _reference_run(problem, cert, config):
+    """Trajectory of one chain, round by round; raises DivergenceError."""
+    d, n = problem.d, problem.n_clients
+    theta, xis = np.zeros(d), np.zeros((n, d))
+    target = ChainState(cert.theta_star, cert.xi_star)
+    mse, lam = [], []
+    for t in range(config.rounds + 1):
+        if t > 0:
+            if config.algorithm == "scaffold":
+                theta, xis = _reference_scaffold_round(theta, xis, problem, config, t - 1)
+            else:
+                theta = _reference_endpoints(problem, theta, np.zeros((n, d)), t - 1,
+                                             config).mean(axis=0)
+                if not np.isfinite(theta).all():
+                    raise algorithms.DivergenceError(t - 1)
+        with np.errstate(over="ignore"):
+            mse.append(np.sum((theta - cert.theta_star) ** 2))
+        lam.append(lambda_norm_sq(ChainState.unchecked(theta, xis), target,
+                                  config.gamma, config.local_steps))
+    return np.array(mse), (np.array(lam) if config.algorithm == "scaffold" else None)
+
+
+def _sweep_matches_reference(problem, cert, config, algos, seeds):
+    sweep = algorithms.run_sweep(problem, cert, config, algos, seeds)
+    assert set(sweep) == {(a, s) for a in algos for s in seeds}
+    for (algo, seed), traj in sweep.items():
+        mse, lam = _reference_run(problem, cert, replace(config, algorithm=algo, seed=seed))
+        assert np.array_equal(traj.mse, mse)
+        if lam is None:
+            assert traj.lambda_dist is None
+        else:
+            assert np.array_equal(traj.lambda_dist, lam)
+
+
+class TestRoundKernel:
+    @pytest.mark.parametrize("loss", ["quadratic", "logistic"])
+    def test_sweep_cells_equal_separate_runs(self, loss):
+        problem = random_problem(loss, n_clients=4, seed=31)
+        cert = certificate_for(problem)
+        config = make_config(problem, gamma=0.05, local_steps=6, rounds=12)
+        _sweep_matches_reference(problem, cert, config, ["scaffold", "fedavg"], [0, 1, 7])
+
+    def test_run_is_the_one_chain_sweep(self, logistic_problem):
+        cert = certificate_for(logistic_problem)
+        for algo in ("scaffold", "fedavg"):
+            config = make_config(logistic_problem, rounds=6, seed=5, algorithm=algo)
+            traj = algorithms.run(logistic_problem, cert, config)
+            mse, lam = _reference_run(logistic_problem, cert, config)
+            assert np.array_equal(traj.mse, mse)
+            assert (traj.lambda_dist is None) == (lam is None)
+            if lam is not None:
+                assert np.array_equal(traj.lambda_dist, lam)
+
+    def test_deterministic_sweep_equals_separate_runs(self, quad_problem):
+        cert = certificate_for(quad_problem)
+        config = make_config(quad_problem, local_steps=3, rounds=5, batch_size=None)
+        sweep = algorithms.run_sweep(quad_problem, cert, config, ["fedavg", "scaffold"], [0, 3])
+        for (algo, seed), traj in sweep.items():
+            alone = algorithms.run(quad_problem, cert,
+                                   replace(config, algorithm=algo, seed=seed))
+            assert np.array_equal(traj.mse, alone.mse)
+
+    def test_ragged_sweep_equals_separate_rounds(self):
+        rng = np.random.default_rng(29)
+        clients = [datagen.ClientDataset(rng.standard_normal((n, 3)),
+                                         rng.standard_normal(n), client_id=i)
+                   for i, n in enumerate([7, 12])]
+        problem = objectives.Problem(clients, "quadratic", 0.1, batch_size=3)
+        cert = certificate_for(problem)
+        config = make_config(problem, local_steps=3, rounds=4)
+        sweep = algorithms.run_sweep(problem, cert, config, ["scaffold", "fedavg"], [2, 9])
+        for (algo, seed), traj in sweep.items():
+            alone = algorithms.run(problem, cert, replace(config, algorithm=algo, seed=seed))
+            assert np.array_equal(traj.mse, alone.mse)
+
+    def test_coupled_run_equals_two_scaffold_rounds(self, logistic_problem):
+        config = make_config(logistic_problem, rounds=8, seed=12)
+        rng = np.random.default_rng(4)
+        xis = rng.standard_normal((logistic_problem.n_clients, logistic_problem.d))
+        a = ChainState.zeros(logistic_problem.d, logistic_problem.n_clients)
+        b = ChainState(rng.standard_normal(logistic_problem.d), xis - xis.mean(axis=0))
+        dist = algorithms.coupled_run(logistic_problem, config, a, b)
+        expected = [lambda_norm_sq(a, b, config.gamma, config.local_steps)]
+        for t in range(config.rounds):
+            a = algorithms.scaffold_round(a, logistic_problem, config, t)
+            b = algorithms.scaffold_round(b, logistic_problem, config, t)
+            expected.append(lambda_norm_sq(a, b, config.gamma, config.local_steps))
+        assert np.array_equal(dist, expected)
+
+    def test_one_diverging_chain_raises_at_its_round(self, quad_problem):
+        cert = certificate_for(quad_problem)
+        config = make_config(quad_problem, gamma=2.0, local_steps=5, rounds=300)
+        algos, seeds = ["scaffold", "fedavg"], [0, 1, 2]
+        rounds = {}
+        for algo in algos:
+            for seed in seeds:
+                with pytest.raises(algorithms.DivergenceError) as info:
+                    _reference_run(quad_problem, cert, replace(config, algorithm=algo, seed=seed))
+                rounds[algo, seed] = info.value.round_index
+        first, second = sorted(rounds.values())[:2]
+        assert first < second
+        # stop before the second chain diverges: exactly one chain does
+        with pytest.raises(algorithms.DivergenceError) as info:
+            algorithms.run_sweep(quad_problem, cert, replace(config, rounds=second),
+                                 algos, seeds)
+        assert info.value.round_index == first
+
+    def test_inputs_not_mutated(self, quad_problem):
+        config = make_config(quad_problem, seed=3)
+        rng = np.random.default_rng(2)
+        theta = rng.standard_normal((2, 3, quad_problem.d))
+        xis = rng.standard_normal((2, 3, quad_problem.n_clients, quad_problem.d))
+        before = theta.copy(), xis.copy()
+        algorithms._round(quad_problem, config, 1, [0, 1, 2], theta, xis, 0)
+        assert np.array_equal(theta, before[0]) and np.array_equal(xis, before[1])
+
+    @settings(max_examples=25, deadline=None)
+    @given(n_algos=st.integers(1, 3), n_clients=st.integers(1, 5),
+           seeds=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=3, unique=True),
+           loss=st.sampled_from(["quadratic", "logistic"]),
+           batch=st.integers(1, 7), round_index=st.integers(0, 2 ** 20))
+    def test_block_round_equals_per_chain_rounds(self, n_algos, n_clients, seeds, loss,
+                                                 batch, round_index):
+        problem = random_problem(loss, n_clients=n_clients, n_records=9, d=3,
+                                 batch_size=batch, seed=n_clients)
+        config = make_config(problem, gamma=0.1, local_steps=3)
+        n_scaffold = round_index % (n_algos + 1)
+        rng = np.random.default_rng(round_index)
+        thetas = rng.standard_normal((n_algos, len(seeds), problem.d))
+        xis = rng.standard_normal(thetas.shape[:2] + (n_clients, problem.d))
+        xis -= xis.mean(axis=2, keepdims=True)
+        xis[n_scaffold:] = 0.0
+        got_theta, got_xis = algorithms._round(problem, config, n_scaffold, seeds,
+                                               thetas, xis, round_index)
+        for k in range(n_algos):
+            for s, seed in enumerate(seeds):
+                chain = replace(config, seed=seed)
+                if k < n_scaffold:
+                    theta, xi = _reference_scaffold_round(thetas[k, s], xis[k, s], problem,
+                                                          chain, round_index)
+                    assert np.array_equal(got_xis[k, s], xi)
+                else:
+                    theta = _reference_endpoints(problem, thetas[k, s], xis[k, s],
+                                                 round_index, chain).mean(axis=0)
+                    assert np.array_equal(got_xis[k, s], np.zeros_like(xis[k, s]))
+                assert np.array_equal(got_theta[k, s], theta)
+
+
+class TestConfigOwnership:
+    def test_n_clients_mismatch_raises(self, quad_problem):
+        config = make_config(quad_problem, n_clients=quad_problem.n_clients + 1)
+        state = ChainState.zeros(quad_problem.d, quad_problem.n_clients)
+        with pytest.raises(ValueError, match="n_clients"):
+            algorithms.scaffold_round(state, quad_problem, config, 0)
+
+    def test_batch_size_mismatch_raises(self, quad_problem):
+        config = make_config(quad_problem, batch_size=quad_problem.batch_size + 1)
+        with pytest.raises(ValueError, match="batch_size"):
+            algorithms.fedavg_round(np.zeros(quad_problem.d), quad_problem, config, 0)
+
+    def test_none_batch_size_means_exact_gradients(self, quad_problem):
+        config = make_config(quad_problem, batch_size=None, local_steps=1,
+                             algorithm="fedavg")
+        theta = np.full(quad_problem.d, 0.3)
+        exact = np.mean([objectives.full_gradient(quad_problem, c, theta)
+                         for c in range(quad_problem.n_clients)], axis=0)
+        out = algorithms.fedavg_round(theta, quad_problem, config, 0)
+        assert np.allclose(out, theta - config.gamma * exact, atol=1e-15)

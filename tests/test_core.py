@@ -100,6 +100,16 @@ class TestDeriveStream:
                 expected = derive_stream(77, 12, int(c), h).uniform_indices(37, 8)
                 assert np.array_equal(batch[h, i], expected)
 
+    def test_batch_indices_with_seed_per_column_match_per_seed_calls(self):
+        ids = np.array([4, 0, 9], dtype=np.uint64)
+        seeds = [77, 2 ** 64 - 1, 0]
+        batch = batch_uniform_indices(np.repeat(np.array(seeds, dtype=np.uint64), 3), 12,
+                                      np.tile(ids, 3), n_steps=5, n_records=37, batch=8)
+        assert batch.shape == (5, 9, 8)
+        for s, seed in enumerate(seeds):
+            alone = batch_uniform_indices(seed, 12, ids, n_steps=5, n_records=37, batch=8)
+            assert np.array_equal(batch[:, 3 * s:3 * s + 3], alone)
+
     def test_uniforms_in_unit_interval(self):
         u = derive_stream(1, 0, 0, 0).uniforms(1000)
         assert np.all((0.0 <= u) & (u < 1.0))

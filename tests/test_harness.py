@@ -96,6 +96,19 @@ class TestParseConfig:
                         "informative = 1,5\n")
         assert parse_config(path).informative == [1, 5]
 
+    def test_speedup_pool_not_divisible_rejected(self, tmp_path):
+        # 20 * 8 / 2 = 80 records per source do not split over 6 / 2 = 3 clients
+        body = "[problem]\nrecords_per_client = 20\n[run]\nn_clients = {}\n"
+        path = tmp_path / "c.txt"
+        path.write_text("[experiment]\ntask = speedup\n" + body.format("6,8"))
+        with pytest.raises(ConfigError, match="n_clients"):
+            parse_config(path)
+        path.write_text("[experiment]\ntask = speedup\n" + body.format("2,8"))
+        assert parse_config(path).n_clients == [2, 8]
+        # other tasks give each N its own pool, which always splits
+        path.write_text("[experiment]\ntask = figure1\n" + body.format("6,8"))
+        assert parse_config(path).n_clients == [6, 8]
+
     def test_complexity_requires_epsilon(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("[experiment]\ntask = complexity\n")

@@ -247,18 +247,37 @@ class TestXiPairAccumulator:
         for p in pairs:
             assert np.array_equal(est.cov_xi[p], sums[p] / n_samples)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
     def test_divergence_raises_with_round_index(self, quad_problem):
         from scaffold_sim.algorithms import DivergenceError
 
         cert = certificate_for(quad_problem)
         rc = RunConfig(gamma=50.0, local_steps=20, n_clients=quad_problem.n_clients,
                        rounds=1, batch_size=quad_problem.batch_size, seed=0)
-        with pytest.warns(RuntimeWarning, match="step-size conditions"):
+        with pytest.warns(RuntimeWarning) as record:
             with pytest.raises(DivergenceError) as info:
                 stationary.estimate_stationary(quad_problem, cert, rc, burn_in=0,
                                                n_samples=100)
         assert info.value.round_index >= 0
+        # the step-size warning only: no overflow warnings from the moment sums
+        assert len(record) == 1
+        assert "step-size conditions" in str(record[0].message)
+
+
+    def test_overflowing_sums_raise_without_warnings(self, quad_problem):
+        # gamma*L ~ 10 with H=1: the chain grows ~10x per round but stays
+        # finite for 400 rounds, while its moment sums overflow after ~200
+        from scaffold_sim.algorithms import DivergenceError
+
+        cert = certificate_for(quad_problem)
+        rc = RunConfig(gamma=6.0, local_steps=1, n_clients=quad_problem.n_clients,
+                       rounds=1, batch_size=quad_problem.batch_size, seed=0)
+        with pytest.warns(RuntimeWarning) as record:
+            with pytest.raises(DivergenceError) as info:
+                stationary.estimate_stationary(quad_problem, cert, rc, burn_in=0,
+                                               n_samples=300)
+        assert info.value.round_index == 299
+        assert len(record) == 1
+        assert "step-size conditions" in str(record[0].message)
 
 
 class TestMatrixBlock:
