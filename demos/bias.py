@@ -15,7 +15,7 @@ import numpy as np
 from scaffold_sim import (
     RunConfig,
     build_certificate,
-    estimate_stationary,
+    estimate_stationary_sweep,
     predict_first_order,
     solve_optimum,
 )
@@ -33,11 +33,15 @@ def main():
     gamma0 = 1.0 / (16.0 * cert.big_l)
 
     print(f"{'gamma':>10} {'|bias|':>10} {'|predicted|':>12} {'cosine':>8}")
+    gammas = (gamma0, gamma0 / 2.0)
+    # both step sizes run in lockstep as one block of chains
+    chains = [
+        (problem, cert, RunConfig(gamma=gamma, local_steps=5, n_clients=4, rounds=1,
+                                  batch_size=1, seed=3))
+        for gamma in gammas
+    ]
     biases = []
-    for gamma in (gamma0, gamma0 / 2.0):
-        rc = RunConfig(gamma=gamma, local_steps=5, n_clients=4, rounds=1,
-                       batch_size=1, seed=3)
-        est = estimate_stationary(problem, cert, rc, n_samples=20000)
+    for gamma, est in zip(gammas, estimate_stationary_sweep(chains, n_samples=20000)):
         pred = predict_first_order(problem, cert, gamma, 5)
         b, bp = est.bias_theta, pred.bias_theta
         cos = b @ bp / (np.linalg.norm(b) * np.linalg.norm(bp))

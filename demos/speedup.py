@@ -13,7 +13,7 @@ import numpy as np
 from scaffold_sim import (
     RunConfig,
     build_certificate,
-    estimate_stationary,
+    estimate_stationary_sweep,
     predict_first_order,
     solve_optimum,
 )
@@ -37,11 +37,15 @@ def main():
 
     print(f"shared step size gamma = {gamma:.4g}, H = 10")
     print(f"{'N':>4} {'trace(cov)':>12} {'predicted':>12} {'N*trace':>12}")
-    for n in n_list:
+    # one chain per client count, all run in lockstep as one block
+    chains = [
+        setups[n] + (RunConfig(gamma=gamma, local_steps=10, n_clients=n, rounds=1,
+                               batch_size=config.batch_size, seed=0),)
+        for n in n_list
+    ]
+    estimates = estimate_stationary_sweep(chains, n_samples=4000)
+    for n, est in zip(n_list, estimates):
         problem, cert = setups[n]
-        rc = RunConfig(gamma=gamma, local_steps=10, n_clients=n, rounds=1,
-                       batch_size=config.batch_size, seed=0)
-        est = estimate_stationary(problem, cert, rc, n_samples=4000)
         pred = predict_first_order(problem, cert, gamma, 10)
         tr = float(np.trace(est.cov_theta))
         tr_pred = float(np.trace(pred.cov_theta))

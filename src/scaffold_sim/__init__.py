@@ -32,6 +32,7 @@ from .stationary import (
     StationaryEstimate,
     complexity_recipe,
     estimate_stationary,
+    estimate_stationary_sweep,
     predict_first_order,
     sylvester_solve,
 )
@@ -57,6 +58,7 @@ __all__ = [
     "coupled_run",
     "derive_stream",
     "estimate_stationary",
+    "estimate_stationary_sweep",
     "fedavg_round",
     "full_gradient",
     "hessian",

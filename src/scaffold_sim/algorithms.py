@@ -2,11 +2,13 @@
 
 One round sends the global parameter to every client, runs H corrected
 local SGD steps per client, averages the endpoints, and (for Scaffold)
-updates the control variates from the endpoint spread.  One round kernel
-advances a block of chains, K algorithms x S seeds, vectorized across
-chains and clients.  Randomness comes from the per (seed, round, client,
-step) counter streams, so the chains of one seed see the same minibatches
-and results do not depend on scheduling or on which chains share a block.
+updates the control variates from the endpoint spread.  One round kernel,
+`block_round`, advances a block of chains laid out as a flat client table
+(`ChainBlock`), vectorized across chains and clients; the chains may
+differ in problem, client count, step size, seed and round index.
+Randomness comes from the per (seed, round, client, step) counter
+streams, so chains with the same key see the same minibatches, and
+results do not depend on scheduling or on which chains share a block.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ __all__ = [
     "run",
     "run_sweep",
     "coupled_run",
+    "ChainBlock",
+    "block_round",
 ]
 
 
@@ -67,8 +71,8 @@ class Trajectory:
 def _stacked(problem: Problem):
     """Per-client data stacked as (N, n, d) / (N, n); cached on the problem.
 
-    Returns None when clients have unequal record counts; callers then fall
-    back to a per-client loop.
+    Returns None when clients have unequal record counts; their records
+    then enter a block's flat data one client at a time.
     """
     cache = problem.__dict__.get("_stacked_cache")
     if cache is not None:
@@ -85,15 +89,18 @@ def _stacked(problem: Problem):
     return cache
 
 
-def _local_endpoints(problem, theta, corrections, round_index, config, seeds=None):
-    """Run H local steps on every client of every chain; returns the endpoints.
+def _block_keys(problem, config):
+    # what every chain of one block must share
+    return {
+        "loss": problem.loss,
+        "l2_weight": problem.l2_weight,
+        "local_steps": config.local_steps,
+        "batch_size": None if config.deterministic else problem.batch_size,
+        "d": problem.d,
+    }
 
-    One chain is theta (d,) with corrections (N, d).  A block of chains is
-    theta (K, S, d) with corrections (K, S, N, d): chain (k, s) draws its
-    minibatches from seeds[s] (default config.seed), so the K chains of one
-    seed share each draw and each gathered batch.  The endpoints have the
-    shape of `corrections`.
-    """
+
+def _check_ownership(problem, config):
     if config.n_clients != problem.n_clients:
         raise ValueError(
             f"RunConfig n_clients={config.n_clients} does not match the "
@@ -104,109 +111,236 @@ def _local_endpoints(problem, theta, corrections, round_index, config, seeds=Non
             f"RunConfig batch_size={config.batch_size} does not match the "
             f"problem's batch_size={problem.batch_size}"
         )
-    n_clients, d = problem.n_clients, problem.d
-    gamma, local_steps = config.gamma, config.local_steps
-    seeds = np.asarray(config.seed if seeds is None else seeds, dtype=np.uint64).reshape(-1)
-    n_seeds = seeds.shape[0]
-    out_shape = corrections.shape
-    corrections = corrections.reshape(-1, n_seeds, n_clients, d)
-    thetas = theta.reshape(-1, n_seeds, 1, d).repeat(n_clients, axis=2)
-    stack = _stacked(problem)
 
-    if stack is None:
-        out = np.empty_like(thetas)
-        for k, s in np.ndindex(thetas.shape[:2]):
-            out[k, s] = _local_endpoints_ragged(
-                problem, thetas[k, s], corrections[k, s], round_index, config, int(seeds[s])
-            )
-        return out.reshape(out_shape)
 
-    features, targets, ids = stack
-    if config.deterministic:
+def _flat_data(problems):
+    """Every client's records, concatenated; per problem its clients' rows.
+
+    Returns (features (rows, d), targets (rows,), {id(problem): (first
+    rows, record counts, client ids)}).  A single problem with equal
+    record counts reuses its stacked arrays without a copy.
+    """
+    stack = _stacked(problems[0]) if len(problems) == 1 else None
+    if stack is not None:
+        features, targets, ids = stack
+        n_clients, n_records, d = features.shape
+        rows = (np.arange(n_clients) * n_records, np.full(n_clients, n_records), ids)
+        return features.reshape(-1, d), targets.reshape(-1), {id(problems[0]): rows}
+    clients = [c for problem in problems for c in problem.clients]
+    sizes = np.array([c.n_records for c in clients])
+    first = np.cumsum(sizes) - sizes
+    ids = np.array([c.client_id for c in clients], dtype=np.uint64)
+    table = {}
+    start = 0
+    for problem in problems:
+        stop = start + problem.n_clients
+        table[id(problem)] = (first[start:stop], sizes[start:stop], ids[start:stop])
+        start = stop
+    features = np.concatenate([c.features for c in clients])
+    targets = np.concatenate([c.targets for c in clients])
+    return features, targets, table
+
+
+def _exact_groups(chains, slices):
+    """(rows, features, targets) for exact gradients.
+
+    One stacked gradient call per problem covers the rows of all its
+    chains; a problem whose clients differ in record count takes one call
+    per client.
+    """
+    starts = {}
+    for (problem, _), rows in zip(chains, slices):
+        starts.setdefault(id(problem), (problem, []))[1].append(rows.start)
+    groups = []
+    for problem, first in starts.values():
+        first = np.array(first)
+        stack = _stacked(problem)
+        if stack is None:
+            groups += [(first + i, c.features[None], c.targets[None])
+                       for i, c in enumerate(problem.clients)]
+        else:
+            rows = (first[:, None] + np.arange(problem.n_clients)).ravel()
+            groups.append((rows, stack[0], stack[1]))
+    if len(groups) == 1 and len(groups[0][0]) == slices[-1].stop:
+        groups = [(slice(None),) + groups[0][1:]]  # all rows, in order
+    return groups
+
+
+def _uniform(values):
+    """The common value of `values`, or None if they differ."""
+    return values[0] if all(v == values[0] for v in values) else None
+
+
+class ChainBlock:
+    """Flat client table of a block of chains, built once per block.
+
+    `chains` is a list of (problem, config) pairs.  Row r of the table is
+    one client of one chain, and chain g owns the rows `slices[g]`.  Every
+    row carries its client's first row in the block's concatenated data,
+    its record count, client id and seed, and its chain's step size, so
+    chains with different problems, client counts, step sizes and round
+    indices share one draw and one gather per local step.  A part that is
+    the same on every row stays a scalar, which mixes its RNG key once
+    instead of per row.
+
+    The chains must share the loss, l2 weight, local steps, dimension and
+    batch width (or all use exact gradients); a mismatch raises a
+    ValueError naming the key.
+    """
+
+    def __init__(self, chains, data=None):
+        problem, config = chains[0]
+        shared = _block_keys(problem, config)
+        for p, c in chains:
+            _check_ownership(p, c)
+            for key, value in _block_keys(p, c).items():
+                if value != shared[key]:
+                    raise ValueError(
+                        f"chains in one block must share {key}: "
+                        f"got {shared[key]!r} and {value!r}"
+                    )
+        self.chains = chains
+        self.loss, self.l2_weight = problem.loss, problem.l2_weight
+        self.local_steps, self.batch, self.d = (
+            config.local_steps, shared["batch_size"], problem.d)
+        sizes = [p.n_clients for p, _ in chains]
+        stops = np.cumsum(sizes).tolist()
+        self.slices = [slice(stop - n, stop) for n, stop in zip(sizes, stops)]
+        self.n_rows = stops[-1]
+        self.counts = sizes[0] if _uniform(sizes) is not None else np.array(sizes)
+        gammas = [c.gamma for _, c in chains]
+        self.gamma = _uniform(gammas)
+        if self.gamma is None:
+            self.gamma = np.repeat(gammas, sizes)[:, None]
+        self.gamma_h = [c.gamma * c.local_steps for _, c in chains]
+        self._data = data
+        if self.batch is None:
+            self.groups = _exact_groups(chains, self.slices)
+            return
+
+        if data is None:
+            self._data = data = _flat_data(list({id(p): p for p, _ in chains}.values()))
+        self.flat_x, self.flat_y, clients = data
+        rows = [clients[id(p)] for p, _ in chains]
+        first, n_records, self.ids = (
+            np.concatenate(part) if len(rows) > 1 else part[0] for part in zip(*rows))
+        self.first_rows = first[:, None]
+        self.n_records = _uniform(n_records.tolist())
+        if self.n_records is None:
+            self.n_records = n_records
+        seeds = [c.seed for _, c in chains]
+        self.seed = _uniform(seeds)
+        if self.seed is None:
+            self.seed = np.repeat(np.array(seeds, dtype=np.uint64), sizes)
+
+    def prefix(self, n_chains):
+        """The block of the first `n_chains` chains, on the same data."""
+        return ChainBlock(self.chains[:n_chains], self._data)
+
+
+def _endpoints(block, thetas, corrections, rounds):
+    """H local steps on every row of the block; returns the endpoints.
+
+    thetas (..., G, d) holds one parameter per chain and corrections
+    (..., R, d) one control variate per row.  A leading axis holds chains
+    that share the block's rows, and with them each draw and each gathered
+    batch.  `rounds` is the round index, one for all rows or one per row.
+    The endpoints have the shape of `corrections`.
+    """
+    thetas = np.repeat(thetas, block.counts, axis=-2)
+    gamma, loss, l2_weight = block.gamma, block.loss, block.l2_weight
+    if block.batch is None:
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(local_steps):
-                grads = stacked_minibatch_gradient(
-                    features, targets, thetas, problem.loss, problem.l2_weight
-                )
+            for _ in range(block.local_steps):
+                grads = np.empty_like(thetas)
+                for rows, features, targets in block.groups:
+                    part = thetas[..., rows, :]
+                    per_chain = part.reshape(part.shape[:-2] + (-1,) + features.shape[::2])
+                    grads[..., rows, :] = stacked_minibatch_gradient(
+                        features, targets, per_chain, loss, l2_weight
+                    ).reshape(part.shape)
                 thetas = thetas - gamma * (grads + corrections)
-        return thetas.reshape(out_shape)
+        return thetas
 
-    # row of (client i, record r) in the flattened (N*n, d) data: i*n + r,
-    # so each step gathers its (S*N, b) batch, shared by all K chains, with
-    # a single take
-    n_records = features.shape[1]
-    first_rows = np.arange(n_clients) * n_records
-    if n_seeds == 1:
-        root_seed = seeds[0]  # a scalar seed mixes its key once, not per client
-    else:
-        # the S seeds' clients are S blocks of N virtual clients, drawn in one call
-        root_seed = seeds.repeat(n_clients)
-        ids = np.tile(ids, n_seeds)
-        first_rows = np.tile(first_rows, n_seeds)
-    idx = batch_uniform_indices(root_seed, round_index, ids, local_steps, n_records,
-                                problem.batch_size)
-    idx += first_rows[:, None]
-    flat_x = features.reshape(-1, d)
-    flat_y = targets.reshape(-1)
-    # the K chains share each gathered batch; a single chain stays 2-D,
-    # which skips broadcasting over a leading axis of one at every step
-    rows = (n_seeds * n_clients, d)
-    thetas = thetas.reshape(rows if thetas.shape[0] == 1 else (-1,) + rows)
-    corrections = corrections.reshape(thetas.shape)
+    # each step gathers its (R, b) batch, shared by every chain of a
+    # leading axis, with a single take from the flat (rows, d) data
+    idx = batch_uniform_indices(block.seed, rounds, block.ids, block.local_steps,
+                                block.n_records, block.batch)
+    idx += block.first_rows
+    flat_x, flat_y = block.flat_x, block.flat_y
     with np.errstate(over="ignore", invalid="ignore"):
-        for h in range(local_steps):
+        for h in range(block.local_steps):
             grads = stacked_minibatch_gradient(
                 flat_x.take(idx[h], axis=0), flat_y.take(idx[h]), thetas,
-                problem.loss, problem.l2_weight,
+                loss, l2_weight,
             )
             thetas = thetas - gamma * (grads + corrections)
-    return thetas.reshape(out_shape)
+    return thetas
 
 
-def _local_endpoints_ragged(problem, thetas, corrections, round_index, config, seed):
-    # slow path for clients with unequal record counts; one chain
-    from .core import derive_stream
-    from .objectives import full_gradient, stochastic_gradient
+def block_round(block, n_scaffold, thetas, xis, rounds):
+    """Advance every chain of a ChainBlock one round; returns (thetas, xis).
 
-    gamma = config.gamma
-    out = np.empty_like(thetas)
-    for i, ds in enumerate(problem.clients):
-        theta = thetas[i].copy()
-        for h in range(config.local_steps):
-            if config.deterministic:
-                grad = full_gradient(problem, i, theta)
-            else:
-                stream = derive_stream(seed, round_index, ds.client_id, h)
-                grad = stochastic_gradient(problem, i, theta, stream)
-            theta = theta - gamma * (grad + corrections[i])
-        out[i] = theta
-    return out
+    thetas (..., G, d) and xis (..., R, d) as in `_endpoints`.  Along a
+    leading axis the first n_scaffold chains run Scaffold and the rest
+    FedAvg; without one, n_scaffold is 1 (Scaffold) or 0 (FedAvg).  FedAvg
+    chains keep all-zero control variates, which still enter every local
+    step as in a separate FedAvg round (the add turns -0.0 gradients into
+    +0.0).
+
+    Each chain averages its own endpoints.  Its control variates move by
+    (endpoint - average) / (gamma * H) and are re-centered so their sum
+    stays exactly on the zero subspace.  Raises DivergenceError, with the
+    round index of the first chain hit, if any entry of the new block is
+    not finite; an overflow anywhere in the round leaves one, so this
+    single check covers the round.
+    """
+    # the fresh endpoint array becomes the new control variates in place;
+    # spread / (gamma * H) + xi is the same IEEE sum as xi + spread / (gamma * H)
+    xis_next = _endpoints(block, thetas, xis, rounds)
+    thetas_next = np.empty_like(thetas)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for g, (rows, gamma_h) in enumerate(zip(block.slices, block.gamma_h)):
+            xi = xis_next[..., rows, :]
+            mean = xi.mean(axis=-2)
+            thetas_next[..., g, :] = mean
+            xi -= mean[..., None, :]
+            xi /= gamma_h
+            xi += xis[..., rows, :]
+            xi -= xi.mean(axis=-2, keepdims=True)
+    xis_next.reshape(-1, block.n_rows, block.d)[n_scaffold:] = 0.0
+    if not (np.isfinite(thetas_next).all() and np.isfinite(xis_next).all()):
+        first_row = next(
+            rows.start for g, rows in enumerate(block.slices)
+            if not (np.isfinite(thetas_next[..., g, :]).all()
+                    and np.isfinite(xis_next[..., rows, :]).all())
+        )
+        raise DivergenceError(int(rounds if np.ndim(rounds) == 0 else rounds[first_row]))
+    return thetas_next, xis_next
+
+
+def _local_endpoints(problem, theta, corrections, round_index, config):
+    """Endpoints (N, d) of one chain's local steps from theta (d,)."""
+    return _endpoints(ChainBlock([(problem, config)]), theta[None], corrections, round_index)
 
 
 def _round(problem, config, n_scaffold, seeds, thetas, xis, round_index):
-    """Advance a block of K x S chains one round; returns (thetas, xis).
+    """One round of K x S chains of one problem; returns (thetas, xis).
 
-    thetas (K, S, d) and xis (K, S, N, d); chain (k, s) uses seeds[s].  Rows
-    k < n_scaffold run Scaffold, the rest FedAvg.  FedAvg rows keep all-zero
-    control variates, which still enter every local step as in a separate
-    FedAvg round (the add turns -0.0 gradients into +0.0).
-
-    The control variates move by (endpoint - average) / (gamma * H) and are
-    re-centered so their sum stays exactly on the zero subspace.  Raises
-    DivergenceError if any entry of the new block is not finite; an
-    overflow anywhere in the round leaves one, so this single check covers
-    the round.
+    thetas (K, S, d) and xis (K, S, N, d); chain (k, s) draws its
+    minibatches from seeds[s], so the K chains of one seed share each draw
+    and gather.  Chains k < n_scaffold run Scaffold, the rest FedAvg.
     """
-    endpoints = _local_endpoints(problem, thetas, xis, round_index, config, seeds)
-    with np.errstate(over="ignore", invalid="ignore"):
-        thetas_next = endpoints.mean(axis=2)
-        spread = endpoints - thetas_next[:, :, None, :]
-        xis_next = xis + spread / (config.gamma * config.local_steps)
-        xis_next -= xis_next.mean(axis=2, keepdims=True)
-    xis_next[n_scaffold:] = 0.0
-    if not (np.isfinite(thetas_next).all() and np.isfinite(xis_next).all()):
-        raise DivergenceError(round_index)
-    return thetas_next, xis_next
+    seeds = [seeds] if np.ndim(seeds) == 0 else list(seeds)
+    block = ChainBlock([
+        (problem, config if seed == config.seed else replace(config, seed=int(seed)))
+        for seed in seeds
+    ])
+    n_algos, n_seeds, n, d = xis.shape
+    lead = (n_algos,) if n_algos > 1 else ()  # one chain per row skips a leading axis of one
+    thetas, xis = block_round(block, n_scaffold, thetas.reshape(lead + (n_seeds, d)),
+                              xis.reshape(lead + (n_seeds * n, d)), round_index)
+    return thetas.reshape(n_algos, n_seeds, d), xis.reshape(n_algos, n_seeds, n, d)
 
 
 def scaffold_round(state: ChainState, problem: Problem, config: RunConfig,
@@ -251,28 +385,36 @@ def run_sweep(problem: Problem, certificate, config: RunConfig, algorithms, seed
     # Scaffold rows first: the round kernel takes their count
     algorithms = sorted(algorithms, key=lambda a: a != "scaffold")
     n_scaffold = algorithms.count("scaffold")
+    block = ChainBlock([(problem, replace(config, seed=seed)) for seed in seeds])
+    n_algos, n_seeds = len(algorithms), len(seeds)
     d = problem.d
     n = problem.n_clients
     theta_star = certificate.theta_star
     theta = np.zeros(d) if theta0 is None else np.asarray(theta0, dtype=np.float64)
-    thetas = np.tile(theta, (len(algorithms), len(seeds), 1))
-    xis = np.zeros(thetas.shape[:2] + (n, d))
+    # one algorithm keeps no leading axis of one
+    lead = (n_algos,) if n_algos > 1 else ()
+    thetas = np.tile(theta, lead + (n_seeds, 1))
+    xis = np.zeros(lead + (n_seeds * n, d))
+    cell_thetas = thetas.reshape(n_algos, n_seeds, d)
+    cell_xis = xis.reshape(n_algos, n_seeds, n, d)
     if n_scaffold:
         start = ChainState(theta, np.zeros((n, d)) if xis0 is None else xis0)
-        xis[:n_scaffold] = start.xis
+        cell_xis[:n_scaffold] = start.xis
     target = ChainState(theta_star, certificate.xi_star)
-    cells = [(k, s) for k in range(n_scaffold) for s in range(len(seeds))]
+    cells = [(k, s) for k in range(n_scaffold) for s in range(n_seeds)]
 
-    mse = np.empty((config.rounds + 1,) + thetas.shape[:2])
+    mse = np.empty((config.rounds + 1, n_algos, n_seeds))
     lam_dist = np.empty_like(mse)
     for t in range(config.rounds + 1):
         if t > 0:
-            thetas, xis = _round(problem, config, n_scaffold, seeds, thetas, xis, t - 1)
+            thetas, xis = block_round(block, n_scaffold, thetas, xis, t - 1)
+            cell_thetas = thetas.reshape(n_algos, n_seeds, d)
+            cell_xis = xis.reshape(n_algos, n_seeds, n, d)
         with np.errstate(over="ignore"):
-            mse[t] = np.sum((thetas - theta_star) ** 2, axis=-1)
+            mse[t] = np.sum((cell_thetas - theta_star) ** 2, axis=-1)
         for k, s in cells:
             lam_dist[t, k, s] = lambda_norm_sq(
-                ChainState.unchecked(thetas[k, s], xis[k, s]), target,
+                ChainState.unchecked(cell_thetas[k, s], cell_xis[k, s]), target,
                 config.gamma, config.local_steps,
             )
 
@@ -311,13 +453,14 @@ def coupled_run(problem: Problem, config: RunConfig,
     gathers one minibatch per client and step for both.
     """
     gamma, local_steps = config.gamma, config.local_steps
+    block = ChainBlock([(problem, config)])
     dist = np.empty(config.rounds + 1)
     dist[0] = lambda_norm_sq(state_a, state_b, gamma, local_steps)
     thetas = np.stack([state_a.theta, state_b.theta])[:, None]
-    xis = np.stack([state_a.xis, state_b.xis])[:, None]
+    xis = np.stack([state_a.xis, state_b.xis])
     for t in range(config.rounds):
-        thetas, xis = _round(problem, config, 2, config.seed, thetas, xis, t)
-        a = ChainState.unchecked(thetas[0, 0], xis[0, 0])
-        b = ChainState.unchecked(thetas[1, 0], xis[1, 0])
+        thetas, xis = block_round(block, 2, thetas, xis, t)
+        a = ChainState.unchecked(thetas[0, 0], xis[0])
+        b = ChainState.unchecked(thetas[1, 0], xis[1])
         dist[t + 1] = lambda_norm_sq(a, b, gamma, local_steps)
     return dist

@@ -36,10 +36,18 @@ _SALT_STEP = _U64(0x94D049BB133111EB)
 
 
 def _finalize(z):
-    """splitmix64 finalizer, vectorized over uint64 arrays."""
-    z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
-    return z ^ (z >> _U64(31))
+    """splitmix64 finalizer, vectorized over uint64 arrays.
+
+    Updates `z` in place and returns it, so callers pass only arrays they
+    made for this call, never one of their inputs.  A numpy scalar is
+    immutable and simply rebinds.
+    """
+    z ^= z >> _U64(30)
+    z *= _U64(0xBF58476D1CE4E5B9)
+    z ^= z >> _U64(27)
+    z *= _U64(0x94D049BB133111EB)
+    z ^= z >> _U64(31)
+    return z
 
 
 def _mix_key(root_seed, round_idx, client, step):
@@ -58,10 +66,10 @@ def _mix_key(root_seed, round_idx, client, step):
 def _raw_words(key, count, offset=0):
     """Draws `count` uint64 words from the stream with the given key."""
     key = np.asarray(key, dtype=_U64)
-    ctr = (np.arange(offset, offset + count, dtype=_U64) + _U64(1))
+    ctr = np.arange(offset + 1, offset + count + 1, dtype=_U64)
     with np.errstate(over="ignore"):
-        state = key[..., None] + ctr * _GAMMA64
-        return _finalize(state)
+        ctr *= _GAMMA64
+        return _finalize(key[..., None] + ctr)
 
 
 @dataclass(frozen=True)
@@ -93,7 +101,8 @@ class RngStream:
             raise ValueError(f"need n >= 1, got {n}")
         words = _raw_words(self._key, count)
         # modulo map; bias is ~n/2^64, negligible for in-memory datasets
-        return (words % _U64(n)).astype(np.int64)
+        words %= _U64(n)
+        return words.view(np.int64)
 
     def uniforms(self, count):
         """`count` i.i.d. uniform draws from [0, 1)."""
@@ -111,14 +120,17 @@ def batch_uniform_indices(root_seed, round_idx, client_ids, n_steps, n_records, 
 
     Entry [h, i, :] equals derive_stream(root_seed, round_idx,
     client_ids[i], h).uniform_indices(n_records, batch), computed in one
-    vectorized pass.  `root_seed` is a scalar or, like `client_ids`, one
-    seed per column, so several seeds' clients are drawn in one call.
+    vectorized pass.  `root_seed`, `round_idx` and `n_records` are each a
+    scalar or, like `client_ids`, one value per column, so clients of
+    several chains (seeds, rounds, data sizes) are drawn in one call.
     """
     client_ids = np.asarray(client_ids, dtype=_U64)
     steps = np.arange(n_steps, dtype=_U64)
     keys = _mix_key(root_seed, round_idx, client_ids[None, :], steps[:, None])
     words = _raw_words(keys, batch)
-    return (words % _U64(n_records)).astype(np.int64)
+    # every value ends below n_records, so the int64 view is exact
+    words %= np.asarray(n_records, dtype=_U64)[..., None]
+    return words.view(np.int64)
 
 
 @dataclass

@@ -350,7 +350,8 @@ def run_speedup(config: ExperimentConfig, threads=1):
 
     All client counts re-split one shared data pool (sized for the largest
     N) so that the average noise level is common across rows; the step size
-    comes from the largest-N certificate and is shared too.
+    comes from the largest-N certificate and is shared too.  The chains of
+    all client counts run in lockstep as one block.
     """
     n_list = sorted(set(config.n_clients))
     n_max = n_list[-1]
@@ -361,17 +362,21 @@ def run_speedup(config: ExperimentConfig, threads=1):
         setups[n] = (problem, build_certificate(problem, solve_optimum(problem)))
     gamma = _resolve_gamma(config, setups[n_max][1])
 
-    rows = ["N,trace_cov_theta,predicted_trace"]
+    chains = []
     for n in n_list:
-        problem, cert = setups[n]
         rc = RunConfig(
             gamma=gamma, local_steps=config.local_steps, n_clients=n,
             rounds=1, batch_size=config.batch_size, seed=config.seeds[0],
         )
-        est = stationary.estimate_stationary(
-            problem, cert, rc, burn_in=config.burn_in,
-            n_samples=config.n_samples, thinning=config.thinning,
-        )
+        chains.append(setups[n] + (rc,))
+    estimates = stationary.estimate_stationary_sweep(
+        chains, burn_in=config.burn_in, n_samples=config.n_samples,
+        thinning=config.thinning,
+    )
+
+    rows = ["N,trace_cov_theta,predicted_trace"]
+    for n, est in zip(n_list, estimates):
+        problem, cert = setups[n]
         pred = stationary.predict_first_order(problem, cert, gamma, config.local_steps)
         rows.append(
             f"{n},{float(np.trace(est.cov_theta)):.17g},"

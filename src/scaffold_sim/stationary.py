@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import objectives
-from .algorithms import DivergenceError, scaffold_round
-from .core import ChainState, RunConfig
+# `scaffold_round` stays importable here: perfbench/spans.py wraps it
+from .algorithms import ChainBlock, DivergenceError, block_round, scaffold_round  # noqa: F401
+from .core import RunConfig
 from .optimum import OptimumCertificate
 
 __all__ = [
@@ -25,6 +26,7 @@ __all__ = [
     "ComplexityRecipe",
     "default_burn_in",
     "estimate_stationary",
+    "estimate_stationary_sweep",
     "sylvester_solve",
     "predict_first_order",
     "complexity_recipe",
@@ -108,75 +110,123 @@ def estimate_stationary(problem, certificate: OptimumCertificate, config: RunCon
 
     Collects `n_samples` states spaced by `thinning` rounds.  Standard
     errors of the bias come from batch means over 20 batches, which absorb
-    the chain's autocorrelation.
+    the chain's autocorrelation.  This is the one-chain case of
+    `estimate_stationary_sweep`.
     """
+    return estimate_stationary_sweep([(problem, certificate, config)], burn_in,
+                                     n_samples, thinning, pair_seed)[0]
+
+
+def estimate_stationary_sweep(chains, burn_in=None, n_samples=1000, thinning=1,
+                              pair_seed=0):
+    """`estimate_stationary` for every (problem, certificate, config) chain.
+
+    The chains advance in lockstep as one block through one round kernel:
+    each local step makes one draw and one gather for all of them.  Chain
+    g (burn-in b_g, default from its own step size and certificate) runs
+    its round 0 at iteration max(b) - b_g, so every chain samples at the
+    same iterations, and each moment sum is one array for all chains.
+    Each estimate equals a separate `estimate_stationary` call bit for
+    bit.  The chains must share the loss, l2 weight, local steps and batch
+    width.  Returns one StationaryEstimate per chain, in order.
+    """
+    if not chains:
+        raise ValueError("need at least one chain")
     if n_samples < 100:
         raise ValueError(f"need n_samples >= 100, got {n_samples}")
     if thinning < 1:
         raise ValueError(f"thinning must be >= 1, got {thinning}")
-    if burn_in is None:
-        burn_in = default_burn_in(config.gamma, certificate.mu, config.local_steps)
-    config.stepsize_diagnostics(certificate.mu, certificate.big_l)
+    burn_ins = []
+    for _, certificate, config in chains:
+        burn_ins.append(default_burn_in(config.gamma, certificate.mu, config.local_steps)
+                        if burn_in is None else burn_in)
+        config.stepsize_diagnostics(certificate.mu, certificate.big_l)
 
-    d = problem.d
-    n = problem.n_clients
-    theta_star = certificate.theta_star
-    xi_star = certificate.xi_star
-    pairs = _xi_pair_subset(n, seed=pair_seed)
+    # longest burn-in first, so the chains running at any iteration are a
+    # prefix of the block and its rows
+    order = sorted(range(len(chains)), key=lambda g: -burn_ins[g])
+    chains = [chains[g] for g in order]
+    burn_ins = [burn_ins[g] for g in order]
+    block = ChainBlock([(problem, config) for problem, _, config in chains])
+    sampling = burn_ins[0]
+    starts = [sampling - b for b in burn_ins]
+    sizes = [problem.n_clients for problem, _, _ in chains]
+    row_starts = np.repeat(starts, sizes)  # iteration of each row's round 0
+    d = block.d
+    theta_star = np.stack([certificate.theta_star for _, certificate, _ in chains])
+    xi_star = np.concatenate([certificate.xi_star for _, certificate, _ in chains])
 
-    state = ChainState.zeros(d, n)
-    t = 0
-    for _ in range(burn_in):
-        state = scaffold_round(state, problem, config, t)
-        t += 1
-
-    sum_dtheta = np.zeros(d)
-    sum_outer_theta = np.zeros((d, d))
-    sum_theta_xi = np.zeros((n, d, d))
-    # one (P, d, d) accumulator; row k holds the pair pairs[k]
-    pair_c = np.array([c for c, _ in pairs])
-    pair_cp = np.array([cp for _, cp in pairs])
-    sum_xi = np.zeros((len(pairs), d, d))
+    # one (P, d, d) accumulator over the pairs of all chains: chain g owns
+    # the entries pair_rows[g], and its pair (c, c') is a pair of block rows
+    pairs = [_xi_pair_subset(n, seed=pair_seed) for n in sizes]
+    pair_c, pair_cp, pair_rows = [], [], []
+    for rows, chain_pairs in zip(block.slices, pairs):
+        pair_rows.append(slice(len(pair_c), len(pair_c) + len(chain_pairs)))
+        pair_c += [rows.start + c for c, _ in chain_pairs]
+        pair_cp += [rows.start + cp for _, cp in chain_pairs]
+    pair_c, pair_cp = np.array(pair_c), np.array(pair_cp)
+    sum_dtheta = np.zeros((len(chains), d))
+    sum_outer_theta = np.zeros((len(chains), d, d))
+    sum_theta_xi = np.zeros((block.n_rows, d, d))
+    sum_xi = np.zeros((len(pair_c), d, d))
     batch_size = n_samples // N_SE_BATCHES
-    batch_means = np.zeros((N_SE_BATCHES, d))
+    batch_means = np.zeros((len(chains), N_SE_BATCHES, d))
 
+    thetas = np.zeros((0, d))
+    xis = np.zeros((0, d))
+    n_active = 0
     # a finite but huge state overflows the sums before the chain itself
     # diverges; that is reported once, below, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_samples):
-            for _ in range(thinning):
-                state = scaffold_round(state, problem, config, t)
-                t += 1
-            dtheta = state.theta - theta_star
-            dxi = state.xis - xi_star
+        for it in range(sampling + n_samples * thinning):
+            running = n_active
+            while n_active < len(chains) and starts[n_active] == it:
+                n_active += 1
+            if n_active > running:
+                # the block grows by the chains that start now, from zero
+                active = block.prefix(n_active)
+                thetas = np.concatenate([thetas, np.zeros((n_active - running, d))])
+                xis = np.concatenate([xis, np.zeros((active.n_rows - len(xis), d))])
+                start = row_starts[:active.n_rows]
+                if starts[0] == starts[n_active - 1]:
+                    start = starts[0]  # one round index mixes its key once
+            thetas, xis = block_round(active, 1, thetas, xis, it - start)
+            if it < sampling or (it - sampling + 1) % thinning:
+                continue
+            k = (it - sampling) // thinning
+            dtheta = thetas - theta_star
+            dxi = xis - xi_star
             sum_dtheta += dtheta
-            sum_outer_theta += np.outer(dtheta, dtheta)
-            sum_theta_xi += dtheta[None, :, None] * dxi[:, None, :]
+            sum_outer_theta += dtheta[:, :, None] * dtheta[:, None, :]
+            sum_theta_xi += np.repeat(dtheta, block.counts, axis=0)[:, :, None] * dxi[:, None, :]
             sum_xi += dxi[pair_c][:, :, None] * dxi[pair_cp][:, None, :]
-            b = min(k // batch_size, N_SE_BATCHES - 1)
-            batch_means[b] += dtheta
-    sums = (sum_dtheta, sum_outer_theta, sum_theta_xi, sum_xi, batch_means)
-    if not all(np.isfinite(x).all() for x in sums):
-        raise DivergenceError(t - 1)
+            batch_means[:, min(k // batch_size, N_SE_BATCHES - 1)] += dtheta
 
     # trailing samples beyond 20*batch_size fold into the last batch
     counts = np.full(N_SE_BATCHES, batch_size, dtype=float)
     counts[-1] += n_samples - N_SE_BATCHES * batch_size
-    batch_means /= counts[:, None]
-    se_bias = batch_means.std(axis=0, ddof=1) / np.sqrt(N_SE_BATCHES)
-
-    cov_theta = sum_outer_theta / n_samples
-    cov_theta = 0.5 * (cov_theta + cov_theta.T)
-    return StationaryEstimate(
-        burn_in_rounds=burn_in,
-        n_samples=n_samples,
-        thinning=thinning,
-        bias_theta=sum_dtheta / n_samples,
-        cov_theta=cov_theta,
-        cov_theta_xi=sum_theta_xi / n_samples,
-        cov_xi=dict(zip(pairs, sum_xi / n_samples)),
-        se_bias=se_bias,
-    )
+    for g in np.argsort(order):  # input order
+        rows = block.slices[g]
+        sums = (sum_dtheta[g], sum_outer_theta[g], sum_theta_xi[rows], sum_xi[pair_rows[g]],
+                batch_means[g])
+        if not all(np.isfinite(x).all() for x in sums):
+            raise DivergenceError(burn_ins[g] + n_samples * thinning - 1)
+    estimates = [None] * len(chains)
+    for g, rows in enumerate(block.slices):
+        means = batch_means[g] / counts[:, None]
+        cov_theta = sum_outer_theta[g] / n_samples
+        cov_theta = 0.5 * (cov_theta + cov_theta.T)
+        estimates[order[g]] = StationaryEstimate(
+            burn_in_rounds=burn_ins[g],
+            n_samples=n_samples,
+            thinning=thinning,
+            bias_theta=sum_dtheta[g] / n_samples,
+            cov_theta=cov_theta,
+            cov_theta_xi=sum_theta_xi[rows] / n_samples,
+            cov_xi=dict(zip(pairs[g], sum_xi[pair_rows[g]] / n_samples)),
+            se_bias=means.std(axis=0, ddof=1) / np.sqrt(N_SE_BATCHES),
+        )
+    return estimates
 
 
 @dataclass

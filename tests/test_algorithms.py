@@ -501,6 +501,84 @@ class TestRoundKernel:
                 assert np.array_equal(got_theta[k, s], theta)
 
 
+def _reference_ragged_endpoints(problem, theta, corrections, round_index, config):
+    # the per-client loop ragged clients used before they became table rows
+    out = np.empty((problem.n_clients, problem.d))
+    for i, ds in enumerate(problem.clients):
+        x = theta.copy()
+        for h in range(config.local_steps):
+            if config.deterministic:
+                grad = objectives.full_gradient(problem, i, x)
+            else:
+                grad = stochastic_gradient(problem, i, x,
+                                           derive_stream(config.seed, round_index,
+                                                         ds.client_id, h))
+            x = x - config.gamma * (grad + corrections[i])
+        out[i] = x
+    return out
+
+
+class TestRaggedTable:
+    @pytest.mark.parametrize("batch_size", [3, None])
+    def test_block_round_equals_per_client_loop(self, batch_size):
+        rng = np.random.default_rng(37)
+        clients = [datagen.ClientDataset(rng.standard_normal((n, 3)),
+                                         np.sign(rng.standard_normal(n)), client_id=5 * i + 1)
+                   for i, n in enumerate([7, 12, 1, 30])]
+        problem = objectives.Problem(clients, "logistic" if batch_size else "quadratic",
+                                     0.1, batch_size=3)
+        config = make_config(problem, gamma=0.2, local_steps=4, batch_size=batch_size)
+        seeds = [2, 9]
+        thetas = rng.standard_normal((2, 2, 3))
+        xis = rng.standard_normal((2, 2, 4, 3))
+        xis -= xis.mean(axis=2, keepdims=True)
+        xis[1] = 0.0
+        got_theta, got_xis = algorithms._round(problem, config, 1, seeds, thetas, xis, 6)
+        for k in range(2):
+            for s, seed in enumerate(seeds):
+                chain = replace(config, seed=seed)
+                ends = _reference_ragged_endpoints(problem, thetas[k, s], xis[k, s], 6, chain)
+                theta = ends.mean(axis=0)
+                assert np.array_equal(got_theta[k, s], theta)
+                if k == 0:
+                    xi = xis[k, s] + (ends - theta) / (config.gamma * config.local_steps)
+                    assert np.array_equal(got_xis[k, s], xi - xi.mean(axis=0, keepdims=True))
+                else:
+                    assert np.array_equal(got_xis[k, s], np.zeros((4, 3)))
+
+
+class TestChainBlock:
+    def test_chains_of_different_problems_equal_separate_rounds(self):
+        # a block of three problems with different client counts, record
+        # counts, step sizes, seeds and round indices
+        problems = [random_problem("logistic", n_clients=n, n_records=r, d=3, batch_size=4,
+                                   seed=n) for n, r in ((2, 9), (5, 30), (1, 4))]
+        configs = [make_config(p, gamma=g, local_steps=3, seed=s)
+                   for p, g, s in zip(problems, (0.1, 0.05, 0.2), (4, 4, 2 ** 64 - 1))]
+        block = algorithms.ChainBlock(list(zip(problems, configs)))
+        rng = np.random.default_rng(3)
+        thetas = rng.standard_normal((3, 3))
+        xis = rng.standard_normal((block.n_rows, 3))
+        rounds = np.repeat([7, 0, 123], [2, 5, 1])
+        got_theta, got_xis = algorithms.block_round(block, 1, thetas, xis, rounds)
+        for g, (problem, config) in enumerate(zip(problems, configs)):
+            rows = block.slices[g]
+            theta, xi = _reference_scaffold_round(thetas[g], xis[rows], problem, config,
+                                                  int(rounds[rows.start]))
+            assert np.array_equal(got_theta[g], theta)
+            assert np.array_equal(got_xis[rows], xi)
+
+    def test_divergence_reports_the_chain_round(self, quad_problem):
+        configs = [make_config(quad_problem, gamma=g) for g in (0.05, 1e200, 0.05)]
+        block = algorithms.ChainBlock([(quad_problem, c) for c in configs])
+        thetas = np.ones((3, quad_problem.d))
+        xis = np.zeros((block.n_rows, quad_problem.d))
+        rounds = np.repeat([40, 17, 3], quad_problem.n_clients)
+        with pytest.raises(algorithms.DivergenceError) as info:
+            algorithms.block_round(block, 1, thetas, xis, rounds)
+        assert info.value.round_index == 17
+
+
 class TestConfigOwnership:
     def test_n_clients_mismatch_raises(self, quad_problem):
         config = make_config(quad_problem, n_clients=quad_problem.n_clients + 1)

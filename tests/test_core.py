@@ -110,6 +110,40 @@ class TestDeriveStream:
             alone = batch_uniform_indices(seed, 12, ids, n_steps=5, n_records=37, batch=8)
             assert np.array_equal(batch[:, 3 * s:3 * s + 3], alone)
 
+    def test_batch_indices_with_round_and_size_per_column(self):
+        ids = np.array([4, 0, 9, 4], dtype=np.uint64)
+        rounds = np.array([12, 12, 3, 2 ** 40])
+        sizes = np.array([37, 37, 5, 3200])
+        batch = batch_uniform_indices(77, rounds, ids, n_steps=5, n_records=sizes, batch=8)
+        for i in range(4):
+            alone = batch_uniform_indices(77, int(rounds[i]), ids[i:i + 1], n_steps=5,
+                                          n_records=int(sizes[i]), batch=8)
+            assert np.array_equal(batch[:, i:i + 1], alone)
+            assert batch[:, i].max() < sizes[i]
+
+    @pytest.mark.parametrize("seed, round_idx, n_clients, n_steps, n_records, batch", [
+        (5, 7, 2, 10, 3200, 10),
+        (np.repeat(np.array([9, 10, 11], dtype=np.uint64), 100), 0, 300, 100, 200, 10),
+        (2 ** 64 - 1, 2 ** 63, 3, 1, 1, 1),
+    ])
+    def test_in_place_words_equal_allocating_reference(self, seed, round_idx, n_clients,
+                                                       n_steps, n_records, batch):
+        ids = np.arange(n_clients, dtype=np.uint64)
+        seed_before, ids_before = np.copy(seed), ids.copy()
+        got = batch_uniform_indices(seed, round_idx, ids, n_steps, n_records, batch)
+        expected = _reference_batch_indices(seed, round_idx, ids, n_steps, n_records, batch)
+        assert got.dtype == np.int64 and got.flags.c_contiguous
+        assert np.array_equal(got, expected)
+        # the in-place finalizer never touches the caller's arrays
+        assert np.array_equal(seed, seed_before) and np.array_equal(ids, ids_before)
+
+    def test_stream_words_equal_allocating_reference(self):
+        stream = derive_stream(3, 1, 4, 1)
+        key = _reference_mix_key(3, 1, 4, 1)
+        assert stream.raw(50, offset=7).tolist() == _reference_raw_words(key, 50, 7).tolist()
+        expected = (_reference_raw_words(key, 50) % np.uint64(13)).astype(np.int64)
+        assert np.array_equal(stream.uniform_indices(13, 50), expected)
+
     def test_uniforms_in_unit_interval(self):
         u = derive_stream(1, 0, 0, 0).uniforms(1000)
         assert np.all((0.0 <= u) & (u < 1.0))
@@ -153,3 +187,37 @@ class TestRunConfig:
         cfg2 = RunConfig(gamma=0.01, local_steps=5, n_clients=2, rounds=1)
         flags = cfg2.stepsize_diagnostics(mu=1.0, big_l=10.0)
         assert flags["gamma_le_inv_2L"] and flags["gammaH_le_inv_Lmu"]
+
+
+# Reference for the counter-based RNG: the allocate-per-operation functions
+# the in-place ones replaced.
+_U64 = np.uint64
+
+
+def _reference_finalize(z):
+    z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
+    return z ^ (z >> _U64(31))
+
+
+def _reference_mix_key(root_seed, round_idx, client, step):
+    with np.errstate(over="ignore"):
+        k = _reference_finalize(_U64(root_seed) + _U64(0x9E3779B97F4A7C15))
+        k = _reference_finalize(k ^ (np.asarray(round_idx, dtype=_U64) + _U64(0xD1B54A32D192ED03)))
+        k = _reference_finalize(k ^ (np.asarray(client, dtype=_U64) + _U64(0xAEF17502108EF2D9)))
+        k = _reference_finalize(k ^ (np.asarray(step, dtype=_U64) + _U64(0x94D049BB133111EB)))
+    return k
+
+
+def _reference_raw_words(key, count, offset=0):
+    key = np.asarray(key, dtype=_U64)
+    ctr = np.arange(offset, offset + count, dtype=_U64) + _U64(1)
+    with np.errstate(over="ignore"):
+        return _reference_finalize(key[..., None] + ctr * _U64(0x9E3779B97F4A7C15))
+
+
+def _reference_batch_indices(root_seed, round_idx, client_ids, n_steps, n_records, batch):
+    client_ids = np.asarray(client_ids, dtype=_U64)
+    steps = np.arange(n_steps, dtype=_U64)
+    keys = _reference_mix_key(root_seed, round_idx, client_ids[None, :], steps[:, None])
+    return (_reference_raw_words(keys, batch) % _U64(n_records)).astype(np.int64)

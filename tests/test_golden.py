@@ -87,6 +87,19 @@ epsilon = 0.05
 """,
 }
 
+# A speedup run with default burn-ins (88, 99 and 146 rounds for N = 2, 4
+# and 8), so the client counts' chains start at different iterations.
+STAGGERED_SPEEDUP = _PROBLEM_QUADRATIC + """\
+[run]
+gamma_over_L = 0.125
+local_steps = 4
+batch_size = 5
+n_clients = 2,4,8
+seeds = 3
+n_samples = 100
+thinning = 2
+"""
+
 # SHA-256 of each output file, keyed by task and file name.
 DIGESTS = {
     "complexity": {
@@ -103,11 +116,13 @@ DIGESTS = {
     "stationary": {
         "stationary.csv": "5058e34d3f5da47cd58bc41efc79f335dca90a38b038d4fe1c4bfafb4bb17bbf"},
 }
+# Recorded from the code that ran each client count's chain separately.
+STAGGERED_SPEEDUP_DIGEST = "4e66e2de1f1a4825cf38ff3aadee5361da23aec5e8a404a5aca8d01836f6b8ff"
 
 
-def _outputs(task, directory):
+def _outputs(task, directory, body=None):
     config = directory / f"{task}.txt"
-    config.write_text(f"[experiment]\ntask = {task}\n" + CONFIGS[task])
+    config.write_text(f"[experiment]\ntask = {task}\n" + (CONFIGS[task] if body is None else body))
     out = directory / f"{task}.csv"
     assert cli_main([task, "--config", str(config), "--out", str(out)]) == 0
     names = [out.name]
@@ -122,6 +137,11 @@ def test_output_bytes_match_golden(task, tmp_path):
     assert _outputs(task, tmp_path) == DIGESTS[task]
 
 
+def test_staggered_speedup_bytes_match_golden(tmp_path):
+    got = _outputs("speedup", tmp_path, STAGGERED_SPEEDUP)
+    assert got == {"speedup.csv": STAGGERED_SPEEDUP_DIGEST}
+
+
 if __name__ == "__main__":
     import pathlib
     import pprint
@@ -129,3 +149,4 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         pprint.pprint({task: _outputs(task, pathlib.Path(tmp)) for task in sorted(CONFIGS)})
+        print("staggered speedup:", _outputs("speedup", pathlib.Path(tmp), STAGGERED_SPEEDUP))

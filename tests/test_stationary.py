@@ -1,8 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scaffold_sim import datagen, objectives, optimum, stationary
-from scaffold_sim.core import RunConfig
+from scaffold_sim import datagen, harness, objectives, optimum, stationary
+from scaffold_sim.algorithms import DivergenceError, scaffold_round
+from scaffold_sim.core import ChainState, RunConfig
 
 from conftest import random_problem
 
@@ -278,6 +283,192 @@ class TestXiPairAccumulator:
         assert info.value.round_index == 299
         assert len(record) == 1
         assert "step-size conditions" in str(record[0].message)
+
+
+def _speedup_chains(n_list=(2, 8, 32), seed=1, **run):
+    # the speedup task's set-up at toy size: every N re-splits one data
+    # pool, and the step size comes from the largest N's certificate
+    config = harness.ExperimentConfig(task="speedup", loss="quadratic", l2_weight=0.5,
+                                      n_features=3, records_per_client=4,
+                                      informative=[2, 3], noise_std=2.0, batch_size=2)
+    pool = config.records_per_client * max(n_list) // 2
+    setups = []
+    for n in n_list:
+        problem = harness.build_problem(config, n, source_records=pool)
+        setups.append((problem, certificate_for(problem)))
+    gamma = 0.125 / setups[-1][1].big_l
+    defaults = dict(gamma=gamma, local_steps=3, rounds=1, batch_size=2, seed=seed)
+    defaults.update(run)
+    return [(problem, cert, RunConfig(n_clients=problem.n_clients, **defaults))
+            for problem, cert in setups]
+
+
+def _assert_estimates_equal(got, expected):
+    assert got.burn_in_rounds == expected.burn_in_rounds
+    assert (got.n_samples, got.thinning) == (expected.n_samples, expected.thinning)
+    for name in ("bias_theta", "cov_theta", "cov_theta_xi", "se_bias"):
+        assert np.array_equal(getattr(got, name), getattr(expected, name)), name
+    assert list(got.cov_xi) == list(expected.cov_xi)
+    for pair, matrix in expected.cov_xi.items():
+        assert np.array_equal(got.cov_xi[pair], matrix), pair
+
+
+def _sweep_matches_separate_calls(chains, **kwargs):
+    estimates = stationary.estimate_stationary_sweep(chains, **kwargs)
+    assert len(estimates) == len(chains)
+    for chain, est in zip(chains, estimates):
+        _assert_estimates_equal(est, stationary.estimate_stationary(*chain, **kwargs))
+    return estimates
+
+
+def _reference_estimate(problem, cert, config, burn_in, n_samples, thinning=1, pair_seed=0):
+    # the one-chain estimator loop over scaffold_round that the sweep replaced
+    pairs = stationary._xi_pair_subset(problem.n_clients, seed=pair_seed)
+    state = ChainState.zeros(problem.d, problem.n_clients)
+    t = 0
+    for _ in range(burn_in):
+        state = scaffold_round(state, problem, config, t)
+        t += 1
+    d = problem.d
+    sum_dtheta, sum_outer = np.zeros(d), np.zeros((d, d))
+    sum_theta_xi = np.zeros((problem.n_clients, d, d))
+    sum_xi = {p: np.zeros((d, d)) for p in pairs}
+    batch_size = n_samples // stationary.N_SE_BATCHES
+    batch_means = np.zeros((stationary.N_SE_BATCHES, d))
+    for k in range(n_samples):
+        for _ in range(thinning):
+            state = scaffold_round(state, problem, config, t)
+            t += 1
+        dtheta = state.theta - cert.theta_star
+        dxi = state.xis - cert.xi_star
+        sum_dtheta += dtheta
+        sum_outer += np.outer(dtheta, dtheta)
+        sum_theta_xi += dtheta[None, :, None] * dxi[:, None, :]
+        for c, cp in pairs:
+            sum_xi[(c, cp)] += np.outer(dxi[c], dxi[cp])
+        batch_means[min(k // batch_size, stationary.N_SE_BATCHES - 1)] += dtheta
+    counts = np.full(stationary.N_SE_BATCHES, batch_size, dtype=float)
+    counts[-1] += n_samples - stationary.N_SE_BATCHES * batch_size
+    batch_means /= counts[:, None]
+    cov_theta = sum_outer / n_samples
+    return stationary.StationaryEstimate(
+        burn_in_rounds=burn_in, n_samples=n_samples, thinning=thinning,
+        bias_theta=sum_dtheta / n_samples, cov_theta=0.5 * (cov_theta + cov_theta.T),
+        cov_theta_xi=sum_theta_xi / n_samples,
+        cov_xi={p: m / n_samples for p, m in sum_xi.items()},
+        se_bias=batch_means.std(axis=0, ddof=1) / np.sqrt(stationary.N_SE_BATCHES),
+    )
+
+
+@pytest.mark.filterwarnings("ignore:step-size conditions")
+class TestEstimateStationarySweep:
+    def test_speedup_set_up_with_staggered_burn_ins(self):
+        chains = _speedup_chains()
+        estimates = _sweep_matches_separate_calls(chains, n_samples=100)
+        burn_ins = [est.burn_in_rounds for est in estimates]
+        assert len(set(burn_ins)) == 3  # every chain starts at its own iteration
+        for chain, est in zip(chains, estimates):
+            _assert_estimates_equal(est, _reference_estimate(*chain, est.burn_in_rounds, 100))
+
+    def test_explicit_burn_in(self):
+        _sweep_matches_separate_calls(_speedup_chains(seed=4), burn_in=5, n_samples=110)
+
+    def test_thinning(self):
+        chains = _speedup_chains(n_list=(2, 4, 8), seed=7)
+        estimates = _sweep_matches_separate_calls(chains, n_samples=105, thinning=3,
+                                                  pair_seed=2)
+        _assert_estimates_equal(estimates[1], _reference_estimate(
+            *chains[1], estimates[1].burn_in_rounds, 105, thinning=3, pair_seed=2))
+
+    def test_two_step_sizes_on_one_problem(self, logistic_problem):
+        # the bias check's shape: one problem at gamma and gamma/2
+        cert = certificate_for(logistic_problem)
+        gamma = 1.0 / (16.0 * cert.big_l)
+        chains = [(logistic_problem, cert,
+                   RunConfig(gamma=g, local_steps=5, n_clients=logistic_problem.n_clients,
+                             rounds=1, batch_size=logistic_problem.batch_size, seed=3))
+                  for g in (gamma, gamma / 2.0)]
+        estimates = _sweep_matches_separate_calls(chains, n_samples=100)
+        assert estimates[1].burn_in_rounds > estimates[0].burn_in_rounds
+
+    def test_exact_gradients(self):
+        chains = _speedup_chains(n_list=(2, 4, 8), batch_size=None)
+        chains.append((chains[0][0], chains[0][1], replace(chains[0][2], gamma=0.5 * chains[0][2].gamma)))
+        _sweep_matches_separate_calls(chains, n_samples=100)
+
+    # x300: the chain's state overflows at its round 85; x80: only its
+    # moment sums do, which is reported after its last round, 102
+    @pytest.mark.parametrize("factor", [300.0, 80.0])
+    def test_one_diverging_chain_raises_at_its_own_round(self, factor):
+        chains = _speedup_chains(n_list=(2, 4, 8))
+        problem, cert, config = chains[1]
+        chains[1] = (problem, cert, replace(config, gamma=factor * config.gamma))
+        with pytest.raises(DivergenceError) as alone:
+            stationary.estimate_stationary(*chains[1], n_samples=100)
+        assert alone.value.round_index == {300.0: 85, 80.0: 102}[factor]
+        for other in (chains[0], chains[2]):
+            stationary.estimate_stationary(*other, n_samples=100)
+        with pytest.raises(DivergenceError) as info:
+            stationary.estimate_stationary_sweep(chains, n_samples=100)
+        assert info.value.round_index == alone.value.round_index
+
+    @pytest.mark.parametrize("key, change", [
+        ("local_steps", lambda p, c: (p, replace(c, local_steps=c.local_steps + 1))),
+        ("loss", lambda p, c: (objectives.Problem(
+            [datagen.ClientDataset(x.features, np.sign(x.targets), x.client_id)
+             for x in p.clients], "logistic", p.l2_weight, p.batch_size), c)),
+        ("batch_size", lambda p, c: (objectives.Problem(p.clients, p.loss, p.l2_weight, 1),
+                                     replace(c, batch_size=1))),
+        ("batch_size", lambda p, c: (p, replace(c, batch_size=None))),
+        ("l2_weight", lambda p, c: (objectives.Problem(p.clients, p.loss, 0.25, p.batch_size),
+                                    c)),
+    ])
+    def test_mismatched_chains_raise_naming_the_key(self, key, change):
+        chains = _speedup_chains(n_list=(2, 4))
+        problem, cert, config = chains[1]
+        problem, config = change(problem, config)
+        chains[1] = (problem, cert, config)
+        with pytest.raises(ValueError, match=f"share {key}"):
+            stationary.estimate_stationary_sweep(chains, n_samples=100)
+
+    def test_argument_validation(self):
+        chains = _speedup_chains(n_list=(2, 4))
+        with pytest.raises(ValueError, match="at least one chain"):
+            stationary.estimate_stationary_sweep([], n_samples=100)
+        with pytest.raises(ValueError, match="n_samples"):
+            stationary.estimate_stationary_sweep(chains, n_samples=99)
+        with pytest.raises(ValueError, match="thinning"):
+            stationary.estimate_stationary_sweep(chains, n_samples=100, thinning=0)
+
+    def test_step_size_diagnostics_for_every_chain(self):
+        chains = _speedup_chains(n_list=(2, 4), gamma=10.0)
+        with pytest.warns(RuntimeWarning, match="step-size conditions") as record:
+            with pytest.raises(DivergenceError):
+                stationary.estimate_stationary_sweep(chains, n_samples=100)
+        assert len(record) == 2
+
+    @settings(max_examples=15, deadline=None)
+    @given(chain_specs=st.lists(
+               st.tuples(st.integers(1, 4), st.floats(0.02, 0.2), st.integers(0, 3)),
+               min_size=1, max_size=4),
+           loss=st.sampled_from(["quadratic", "logistic"]),
+           burn_in=st.one_of(st.none(), st.integers(0, 12)),
+           thinning=st.integers(1, 2), shared_problem=st.booleans())
+    def test_sweep_equals_separate_calls(self, chain_specs, loss, burn_in, thinning,
+                                         shared_problem):
+        chains = []
+        for i, (n_clients, gamma, seed) in enumerate(chain_specs):
+            problem = random_problem(loss, n_clients=n_clients, n_records=6 + n_clients, d=2,
+                                     batch_size=3, seed=0 if shared_problem else i)
+            if shared_problem and chains:
+                problem = chains[0][0]
+            chains.append((problem, certificate_for(problem),
+                           RunConfig(gamma=gamma, local_steps=2, n_clients=problem.n_clients,
+                                     rounds=1, batch_size=3, seed=seed)))
+        kwargs = dict(burn_in=burn_in, n_samples=100, thinning=thinning, pair_seed=1)
+        if burn_in is None:
+            kwargs.pop("burn_in")
+        _sweep_matches_separate_calls(chains, **kwargs)
 
 
 class TestMatrixBlock:
