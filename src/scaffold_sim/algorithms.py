@@ -68,27 +68,6 @@ class Trajectory:
         return text
 
 
-def _stacked(problem: Problem):
-    """Per-client data stacked as (N, n, d) / (N, n); cached on the problem.
-
-    Returns None when clients have unequal record counts; their records
-    then enter a block's flat data one client at a time.
-    """
-    cache = problem.__dict__.get("_stacked_cache")
-    if cache is not None:
-        return cache
-    sizes = {c.n_records for c in problem.clients}
-    if len(sizes) != 1:
-        problem.__dict__["_stacked_cache"] = None
-        return None
-    features = np.stack([c.features for c in problem.clients])
-    targets = np.stack([c.targets for c in problem.clients])
-    ids = np.asarray([c.client_id for c in problem.clients], dtype=np.uint64)
-    cache = (features, targets, ids)
-    problem.__dict__["_stacked_cache"] = cache
-    return cache
-
-
 def _block_keys(problem, config):
     # what every chain of one block must share
     return {
@@ -114,56 +93,21 @@ def _check_ownership(problem, config):
 
 
 def _flat_data(problems):
-    """Every client's records, concatenated; per problem its clients' rows.
+    """The record tables of `problems`, concatenated, with row offsets.
 
     Returns (features (rows, d), targets (rows,), {id(problem): (first
-    rows, record counts, client ids)}).  A single problem with equal
-    record counts reuses its stacked arrays without a copy.
+    rows, record counts, client ids)}), each problem's first rows offset
+    by the rows of the problems before it.  One problem's table is used
+    as it is, without a copy.
     """
-    stack = _stacked(problems[0]) if len(problems) == 1 else None
-    if stack is not None:
-        features, targets, ids = stack
-        n_clients, n_records, d = features.shape
-        rows = (np.arange(n_clients) * n_records, np.full(n_clients, n_records), ids)
-        return features.reshape(-1, d), targets.reshape(-1), {id(problems[0]): rows}
-    clients = [c for problem in problems for c in problem.clients]
-    sizes = np.array([c.n_records for c in clients])
-    first = np.cumsum(sizes) - sizes
-    ids = np.array([c.client_id for c in clients], dtype=np.uint64)
-    table = {}
-    start = 0
-    for problem in problems:
-        stop = start + problem.n_clients
-        table[id(problem)] = (first[start:stop], sizes[start:stop], ids[start:stop])
-        start = stop
-    features = np.concatenate([c.features for c in clients])
-    targets = np.concatenate([c.targets for c in clients])
-    return features, targets, table
-
-
-def _exact_groups(chains, slices):
-    """(rows, features, targets) for exact gradients.
-
-    One stacked gradient call per problem covers the rows of all its
-    chains; a problem whose clients differ in record count takes one call
-    per client.
-    """
-    starts = {}
-    for (problem, _), rows in zip(chains, slices):
-        starts.setdefault(id(problem), (problem, []))[1].append(rows.start)
-    groups = []
-    for problem, first in starts.values():
-        first = np.array(first)
-        stack = _stacked(problem)
-        if stack is None:
-            groups += [(first + i, c.features[None], c.targets[None])
-                       for i, c in enumerate(problem.clients)]
-        else:
-            rows = (first[:, None] + np.arange(problem.n_clients)).ravel()
-            groups.append((rows, stack[0], stack[1]))
-    if len(groups) == 1 and len(groups[0][0]) == slices[-1].stop:
-        groups = [(slice(None),) + groups[0][1:]]  # all rows, in order
-    return groups
+    offsets = np.cumsum([0] + [len(p.targets) for p in problems[:-1]])
+    clients = {id(p): (p.first_rows + offset, p.record_counts, p.client_ids)
+               for p, offset in zip(problems, offsets.tolist())}
+    if len(problems) == 1:
+        return problems[0].features, problems[0].targets, clients
+    features = np.concatenate([p.features for p in problems])
+    targets = np.concatenate([p.targets for p in problems])
+    return features, targets, clients
 
 
 def _uniform(values):
@@ -176,12 +120,14 @@ class ChainBlock:
 
     `chains` is a list of (problem, config) pairs.  Row r of the table is
     one client of one chain, and chain g owns the rows `slices[g]`.  Every
-    row carries its client's first row in the block's concatenated data,
-    its record count, client id and seed, and its chain's step size, so
-    chains with different problems, client counts, step sizes and round
-    indices share one draw and one gather per local step.  A part that is
-    the same on every row stays a scalar, which mixes its RNG key once
-    instead of per row.
+    row carries its client's first row in the block's data (the record
+    tables of the block's problems, see `_flat_data`), its record count,
+    client id and seed, and its chain's step size, so chains with
+    different problems, client counts, step sizes and round indices share
+    one draw and one gather per local step.  A part that is the same on
+    every row stays a scalar, which mixes its RNG key once instead of per
+    row.  For exact gradients the block gathers every record of every row
+    once, in `groups` of rows with equal record count.
 
     The chains must share the loss, l2 weight, local steps, dimension and
     batch width (or all use exact gradients); a mismatch raises a
@@ -213,17 +159,23 @@ class ChainBlock:
         if self.gamma is None:
             self.gamma = np.repeat(gammas, sizes)[:, None]
         self.gamma_h = [c.gamma * c.local_steps for _, c in chains]
-        self._data = data
-        if self.batch is None:
-            self.groups = _exact_groups(chains, self.slices)
-            return
-
-        if data is None:
-            self._data = data = _flat_data(list({id(p): p for p, _ in chains}.values()))
-        self.flat_x, self.flat_y, clients = data
+        self._data = data or _flat_data(list({id(p): p for p, _ in chains}.values()))
+        self.flat_x, self.flat_y, clients = self._data
         rows = [clients[id(p)] for p, _ in chains]
         first, n_records, self.ids = (
             np.concatenate(part) if len(rows) > 1 else part[0] for part in zip(*rows))
+        if self.batch is None:
+            # every record of every row, gathered once per block, in groups
+            # of rows with equal record count: one gradient call per group
+            self.groups = []
+            for n in np.unique(n_records).tolist():
+                group = np.flatnonzero(n_records == n)
+                idx = first[group, None] + np.arange(n)
+                self.groups.append((group, self.flat_x[idx], self.flat_y[idx]))
+            if len(self.groups) == 1:
+                self.groups[0] = (slice(None),) + self.groups[0][1:]  # all rows, in order
+            return
+
         self.first_rows = first[:, None]
         self.n_records = _uniform(n_records.tolist())
         if self.n_records is None:
@@ -254,11 +206,8 @@ def _endpoints(block, thetas, corrections, rounds):
             for _ in range(block.local_steps):
                 grads = np.empty_like(thetas)
                 for rows, features, targets in block.groups:
-                    part = thetas[..., rows, :]
-                    per_chain = part.reshape(part.shape[:-2] + (-1,) + features.shape[::2])
                     grads[..., rows, :] = stacked_minibatch_gradient(
-                        features, targets, per_chain, loss, l2_weight
-                    ).reshape(part.shape)
+                        features, targets, thetas[..., rows, :], loss, l2_weight)
                 thetas = thetas - gamma * (grads + corrections)
         return thetas
 

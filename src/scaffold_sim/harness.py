@@ -292,6 +292,12 @@ def build_problem(config: ExperimentConfig, n_clients, source_records=None) -> P
     return Problem(clients, config.loss, config.l2_weight, config.batch_size)
 
 
+def _setup(config: ExperimentConfig, n_clients, source_records=None):
+    """(problem, certificate) for `n_clients` clients, as `build_problem`."""
+    problem = build_problem(config, n_clients, source_records)
+    return problem, build_certificate(problem, solve_optimum(problem))
+
+
 def _resolve_gamma(config: ExperimentConfig, certificate):
     if config.gamma is not None:
         return config.gamma
@@ -310,8 +316,7 @@ def run_figure1(config: ExperimentConfig, threads=1):
     seeds = list(dict.fromkeys(config.seeds))
 
     def run_group(n):
-        problem = build_problem(config, n)
-        cert = build_certificate(problem, solve_optimum(problem))
+        problem, cert = _setup(config, n)
         rc = RunConfig(
             gamma=_resolve_gamma(config, cert), local_steps=config.local_steps,
             n_clients=n, rounds=config.rounds, batch_size=config.batch_size,
@@ -356,10 +361,7 @@ def run_speedup(config: ExperimentConfig, threads=1):
     n_list = sorted(set(config.n_clients))
     n_max = n_list[-1]
     pool_records = config.records_per_client * n_max // 2
-    setups = {}
-    for n in n_list:
-        problem = build_problem(config, n, source_records=pool_records)
-        setups[n] = (problem, build_certificate(problem, solve_optimum(problem)))
+    setups = {n: _setup(config, n, pool_records) for n in n_list}
     gamma = _resolve_gamma(config, setups[n_max][1])
 
     chains = []
@@ -388,8 +390,7 @@ def run_speedup(config: ExperimentConfig, threads=1):
 def run_coupling(config: ExperimentConfig, threads=1):
     """Mean coupled squared distance per round against the geometric bound."""
     n = sorted(set(config.n_clients))[0]
-    problem = build_problem(config, n)
-    cert = build_certificate(problem, solve_optimum(problem))
+    problem, cert = _setup(config, n)
     gamma = _resolve_gamma(config, cert)
     d = problem.d
 
@@ -416,8 +417,7 @@ def run_coupling(config: ExperimentConfig, threads=1):
 def run_stationary(config: ExperimentConfig, threads=1):
     """Full stationary-moment report for the first client count."""
     n = sorted(set(config.n_clients))[0]
-    problem = build_problem(config, n)
-    cert = build_certificate(problem, solve_optimum(problem))
+    problem, cert = _setup(config, n)
     gamma = _resolve_gamma(config, cert)
     rc = RunConfig(
         gamma=gamma, local_steps=config.local_steps, n_clients=n,
@@ -434,8 +434,7 @@ def run_stationary(config: ExperimentConfig, threads=1):
 def run_predict(config: ExperimentConfig, threads=1):
     """First-order predicted covariances and bias for the first client count."""
     n = sorted(set(config.n_clients))[0]
-    problem = build_problem(config, n)
-    cert = build_certificate(problem, solve_optimum(problem))
+    problem, cert = _setup(config, n)
     gamma = _resolve_gamma(config, cert)
     pred = stationary.predict_first_order(problem, cert, gamma, config.local_steps)
 
@@ -457,8 +456,7 @@ def run_predict(config: ExperimentConfig, threads=1):
 def run_complexity(config: ExperimentConfig, threads=1):
     """Parameter recipe rows for each requested client count."""
     n0 = sorted(set(config.n_clients))[0]
-    problem = build_problem(config, n0)
-    cert = build_certificate(problem, solve_optimum(problem))
+    _, cert = _setup(config, n0)
 
     rows = ["N,gamma,local_steps,rounds,grads_per_client,n_max,n_clients_ok"]
     for n in sorted(set(config.n_clients)):

@@ -13,7 +13,8 @@ scaling of the gradient-noise covariance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,12 +37,24 @@ _LOSSES = ("quadratic", "logistic")
 
 @dataclass
 class Problem:
-    """A federated problem: per-client datasets, loss family, l2 weight."""
+    """A federated problem: per-client datasets, loss family, l2 weight.
+
+    Every client's records are concatenated once into one record table,
+    `features` (rows, d) and `targets` (rows,), and client c owns the rows
+    `first_rows[c]` to `first_rows[c] + record_counts[c]`; `client_ids`
+    holds its id as uint64.  `clients` holds copies of the given datasets
+    whose arrays are views of their rows, so the records are held once.
+    """
 
     clients: list[ClientDataset]
     loss: str = "quadratic"
     l2_weight: float = 0.1
     batch_size: int = 1
+    features: np.ndarray = field(init=False, repr=False, compare=False)
+    targets: np.ndarray = field(init=False, repr=False, compare=False)
+    first_rows: np.ndarray = field(init=False, repr=False, compare=False)
+    record_counts: np.ndarray = field(init=False, repr=False, compare=False)
+    client_ids: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.loss not in _LOSSES:
@@ -55,16 +68,29 @@ class Problem:
         d = self.clients[0].d
         if any(c.d != d for c in self.clients):
             raise ValueError("all clients must share the feature dimension d")
+        self.record_counts = np.array([c.n_records for c in self.clients])
+        self.first_rows = np.cumsum(self.record_counts) - self.record_counts
+        self.client_ids = np.array([c.client_id for c in self.clients], dtype=np.uint64)
+        self.features = np.concatenate([c.features for c in self.clients])
+        self.targets = np.concatenate([c.targets for c in self.clients])
         if self.loss == "logistic":
-            for c in self.clients:
-                if not np.all(np.isin(c.targets, (-1.0, 1.0))):
-                    raise ValueError(
-                        f"client {c.client_id}: logistic targets must be in {{-1, +1}}"
-                    )
+            bad = ~np.isin(self.targets, (-1.0, 1.0))
+            if bad.any():
+                c = self.clients[np.searchsorted(self.first_rows, bad.argmax(), "right") - 1]
+                raise ValueError(
+                    f"client {c.client_id}: logistic targets must be in {{-1, +1}}"
+                )
+        # shallow copies, so the caller's datasets keep their arrays; their
+        # records were validated when they were made
+        self.clients = [copy.copy(c) for c in self.clients]
+        starts = self.first_rows[1:]
+        for c, x, y in zip(self.clients, np.split(self.features, starts),
+                           np.split(self.targets, starts)):
+            c.features, c.targets = x, y
 
     @property
     def d(self):
-        return self.clients[0].d
+        return self.features.shape[1]
 
     @property
     def n_clients(self):
@@ -93,6 +119,13 @@ def loss_value(problem, client, theta):
     return float(data_term + 0.5 * problem.l2_weight * theta @ theta)
 
 
+def _loss_weights(margin, targets, loss):
+    """Per-record derivative of the data loss with respect to the margin."""
+    if loss == "quadratic":
+        return margin - targets
+    return -targets * (1.0 - _sigmoid(targets * margin))
+
+
 def stacked_minibatch_gradient(features, targets, thetas, loss, l2_weight):
     """Average per-record gradient for a stack of (client, batch) slices.
 
@@ -104,10 +137,7 @@ def stacked_minibatch_gradient(features, targets, thetas, loss, l2_weight):
     one-client simulation reproduces plain SGD bit for bit.
     """
     margin = np.einsum("nmd,...nd->...nm", features, thetas)
-    if loss == "quadratic":
-        weights = margin - targets
-    else:
-        weights = -targets * (1.0 - _sigmoid(targets * margin))
+    weights = _loss_weights(margin, targets, loss)
     grads = np.einsum("...nm,nmd->...nd", weights, features) / features.shape[1]
     return grads + l2_weight * thetas
 
@@ -174,11 +204,7 @@ def per_record_gradients(problem, client, theta):
     """All per-record gradients at theta, shape (n, d), including l2."""
     ds = problem.clients[client]
     theta = np.asarray(theta, dtype=np.float64)
-    margin = ds.features @ theta
-    if problem.loss == "quadratic":
-        weights = margin - ds.targets
-    else:
-        weights = -ds.targets * (1.0 - _sigmoid(ds.targets * margin))
+    weights = _loss_weights(ds.features @ theta, ds.targets, problem.loss)
     return ds.features * weights[:, None] + problem.l2_weight * theta
 
 

@@ -280,7 +280,10 @@ class TestFlatGather:
         rng = np.random.default_rng(8)
         theta = rng.standard_normal(logistic_problem.d)
         corrections = rng.standard_normal((logistic_problem.n_clients, logistic_problem.d))
-        features, targets, ids = algorithms._stacked(logistic_problem)
+        n, d = logistic_problem.n_clients, logistic_problem.d
+        features, targets, ids = (logistic_problem.features.reshape(n, -1, d),
+                                  logistic_problem.targets.reshape(n, -1),
+                                  logistic_problem.client_ids)
         idx = algorithms.batch_uniform_indices(
             config.seed, 2, ids, config.local_steps, features.shape[1],
             logistic_problem.batch_size)
@@ -548,25 +551,32 @@ class TestRaggedTable:
 
 
 class TestChainBlock:
-    def test_chains_of_different_problems_equal_separate_rounds(self):
-        # a block of three problems with different client counts, record
-        # counts, step sizes, seeds and round indices
+    @pytest.mark.parametrize("batch_size", [4, None])
+    def test_chains_of_different_problems_equal_separate_rounds(self, batch_size):
+        # a block of four problems, one of them ragged, with different
+        # client counts, record counts, step sizes, seeds and round indices
         problems = [random_problem("logistic", n_clients=n, n_records=r, d=3, batch_size=4,
                                    seed=n) for n, r in ((2, 9), (5, 30), (1, 4))]
-        configs = [make_config(p, gamma=g, local_steps=3, seed=s)
-                   for p, g, s in zip(problems, (0.1, 0.05, 0.2), (4, 4, 2 ** 64 - 1))]
-        block = algorithms.ChainBlock(list(zip(problems, configs)))
         rng = np.random.default_rng(3)
-        thetas = rng.standard_normal((3, 3))
+        clients = [datagen.ClientDataset(rng.standard_normal((n, 3)),
+                                         np.sign(rng.standard_normal(n)), client_id=3 * i)
+                   for i, n in enumerate([6, 30, 2])]
+        problems.append(objectives.Problem(clients, "logistic", 0.1, batch_size=4))
+        configs = [make_config(p, gamma=g, local_steps=3, seed=s, batch_size=batch_size)
+                   for p, g, s in zip(problems, (0.1, 0.05, 0.2, 0.07), (4, 4, 2 ** 64 - 1, 9))]
+        block = algorithms.ChainBlock(list(zip(problems, configs)))
+        thetas = rng.standard_normal((4, 3))
         xis = rng.standard_normal((block.n_rows, 3))
-        rounds = np.repeat([7, 0, 123], [2, 5, 1])
+        rounds = np.repeat([7, 0, 123, 5], [2, 5, 1, 3])
         got_theta, got_xis = algorithms.block_round(block, 1, thetas, xis, rounds)
         for g, (problem, config) in enumerate(zip(problems, configs)):
             rows = block.slices[g]
-            theta, xi = _reference_scaffold_round(thetas[g], xis[rows], problem, config,
-                                                  int(rounds[rows.start]))
+            ends = _reference_ragged_endpoints(problem, thetas[g], xis[rows],
+                                               int(rounds[rows.start]), config)
+            theta = ends.mean(axis=0)
+            xi = xis[rows] + (ends - theta) / (config.gamma * config.local_steps)
             assert np.array_equal(got_theta[g], theta)
-            assert np.array_equal(got_xis[rows], xi)
+            assert np.array_equal(got_xis[rows], xi - xi.mean(axis=0, keepdims=True))
 
     def test_divergence_reports_the_chain_round(self, quad_problem):
         configs = [make_config(quad_problem, gamma=g) for g in (0.05, 1e200, 0.05)]

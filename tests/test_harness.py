@@ -1,6 +1,10 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import scaffold_sim
 from scaffold_sim import harness
 from scaffold_sim.cli import main as cli_main
 from scaffold_sim.harness import ConfigError, ExperimentConfig, format_config, parse_config
@@ -301,3 +305,14 @@ class TestCli:
                             extra_run="epsilon = 0.1\n")
         assert cli_main(["complexity", "--config", str(path)]) == 0
         assert capsys.readouterr().out.startswith("N,gamma")
+
+
+def test_benchmark_lookup_sites_resolve():
+    # perfbench/spans.py wraps these attributes by name; one that is gone
+    # would crash every traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module, attr, _, _ in spans.FULL_SITES:
+        assert callable(getattr(getattr(scaffold_sim, module), attr)), f"{module}.{attr}"

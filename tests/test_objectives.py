@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -219,6 +221,10 @@ class TestProblemValidation:
         client = datagen.ClientDataset(np.ones((2, 2)), np.array([0.5, 1.0]))
         with pytest.raises(ValueError, match=r"\{-1, \+1\}"):
             objectives.Problem([client], "logistic", 0.1, 1)
+        good = datagen.ClientDataset(np.ones((3, 2)), np.array([1.0, -1.0, 1.0]))
+        bad = datagen.ClientDataset(np.ones((2, 2)), np.array([1.0, 0.0]), client_id=5)
+        with pytest.raises(ValueError, match="client 5"):
+            objectives.Problem([good, bad, good], "logistic", 0.1, 1)
 
     def test_mismatched_dimensions(self):
         a = datagen.ClientDataset(np.ones((2, 2)), np.ones(2))
@@ -230,6 +236,45 @@ class TestProblemValidation:
         a = datagen.ClientDataset(np.ones((2, 2)), np.ones(2))
         with pytest.raises(ValueError, match="loss"):
             objectives.Problem([a], "huber", 0.1, 1)
+
+
+class TestRecordTable:
+    def test_clients_are_views_of_their_rows(self):
+        rng = np.random.default_rng(4)
+        inputs = [datagen.ClientDataset(rng.standard_normal((n, 3)), rng.standard_normal(n),
+                                        client_id=2 * i + 7)
+                  for i, n in enumerate([5, 1, 12, 5])]
+        problem = objectives.Problem(inputs, "quadratic", 0.1, 2)
+        assert problem.features.shape == (23, 3) and problem.targets.shape == (23,)
+        assert problem.record_counts.tolist() == [5, 1, 12, 5]
+        assert problem.first_rows.tolist() == [0, 5, 6, 18]
+        assert problem.client_ids.dtype == np.uint64
+        assert problem.client_ids.tolist() == [7, 9, 11, 13]
+        for c, given, first, n in zip(problem.clients, inputs, problem.first_rows,
+                                      problem.record_counts):
+            rows = slice(first, first + n)
+            assert np.array_equal(problem.features[rows], given.features)
+            assert np.array_equal(problem.targets[rows], given.targets)
+            assert np.array_equal(c.features, given.features)
+            assert np.array_equal(c.targets, given.targets)
+            assert c.client_id == given.client_id
+            assert np.shares_memory(c.features, problem.features)
+            assert np.shares_memory(c.targets, problem.targets)
+            # the caller's datasets keep their own arrays
+            assert not np.shares_memory(given.features, problem.features)
+        # a problem built from another's clients owns its own table
+        other = objectives.Problem(problem.clients[::-1], "quadratic", 0.1, 2)
+        assert np.array_equal(other.features[:5], problem.features[-5:])
+        assert all(np.shares_memory(c.features, problem.features) for c in problem.clients)
+        assert not np.shares_memory(other.features, problem.features)
+
+    def test_table_fields_are_derived(self, quad_problem):
+        table = {"features", "targets", "first_rows", "record_counts", "client_ids"}
+        for f in dataclasses.fields(objectives.Problem):
+            if f.name in table:
+                assert not (f.init or f.repr or f.compare), f.name
+        with pytest.raises(TypeError):
+            objectives.Problem(quad_problem.clients, features=quad_problem.features)
 
 
 def _masked_sigmoid(z):
