@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import ChainState, RunConfig, batch_uniform_indices, lambda_norm_sq
-from .objectives import Problem, stacked_minibatch_gradient
+from .objectives import Problem, record_groups, stacked_minibatch_gradient
 
 __all__ = [
     "Trajectory",
@@ -126,8 +126,10 @@ class ChainBlock:
     different problems, client counts, step sizes and round indices share
     one draw and one gather per local step.  A part that is the same on
     every row stays a scalar, which mixes its RNG key once instead of per
-    row.  For exact gradients the block gathers every record of every row
-    once, in `groups` of rows with equal record count.
+    row.  For exact gradients the block holds every record of every row in
+    `groups` of rows with equal record count (`record_groups`): views of
+    the table when the rows are one problem's equal-size clients in
+    order, else gathered once per block.
 
     The chains must share the loss, l2 weight, local steps, dimension and
     batch width (or all use exact gradients); a mismatch raises a
@@ -165,15 +167,9 @@ class ChainBlock:
         first, n_records, self.ids = (
             np.concatenate(part) if len(rows) > 1 else part[0] for part in zip(*rows))
         if self.batch is None:
-            # every record of every row, gathered once per block, in groups
-            # of rows with equal record count: one gradient call per group
-            self.groups = []
-            for n in np.unique(n_records).tolist():
-                group = np.flatnonzero(n_records == n)
-                idx = first[group, None] + np.arange(n)
-                self.groups.append((group, self.flat_x[idx], self.flat_y[idx]))
-            if len(self.groups) == 1:
-                self.groups[0] = (slice(None),) + self.groups[0][1:]  # all rows, in order
+            # every record of every row, in groups of rows with equal record
+            # count: one gradient call per group
+            self.groups = record_groups(self.flat_x, self.flat_y, first, n_records)
             return
 
         self.first_rows = first[:, None]

@@ -130,6 +130,8 @@ class ExperimentConfig:
                 )
         if not self.seeds:
             raise ConfigError("key `seeds`: list must be nonempty")
+        if not self.algorithms:
+            raise ConfigError("key `algorithms`: list must be nonempty")
         for a in self.algorithms:
             if a not in ("scaffold", "fedavg"):
                 raise ConfigError(f"key `algorithms`: unknown algorithm {a!r}")

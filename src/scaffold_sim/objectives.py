@@ -30,9 +30,17 @@ __all__ = [
     "hessian",
     "third_derivative_apply",
     "noise_covariance_at",
+    "client_gradients",
+    "client_hessians",
+    "client_third_derivatives",
+    "client_noise_covariances",
 ]
 
 _LOSSES = ("quadratic", "logistic")
+
+# Records per derivative-kernel call: the kernels' per-record temporaries
+# (weighted features, per-record gradients) stay near 1 MB at d = 20.
+_CHUNK_RECORDS = 8192
 
 
 @dataclass
@@ -142,14 +150,162 @@ def stacked_minibatch_gradient(features, targets, thetas, loss, l2_weight):
     return grads + l2_weight * thetas
 
 
-def full_gradient(problem, client, theta):
-    """Exact gradient of the client loss, including the l2 term."""
+def record_groups(features, targets, first_rows, record_counts):
+    """Clients grouped by record count, as stacks of their records.
+
+    Client c owns the rows `first_rows[c]` to `first_rows[c] +
+    record_counts[c]` of the (rows, d) `features` and (rows,) `targets`.
+    Returns one (clients, features (G, n, d), targets (G, n)) per distinct
+    record count n, in increasing n.  Clients of equal size that own every
+    row in order are one group of reshape views of the table; otherwise
+    each group gathers its clients' records.  `clients` indexes the group's
+    clients, or is slice(None) when there is one group.
+    """
+    n, n_clients = int(record_counts[0]), len(record_counts)
+    if (n_clients * n == len(targets) and (record_counts == n).all()
+            and np.array_equal(first_rows, n * np.arange(n_clients))):
+        return [(slice(None), features.reshape(n_clients, n, -1),
+                 targets.reshape(n_clients, n))]
+    groups = []
+    for n in np.unique(record_counts).tolist():
+        clients = np.flatnonzero(record_counts == n)
+        idx = first_rows[clients, None] + np.arange(n)
+        groups.append((clients, features[idx], targets[idx]))
+    if len(groups) == 1:
+        groups[0] = (slice(None),) + groups[0][1:]
+    return groups
+
+
+def per_client(problem, kernel, *args):
+    """`kernel(features, targets, *args)` on every client, as one (N, ...) stack.
+
+    The kernel maps stacks of equal-size clients, features (G, n, d) and
+    targets (G, n), to a (G, ...) result.  It runs on each record-count
+    group of `record_groups` in chunks of whole clients of at most
+    `_CHUNK_RECORDS` records, which caps the kernel's record-sized
+    temporaries; each client's result does not depend on the chunking.
+    """
+    chunks = []
+    for clients, x, y in record_groups(problem.features, problem.targets,
+                                       problem.first_rows, problem.record_counts):
+        clients = np.arange(problem.n_clients)[clients]
+        step = max(1, _CHUNK_RECORDS // x.shape[1])
+        chunks += [(clients[i:i + step], x[i:i + step], y[i:i + step])
+                   for i in range(0, len(x), step)]
+    if len(chunks) == 1:
+        return kernel(*chunks[0][1:], *args)
+    out = None
+    for clients, x, y in chunks:
+        part = kernel(x, y, *args)
+        if out is None:
+            out = np.empty((problem.n_clients,) + part.shape[1:])
+        out[clients] = part
+    return out
+
+
+def _one_client(problem, client, kernel, theta, *args):
+    """`kernel` at theta on one client's records: `per_client` for one client."""
     ds = problem.clients[client]
     theta = np.asarray(theta, dtype=np.float64)
-    return stacked_minibatch_gradient(
-        ds.features[None], ds.targets[None], theta[None],
-        problem.loss, problem.l2_weight,
-    )[0]
+    return kernel(ds.features[None], ds.targets[None], theta, *args)[0]
+
+
+def _margins(features, theta):
+    """features @ theta for a (G, n, d) stack, as one product over its rows."""
+    return (features.reshape(-1, features.shape[-1]) @ theta).reshape(features.shape[:2])
+
+
+def _gradient_stack(features, targets, theta, loss, l2_weight):
+    thetas = np.repeat(theta[None], len(features), axis=0)
+    return stacked_minibatch_gradient(features, targets, thetas, loss, l2_weight)
+
+
+def _hessian_stack(features, targets, theta, loss, l2_weight):
+    n, d = features.shape[1:]
+    if loss == "quadratic":
+        weighted = features
+    else:
+        s = _sigmoid(targets * _margins(features, theta))
+        weighted = features * (s * (1.0 - s))[..., None]
+    h = np.matmul(weighted.transpose(0, 2, 1), features)
+    h /= n
+    h += l2_weight * np.eye(d)
+    return h
+
+
+def _third_stack(features, targets, theta, matrix, loss):
+    n, d = features.shape[1:]
+    if loss == "quadratic":
+        return np.zeros((len(features), d))
+    rows = features.reshape(-1, d)
+    s = _sigmoid(targets * _margins(features, theta))
+    quad = np.einsum("mi,ij,mj->m", rows, matrix, rows).reshape(s.shape)
+    weights = s * (1.0 - s) * (1.0 - 2.0 * s) * targets * quad
+    return np.matmul(features.transpose(0, 2, 1), weights[..., None])[..., 0] / n
+
+
+def _record_gradient_stack(features, targets, theta, loss, l2_weight):
+    grads = features * _loss_weights(_margins(features, theta), targets, loss)[..., None]
+    grads += l2_weight * theta
+    return grads
+
+
+def _noise_stack(features, targets, theta, loss, l2_weight, batch_size):
+    grads = _record_gradient_stack(features, targets, theta, loss, l2_weight)
+    mean = grads.mean(axis=1)
+    second = np.matmul(grads.transpose(0, 2, 1), grads)
+    second /= grads.shape[1]
+    cov = (second - mean[:, :, None] * mean[:, None, :]) / batch_size
+    return 0.5 * (cov + cov.transpose(0, 2, 1))
+
+
+def _check_symmetric(matrix):
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError(f"M must be square, got shape {matrix.shape}")
+    if not np.allclose(matrix, matrix.T, rtol=1e-10, atol=1e-12 * (1 + np.abs(matrix).max())):
+        raise ValueError("M must be symmetric")
+    return matrix
+
+
+def client_gradients(problem, theta):
+    """Exact gradient of every client loss, including the l2 term; (N, d)."""
+    theta = np.asarray(theta, dtype=np.float64)
+    return per_client(problem, _gradient_stack, theta, problem.loss, problem.l2_weight)
+
+
+def client_hessians(problem, theta):
+    """Exact Hessian of every client loss; (N, d, d)."""
+    theta = np.asarray(theta, dtype=np.float64)
+    return per_client(problem, _hessian_stack, theta, problem.loss, problem.l2_weight)
+
+
+def client_third_derivatives(problem, theta, matrix):
+    """Third derivative of every client loss contracted with M; (N, d).
+
+    Row c has entries sum_{j,k} d^3 f_c / dtheta_i dtheta_j dtheta_k *
+    M_{jk}; zero for the quadratic loss.  M must be symmetric.
+    """
+    matrix = _check_symmetric(matrix)
+    theta = np.asarray(theta, dtype=np.float64)
+    return per_client(problem, _third_stack, theta, matrix, problem.loss)
+
+
+def client_noise_covariances(problem, theta):
+    """Exact minibatch gradient-noise covariance of every client; (N, d, d).
+
+    With-replacement sampling gives (1/b) [ (1/n) sum_i g_i g_i' - g g' ],
+    where g_i are per-record gradients and g their mean.
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    return per_client(problem, _noise_stack, theta, problem.loss,
+                      problem.l2_weight, problem.batch_size)
+
+
+def full_gradient(problem, client, theta):
+    """Exact gradient of the client loss, including the l2 term."""
+    return _one_client(problem, client, _gradient_stack, theta,
+                       problem.loss, problem.l2_weight)
 
 
 def stochastic_gradient(problem, client, theta, stream: RngStream):
@@ -168,15 +324,8 @@ def stochastic_gradient(problem, client, theta, stream: RngStream):
 
 def hessian(problem, client, theta):
     """Exact Hessian of the client loss."""
-    ds = problem.clients[client]
-    theta = np.asarray(theta, dtype=np.float64)
-    n, d = ds.features.shape
-    if problem.loss == "quadratic":
-        h = ds.features.T @ ds.features / n
-    else:
-        s = _sigmoid(ds.targets * (ds.features @ theta))
-        h = (ds.features * (s * (1.0 - s))[:, None]).T @ ds.features / n
-    return h + problem.l2_weight * np.eye(d)
+    return _one_client(problem, client, _hessian_stack, theta,
+                       problem.loss, problem.l2_weight)
 
 
 def third_derivative_apply(problem, client, theta, matrix):
@@ -185,38 +334,20 @@ def third_derivative_apply(problem, client, theta, matrix):
     Returns the vector with entries sum_{j,k} d^3 f / dtheta_i dtheta_j
     dtheta_k * M_{jk}.  Zero for the quadratic loss.
     """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"M must be square, got shape {matrix.shape}")
-    if not np.allclose(matrix, matrix.T, rtol=1e-10, atol=1e-12 * (1 + np.abs(matrix).max())):
-        raise ValueError("M must be symmetric")
-    ds = problem.clients[client]
-    theta = np.asarray(theta, dtype=np.float64)
-    if problem.loss == "quadratic":
-        return np.zeros(ds.d)
-    s = _sigmoid(ds.targets * (ds.features @ theta))
-    quad = np.einsum("mi,ij,mj->m", ds.features, matrix, ds.features)
-    weights = s * (1.0 - s) * (1.0 - 2.0 * s) * ds.targets * quad
-    return ds.features.T @ weights / ds.n_records
+    return _one_client(problem, client, _third_stack, theta, _check_symmetric(matrix),
+                       problem.loss)
 
 
 def per_record_gradients(problem, client, theta):
     """All per-record gradients at theta, shape (n, d), including l2."""
-    ds = problem.clients[client]
-    theta = np.asarray(theta, dtype=np.float64)
-    weights = _loss_weights(ds.features @ theta, ds.targets, problem.loss)
-    return ds.features * weights[:, None] + problem.l2_weight * theta
+    return _one_client(problem, client, _record_gradient_stack, theta,
+                       problem.loss, problem.l2_weight)
 
 
 def noise_covariance_at(problem, client, theta):
     """Exact covariance of the minibatch gradient noise at theta.
 
-    With-replacement sampling gives (1/b) [ (1/n) sum_i g_i g_i' - g g' ],
-    where g_i are per-record gradients and g their mean.
+    One client's case of `client_noise_covariances`.
     """
-    grads = per_record_gradients(problem, client, theta)
-    n = grads.shape[0]
-    mean = grads.mean(axis=0)
-    second = grads.T @ grads / n
-    cov = (second - np.outer(mean, mean)) / problem.batch_size
-    return 0.5 * (cov + cov.T)
+    return _one_client(problem, client, _noise_stack, theta, problem.loss,
+                       problem.l2_weight, problem.batch_size)

@@ -33,13 +33,11 @@ class SolverError(RuntimeError):
 
 
 def _average_gradient(problem, theta):
-    grads = [objectives.full_gradient(problem, c, theta) for c in range(problem.n_clients)]
-    return np.mean(grads, axis=0)
+    return objectives.client_gradients(problem, theta).mean(axis=0)
 
 
 def _average_hessian(problem, theta):
-    hs = [objectives.hessian(problem, c, theta) for c in range(problem.n_clients)]
-    return np.mean(hs, axis=0)
+    return objectives.client_hessians(problem, theta).mean(axis=0)
 
 
 def solve_optimum(problem, tolerance=1e-12, max_iter=200):
@@ -118,8 +116,8 @@ class OptimumCertificate:
         return _beta_proxy(self.problem, self.theta_star)
 
 
-def _operator_norm(matrix):
-    return float(np.linalg.norm(matrix, ord=2))
+def _max_trace(matrices):
+    return float(np.trace(matrices, axis1=1, axis2=2).max())
 
 
 def _beta_proxy(problem, theta_star, n_probe=20, radius=1.0, seed=1234):
@@ -130,19 +128,13 @@ def _beta_proxy(problem, theta_star, n_probe=20, radius=1.0, seed=1234):
     through the origin.  An estimate, not a certified bound.
     """
     rng = np.random.default_rng(seed)
-    base = max(
-        float(np.trace(objectives.noise_covariance_at(problem, c, theta_star)))
-        for c in range(problem.n_clients)
-    )
+    base = _max_trace(objectives.client_noise_covariances(problem, theta_star))
     xs, ys = [], []
     for _ in range(n_probe):
         direction = rng.standard_normal(problem.d)
         direction /= np.linalg.norm(direction)
         theta = theta_star + radius * rng.uniform(0.1, 1.0) * direction
-        val = max(
-            float(np.trace(objectives.noise_covariance_at(problem, c, theta)))
-            for c in range(problem.n_clients)
-        )
+        val = _max_trace(objectives.client_noise_covariances(problem, theta))
         xs.append(float(np.sum((theta - theta_star) ** 2)))
         ys.append(val - base)
     xs = np.asarray(xs)
@@ -154,15 +146,10 @@ def _beta_proxy(problem, theta_star, n_probe=20, radius=1.0, seed=1234):
 def build_certificate(problem: Problem, theta_star) -> OptimumCertificate:
     """Evaluate all problem constants at the solved optimum."""
     theta_star = np.asarray(theta_star, dtype=np.float64)
-    n = problem.n_clients
     lam = problem.l2_weight
 
-    grads = np.stack(
-        [objectives.full_gradient(problem, c, theta_star) for c in range(n)]
-    )
-    hessians = np.stack(
-        [objectives.hessian(problem, c, theta_star) for c in range(n)]
-    )
+    grads = objectives.client_gradients(problem, theta_star)
+    hessians = objectives.client_hessians(problem, theta_star)
     grad_avg = grads.mean(axis=0)
     hess_avg = hessians.mean(axis=0)
 
@@ -174,41 +161,29 @@ def build_certificate(problem: Problem, theta_star) -> OptimumCertificate:
             f"an optimum (violation {xi_star_centered_norm:g})"
         )
 
-    mu = min(float(np.linalg.eigvalsh(h)[0]) for h in hessians)
-    mu = max(mu, lam)
+    mu = max(float(np.linalg.eigvalsh(hessians)[:, 0].min()), lam)
 
+    grams = objectives.per_client(
+        problem, lambda x, y: np.matmul(x.transpose(0, 2, 1), x))
+    counts = problem.record_counts[:, None, None]
     if problem.loss == "quadratic":
-        big_l = max(
-            float(np.linalg.eigvalsh(
-                ds.features.T @ ds.features / ds.n_records
-            )[-1]) + lam
-            for ds in problem.clients
-        )
+        grams /= counts
         q_bound = 0.0
     else:
-        big_l = max(
-            float(np.linalg.eigvalsh(
-                ds.features.T @ ds.features / (4.0 * ds.n_records)
-            )[-1]) + lam
-            for ds in problem.clients
-        )
+        grams /= 4.0 * counts
         # |sigma''| <= 1/(6 sqrt(3)); averaged cubed feature norms bound Q
-        q_bound = max(
-            float(np.sum(np.linalg.norm(ds.features, axis=1) ** 3))
-            / (6.0 * np.sqrt(3.0) * ds.n_records)
-            for ds in problem.clients
-        )
+        cubes = objectives.per_client(
+            problem, lambda x, y: np.sum(np.linalg.norm(x, axis=2) ** 3, axis=1))
+        q_bound = float(np.max(cubes / (6.0 * np.sqrt(3.0) * problem.record_counts)))
+    big_l = float(np.max(np.linalg.eigvalsh(grams)[:, -1] + lam))
 
     zeta1 = float(np.sqrt(np.mean(np.sum((grads - grad_avg) ** 2, axis=1))))
-    zeta2 = float(np.sqrt(np.mean([
-        _operator_norm(h - hess_avg) ** 2 for h in hessians
-    ])))
+    zeta2 = float(np.sqrt(np.mean(
+        np.linalg.norm(hessians - hess_avg, ord=2, axis=(1, 2)) ** 2)))
 
-    sigma_eps = np.stack(
-        [objectives.noise_covariance_at(problem, c, theta_star) for c in range(n)]
-    )
+    sigma_eps = objectives.client_noise_covariances(problem, theta_star)
     sigma_eps_avg = sigma_eps.mean(axis=0)
-    sigma_star_sq = max(float(np.trace(m)) for m in sigma_eps)
+    sigma_star_sq = _max_trace(sigma_eps)
 
     return OptimumCertificate(
         theta_star=theta_star,

@@ -272,20 +272,12 @@ def predict_first_order(problem, certificate: OptimumCertificate,
     a_sigma = sylvester_solve(hess_star, sigma_avg)
     cov_theta = gamma / n * a_sigma
 
-    hessians = np.stack(
-        [objectives.hessian(problem, c, theta_star) for c in range(n)]
+    hessians = objectives.client_hessians(problem, theta_star)
+    cov_theta_xi = gamma / n * (
+        a_sigma @ (hessians - hess_star) + (sigma_eps - sigma_avg)
     )
-    cov_theta_xi = np.empty((n, hess_star.shape[0], hess_star.shape[0]))
-    for c in range(n):
-        cov_theta_xi[c] = gamma / n * (
-            a_sigma @ (hessians[c] - hess_star) + (sigma_eps[c] - sigma_avg)
-        )
 
-    third = np.mean(
-        [objectives.third_derivative_apply(problem, c, theta_star, a_sigma)
-         for c in range(n)],
-        axis=0,
-    )
+    third = objectives.client_third_derivatives(problem, theta_star, a_sigma).mean(axis=0)
     bias = -gamma / (2.0 * n) * np.linalg.solve(hess_star, third)
 
     return FirstOrderPrediction(

@@ -578,6 +578,21 @@ class TestChainBlock:
             assert np.array_equal(got_theta[g], theta)
             assert np.array_equal(got_xis[rows], xi - xi.mean(axis=0, keepdims=True))
 
+    @pytest.mark.parametrize("loss", ["quadratic", "logistic"])
+    def test_one_problem_exact_block_views_the_table(self, loss):
+        problem = random_problem(loss, n_clients=4, n_records=12, d=3, batch_size=2)
+        config = make_config(problem, batch_size=None, local_steps=2)
+        (rows, features, targets), = algorithms.ChainBlock([(problem, config)]).groups
+        assert rows == slice(None) and features.shape == (4, 12, 3)
+        assert np.shares_memory(features, problem.features)
+        assert np.shares_memory(targets, problem.targets)
+        # two chains of one problem repeat its rows: those are gathered
+        two = algorithms.ChainBlock([(problem, config), (problem, replace(config, seed=5))])
+        (_, features, _), = two.groups
+        assert features.shape == (8, 12, 3)
+        assert not np.shares_memory(features, problem.features)
+        assert np.array_equal(features.reshape(2, -1, 3), np.stack([problem.features] * 2))
+
     def test_divergence_reports_the_chain_round(self, quad_problem):
         configs = [make_config(quad_problem, gamma=g) for g in (0.05, 1e200, 0.05)]
         block = algorithms.ChainBlock([(quad_problem, c) for c in configs])

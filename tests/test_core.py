@@ -1,8 +1,10 @@
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from scaffold_sim import core
 from scaffold_sim.core import (
     ChainState,
     RunConfig,
@@ -136,6 +138,33 @@ class TestDeriveStream:
         assert np.array_equal(got, expected)
         # the in-place finalizer never touches the caller's arrays
         assert np.array_equal(seed, seed_before) and np.array_equal(ids, ids_before)
+
+    @pytest.mark.parametrize("parts", [
+        (0, 0, 0, 0),
+        (2 ** 64 - 1, 2 ** 64 - 1, 2 ** 64 - 1, 2 ** 64 - 1),
+        (np.uint64(9), np.int64(4), 3, np.array(2, dtype=np.uint64)),
+        (77, 12, np.arange(5, dtype=np.uint64)[None, :], np.arange(3, dtype=np.uint64)[:, None]),
+        (np.array([3, 2 ** 64 - 1, 0], dtype=np.uint64), 5,
+         np.arange(3, dtype=np.uint64)[None, :], np.arange(4, dtype=np.uint64)[:, None]),
+        (77, np.array([12, 0, 2 ** 40], dtype=np.uint64), np.arange(3, dtype=np.uint64)[None, :],
+         np.arange(2, dtype=np.uint64)[:, None]),
+        (np.array([1, 2], dtype=np.uint64), np.array([5, 6], dtype=np.uint64), 7, 8),
+    ])
+    def test_key_words_equal_numpy_scalar_reference(self, parts):
+        # scalar and array parts, mixed and broadcast, give the reference words
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = core._mix_key(*parts)
+        expected = _reference_mix_key(*parts)
+        assert type(got) is type(expected) and np.asarray(got).dtype == np.uint64
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("bad", [-1, 2 ** 64])
+    def test_key_part_out_of_uint64_range_rejected(self, bad):
+        with pytest.raises(OverflowError):
+            core._mix_key(bad, 0, 0, 0)
+        with pytest.raises(OverflowError):
+            core._mix_key(0, bad, np.arange(2, dtype=np.uint64), 0)
 
     def test_stream_words_equal_allocating_reference(self):
         stream = derive_stream(3, 1, 4, 1)

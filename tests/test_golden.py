@@ -100,6 +100,16 @@ n_samples = 100
 thinning = 2
 """
 
+# The quadratic predict path: the X'X/n Hessian branch and the zero third
+# derivative, which the logistic `predict` config never reaches.
+QUADRATIC_PREDICT = _PROBLEM_QUADRATIC + """\
+[run]
+gamma_over_L = 0.1
+local_steps = 3
+batch_size = 4
+n_clients = 6
+"""
+
 # SHA-256 of each output file, keyed by task and file name.
 DIGESTS = {
     "complexity": {
@@ -118,6 +128,8 @@ DIGESTS = {
 }
 # Recorded from the code that ran each client count's chain separately.
 STAGGERED_SPEEDUP_DIGEST = "4e66e2de1f1a4825cf38ff3aadee5361da23aec5e8a404a5aca8d01836f6b8ff"
+# Recorded from the code that looped over clients for every derivative.
+QUADRATIC_PREDICT_DIGEST = "7a2a49f424c5f567e1812fcb3114fcfc25556d76cc508b4c1570d45f35c0796b"
 
 
 def _outputs(task, directory, body=None):
@@ -142,6 +154,11 @@ def test_staggered_speedup_bytes_match_golden(tmp_path):
     assert got == {"speedup.csv": STAGGERED_SPEEDUP_DIGEST}
 
 
+def test_quadratic_predict_bytes_match_golden(tmp_path):
+    got = _outputs("predict", tmp_path, QUADRATIC_PREDICT)
+    assert got == {"predict.csv": QUADRATIC_PREDICT_DIGEST}
+
+
 if __name__ == "__main__":
     import pathlib
     import pprint
@@ -150,3 +167,4 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         pprint.pprint({task: _outputs(task, pathlib.Path(tmp)) for task in sorted(CONFIGS)})
         print("staggered speedup:", _outputs("speedup", pathlib.Path(tmp), STAGGERED_SPEEDUP))
+        print("quadratic predict:", _outputs("predict", pathlib.Path(tmp), QUADRATIC_PREDICT))

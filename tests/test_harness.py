@@ -1,8 +1,12 @@
 import importlib.util
+import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scaffold_sim
 from scaffold_sim import harness
@@ -37,6 +41,47 @@ def write_config(tmp_path, task, extra_run="", body=None):
     path = tmp_path / "config.txt"
     path.write_text(text)
     return path
+
+
+@st.composite
+def _valid_configs(draw):
+    """Random configs that pass `validate`, built valid rather than filtered."""
+    task = draw(st.sampled_from(harness.TASKS))
+    n_features = draw(st.integers(1, 50))
+    n_clients = draw(st.lists(st.integers(1, 100).map(lambda k: 2 * k), min_size=1, max_size=5))
+    records = draw(st.integers(1, 500))
+    if task == "speedup":
+        # the pool of records_per_client * max(N) / 2 must split over every N / 2
+        records *= 2 * math.lcm(*(n // 2 for n in n_clients))
+    gamma = draw(st.none() | st.floats(1e-300, 1e3))
+    gamma_over_l = draw(st.floats(1e-300, 1e3) if gamma is None
+                        else st.none() | st.floats(1e-300, 1e3))
+    positive = st.floats(1e-300, 1e3)
+    return ExperimentConfig(
+        task=task,
+        output_path=draw(st.none() | st.text("abc/._-019", min_size=1, max_size=12)),
+        loss=draw(st.sampled_from(["quadratic", "logistic"])),
+        l2_weight=draw(st.floats(0.0, 1e3)),
+        n_features=n_features,
+        records_per_client=records,
+        informative=draw(st.lists(st.integers(1, n_features), min_size=2, max_size=2)),
+        generator_seeds=draw(st.lists(st.integers(0, 2 ** 32), min_size=2, max_size=2)),
+        noise_std=draw(st.floats(allow_nan=False, allow_infinity=False)),
+        class_sep=draw(st.floats(-1e6, 1e6)),
+        gamma=gamma,
+        gamma_over_l=gamma_over_l,
+        local_steps=draw(st.integers(1, 10 ** 6)),
+        rounds=draw(st.integers(0, 10 ** 6)),
+        batch_size=draw(st.integers(1, 1000)),
+        n_clients=n_clients,
+        seeds=draw(st.lists(st.integers(0, 2 ** 63), min_size=1, max_size=5)),
+        algorithms=draw(st.lists(st.sampled_from(["scaffold", "fedavg"]),
+                                 min_size=1, max_size=3)),
+        burn_in=draw(st.none() | st.integers(0, 10 ** 6)),
+        n_samples=draw(st.integers(1, 10 ** 6)),
+        thinning=draw(st.integers(1, 100)),
+        epsilon=draw(positive if task == "complexity" else st.none() | positive),
+    )
 
 
 class TestParseConfig:
@@ -113,6 +158,13 @@ class TestParseConfig:
         path.write_text("[experiment]\ntask = figure1\n" + body.format("6,8"))
         assert parse_config(path).n_clients == [6, 8]
 
+    def test_empty_algorithm_list_rejected(self, tmp_path):
+        # `format_config` would write it as `algorithms = `, which cannot be parsed
+        path = tmp_path / "c.txt"
+        path.write_text("[experiment]\ntask = figure1\n[run]\nalgorithms = ,\n")
+        with pytest.raises(ConfigError, match="algorithms"):
+            parse_config(path)
+
     def test_complexity_requires_epsilon(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("[experiment]\ntask = complexity\n")
@@ -148,6 +200,17 @@ class TestParseConfig:
         path2 = tmp_path / "formatted.txt"
         path2.write_text(format_config(config))
         assert parse_config(path2) == config
+
+    @settings(max_examples=60, deadline=None)
+    @given(config=_valid_configs())
+    def test_round_trip_property(self, config):
+        # gamma_over_L without gamma, optional burn_in / epsilon / output,
+        # list-valued keys and 17-digit floats all survive the round trip
+        config.validate()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.txt"
+            path.write_text(format_config(config))
+            assert parse_config(path) == config
 
 
 class TestBuildProblem:

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scaffold_sim import datagen, objectives
 from scaffold_sim.core import batch_uniform_indices, derive_stream
@@ -303,3 +305,178 @@ class TestSigmoid:
         new, ref = objectives._sigmoid(z), _masked_sigmoid(z)
         assert np.array_equal(new, ref, equal_nan=True)
         assert np.isnan(new[0]) and np.isnan(new[2])
+
+
+# Reference: the per-client derivative functions that the table kernels
+# replaced, each computed on one client's records.
+def _reference_gradient(problem, client, theta):
+    ds = problem.clients[client]
+    return objectives.stacked_minibatch_gradient(
+        ds.features[None], ds.targets[None], theta[None],
+        problem.loss, problem.l2_weight)[0]
+
+
+def _reference_hessian(problem, client, theta):
+    ds = problem.clients[client]
+    n, d = ds.features.shape
+    if problem.loss == "quadratic":
+        h = ds.features.T @ ds.features / n
+    else:
+        s = objectives._sigmoid(ds.targets * (ds.features @ theta))
+        h = (ds.features * (s * (1.0 - s))[:, None]).T @ ds.features / n
+    return h + problem.l2_weight * np.eye(d)
+
+
+def _reference_third(problem, client, theta, matrix):
+    ds = problem.clients[client]
+    if problem.loss == "quadratic":
+        return np.zeros(ds.d)
+    s = objectives._sigmoid(ds.targets * (ds.features @ theta))
+    quad = np.einsum("mi,ij,mj->m", ds.features, matrix, ds.features)
+    weights = s * (1.0 - s) * (1.0 - 2.0 * s) * ds.targets * quad
+    return ds.features.T @ weights / ds.n_records
+
+
+def _reference_noise_covariance(problem, client, theta):
+    ds = problem.clients[client]
+    weights = objectives._loss_weights(ds.features @ theta, ds.targets, problem.loss)
+    grads = ds.features * weights[:, None] + problem.l2_weight * theta
+    n = grads.shape[0]
+    mean = grads.mean(axis=0)
+    second = grads.T @ grads / n
+    cov = (second - np.outer(mean, mean)) / problem.batch_size
+    return 0.5 * (cov + cov.T)
+
+
+def ragged_problem(loss, counts, d=4, l2_weight=0.1, batch_size=3, seed=0):
+    """A problem whose clients hold `counts` records each."""
+    rng = np.random.default_rng(seed)
+    clients = []
+    for c, n in enumerate(counts):
+        features = rng.standard_normal((n, d))
+        if loss == "quadratic":
+            targets = features @ rng.standard_normal(d) + rng.standard_normal(n)
+        else:
+            targets = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        clients.append(datagen.ClientDataset(features, targets, client_id=3 * c + 1))
+    return objectives.Problem(clients, loss=loss, l2_weight=l2_weight,
+                              batch_size=batch_size)
+
+
+def _assert_kernels_equal_loops(problem, theta, matrix):
+    n = problem.n_clients
+    pairs = [
+        (objectives.client_gradients(problem, theta),
+         [_reference_gradient(problem, c, theta) for c in range(n)]),
+        (objectives.client_hessians(problem, theta),
+         [_reference_hessian(problem, c, theta) for c in range(n)]),
+        (objectives.client_third_derivatives(problem, theta, matrix),
+         [_reference_third(problem, c, theta, matrix) for c in range(n)]),
+        (objectives.client_noise_covariances(problem, theta),
+         [_reference_noise_covariance(problem, c, theta) for c in range(n)]),
+    ]
+    for table, loop in pairs:
+        assert table.shape == (n,) + loop[0].shape
+        assert np.array_equal(table, np.stack(loop))
+        assert np.array_equal(np.signbit(table), np.signbit(np.stack(loop)))
+
+
+_SHAPES = {"equal": [40] * 6, "ragged": [7, 30, 7, 12, 30, 1, 12]}
+
+
+class TestTableKernels:
+    @pytest.mark.parametrize("shape", sorted(_SHAPES))
+    @pytest.mark.parametrize("loss", ["quadratic", "logistic"])
+    def test_equal_per_client_loops(self, loss, shape):
+        problem = ragged_problem(loss, _SHAPES[shape], d=6, seed=len(shape))
+        rng = np.random.default_rng(1)
+        theta = 0.5 * rng.standard_normal(problem.d)
+        m = rng.standard_normal((problem.d, problem.d))
+        _assert_kernels_equal_loops(problem, theta, m + m.T)
+
+    def test_equal_loops_on_a_large_table(self):
+        # 200 clients of 200 records, d = 20: the size of the benchmark's predict task
+        problem = ragged_problem("logistic", [200] * 200, d=20, seed=9)
+        theta = np.linspace(-0.3, 0.3, 20)
+        m = np.outer(theta, theta) + np.eye(20)
+        _assert_kernels_equal_loops(problem, theta, m)
+
+    @pytest.mark.parametrize("chunk", [1, 10, 31])
+    @pytest.mark.parametrize("loss", ["quadratic", "logistic"])
+    def test_chunked_groups_equal_per_client_loops(self, loss, chunk, monkeypatch):
+        # chunks of whole clients: one client per call, or a few per group
+        monkeypatch.setattr(objectives, "_CHUNK_RECORDS", chunk)
+        problem = ragged_problem(loss, _SHAPES["ragged"] + [7, 7, 2], seed=4)
+        theta = np.linspace(-1.0, 1.0, problem.d)
+        _assert_kernels_equal_loops(problem, theta, np.eye(problem.d) - 0.2)
+
+    @pytest.mark.parametrize("loss", ["quadratic", "logistic"])
+    def test_per_client_functions_are_the_one_client_case(self, loss):
+        problem = ragged_problem(loss, _SHAPES["ragged"], seed=3)
+        theta = np.full(problem.d, 0.2)
+        m = np.eye(problem.d) + 0.5
+        for c in range(problem.n_clients):
+            assert np.array_equal(objectives.full_gradient(problem, c, theta),
+                                  _reference_gradient(problem, c, theta))
+            assert np.array_equal(objectives.hessian(problem, c, theta),
+                                  _reference_hessian(problem, c, theta))
+            assert np.array_equal(objectives.third_derivative_apply(problem, c, theta, m),
+                                  _reference_third(problem, c, theta, m))
+            assert np.array_equal(objectives.noise_covariance_at(problem, c, theta),
+                                  _reference_noise_covariance(problem, c, theta))
+
+    @settings(max_examples=40, deadline=None)
+    @given(counts=st.lists(st.integers(1, 9), min_size=1, max_size=7),
+           d=st.integers(1, 5), loss=st.sampled_from(["quadratic", "logistic"]),
+           batch=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+           scale=st.sampled_from([0.0, 0.3, 5.0]))
+    def test_property_random_problems(self, counts, d, loss, batch, seed, scale):
+        problem = ragged_problem(loss, counts, d=d, batch_size=batch, seed=seed)
+        rng = np.random.default_rng(seed)
+        theta = scale * rng.standard_normal(d)
+        m = rng.standard_normal((d, d))
+        _assert_kernels_equal_loops(problem, theta, m + m.T)
+
+    def test_non_symmetric_matrix_rejected_once(self, logistic_problem):
+        m = np.zeros((logistic_problem.d, logistic_problem.d))
+        m[0, 1] = 1.0
+        with pytest.raises(ValueError, match="symmetric"):
+            objectives.client_third_derivatives(logistic_problem, np.zeros(logistic_problem.d), m)
+        with pytest.raises(ValueError, match="square"):
+            objectives.client_third_derivatives(logistic_problem, np.zeros(logistic_problem.d),
+                                                np.zeros((2, 3)))
+
+
+class TestRecordGroups:
+    def test_equal_size_clients_are_reshape_views(self, quad_problem):
+        (clients, x, y), = objectives.record_groups(
+            quad_problem.features, quad_problem.targets,
+            quad_problem.first_rows, quad_problem.record_counts)
+        assert clients == slice(None)
+        assert x.shape == (3, 30, 4) and y.shape == (3, 30)
+        assert np.shares_memory(x, quad_problem.features)
+        assert np.shares_memory(y, quad_problem.targets)
+        for c, ds in enumerate(quad_problem.clients):
+            assert np.array_equal(x[c], ds.features) and np.array_equal(y[c], ds.targets)
+
+    def test_ragged_clients_group_by_record_count(self):
+        problem = ragged_problem("logistic", _SHAPES["ragged"])
+        groups = objectives.record_groups(problem.features, problem.targets,
+                                          problem.first_rows, problem.record_counts)
+        assert [x.shape[1] for _, x, _ in groups] == [1, 7, 12, 30]
+        assert [c.tolist() for c, _, _ in groups] == [[5], [0, 2], [3, 6], [1, 4]]
+        for clients, x, y in groups:
+            for c, xc, yc in zip(clients, x, y):
+                assert np.array_equal(xc, problem.clients[c].features)
+                assert np.array_equal(yc, problem.clients[c].targets)
+
+    def test_rows_out_of_order_are_gathered(self, quad_problem):
+        # the same clients twice, as in a block of two chains of one problem
+        first = np.tile(quad_problem.first_rows, 2)
+        counts = np.tile(quad_problem.record_counts, 2)
+        (clients, x, _), = objectives.record_groups(
+            quad_problem.features, quad_problem.targets, first, counts)
+        assert clients == slice(None) and x.shape == (6, 30, 4)
+        assert not np.shares_memory(x, quad_problem.features)
+        assert np.array_equal(x[3:], x[:3])
+        assert np.array_equal(x[:3].reshape(-1, 4), quad_problem.features)

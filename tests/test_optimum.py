@@ -4,6 +4,12 @@ import pytest
 from scaffold_sim import datagen, objectives, optimum
 
 from conftest import random_problem
+from test_objectives import (
+    _reference_gradient,
+    _reference_hessian,
+    _reference_noise_covariance,
+    ragged_problem,
+)
 
 
 class TestSolveOptimum:
@@ -132,18 +138,90 @@ class TestCertificateReport:
 class TestLazyBetaProxy:
     def test_certificate_skips_probe_until_read(self, logistic_problem, monkeypatch):
         calls = []
-        original = objectives.noise_covariance_at
+        original = objectives.client_noise_covariances
 
         def counting(*args):
             calls.append(args[1])
             return original(*args)
 
-        monkeypatch.setattr(objectives, "noise_covariance_at", counting)
+        monkeypatch.setattr(objectives, "client_noise_covariances", counting)
         cert = optimum.build_certificate(logistic_problem,
                                          optimum.solve_optimum(logistic_problem))
-        # one noise covariance per client at theta_star, none for the probe
-        assert len(calls) == logistic_problem.n_clients
+        # one table-wide noise covariance pass at theta_star, none for the probe
+        assert len(calls) == 1
         first = cert.beta_proxy
-        assert len(calls) > logistic_problem.n_clients
+        assert len(calls) > 1
         assert cert.beta_proxy == first
         assert "problem" not in repr(cert)
+
+
+# Reference: the certificate constants as the per-client loops computed them.
+def _reference_certificate(problem, theta_star):
+    n, lam = problem.n_clients, problem.l2_weight
+    grads = np.stack([_reference_gradient(problem, c, theta_star) for c in range(n)])
+    hessians = np.stack([_reference_hessian(problem, c, theta_star) for c in range(n)])
+    hess_avg = hessians.mean(axis=0)
+    mu = max(min(float(np.linalg.eigvalsh(h)[0]) for h in hessians), lam)
+    scale = 1.0 if problem.loss == "quadratic" else 4.0
+    big_l = max(float(np.linalg.eigvalsh(
+        ds.features.T @ ds.features / (scale * ds.n_records))[-1]) + lam
+        for ds in problem.clients)
+    q_bound = 0.0 if problem.loss == "quadratic" else max(
+        float(np.sum(np.linalg.norm(ds.features, axis=1) ** 3))
+        / (6.0 * np.sqrt(3.0) * ds.n_records) for ds in problem.clients)
+    zeta2 = float(np.sqrt(np.mean([
+        float(np.linalg.norm(h - hess_avg, ord=2)) ** 2 for h in hessians])))
+    sigma_eps = np.stack([_reference_noise_covariance(problem, c, theta_star)
+                          for c in range(n)])
+    return {
+        "xi_star": -grads, "grad_norm_at_star": float(np.linalg.norm(grads.mean(axis=0))),
+        "hessian_star": hess_avg, "mu": mu, "big_l": big_l, "third_deriv_bound": q_bound,
+        "zeta2": zeta2, "sigma_eps_per_client": sigma_eps,
+        "sigma_eps_avg": sigma_eps.mean(axis=0),
+        "sigma_star_sq": max(float(np.trace(m)) for m in sigma_eps),
+    }
+
+
+def _reference_beta_proxy(problem, theta_star, n_probe=20, radius=1.0, seed=1234):
+    def worst_trace(theta):
+        return max(float(np.trace(_reference_noise_covariance(problem, c, theta)))
+                   for c in range(problem.n_clients))
+
+    rng = np.random.default_rng(seed)
+    base = worst_trace(theta_star)
+    xs, ys = [], []
+    for _ in range(n_probe):
+        direction = rng.standard_normal(problem.d)
+        direction /= np.linalg.norm(direction)
+        theta = theta_star + radius * rng.uniform(0.1, 1.0) * direction
+        xs.append(float(np.sum((theta - theta_star) ** 2)))
+        ys.append(worst_trace(theta) - base)
+    xs, ys = np.asarray(xs), np.asarray(ys)
+    return max(float(xs @ ys / (xs @ xs)), 0.0)
+
+
+class TestTableWideCertificate:
+    @pytest.mark.parametrize("counts", [[25] * 5, [9, 25, 4, 9, 31]])
+    @pytest.mark.parametrize("loss", ["quadratic", "logistic"])
+    def test_equals_per_client_loops(self, loss, counts):
+        problem = ragged_problem(loss, counts, d=5, seed=sum(counts))
+        theta_star = optimum.solve_optimum(problem)
+        cert = optimum.build_certificate(problem, theta_star)
+        for key, expected in _reference_certificate(problem, theta_star).items():
+            got = getattr(cert, key)
+            assert np.array_equal(got, expected), key
+        assert cert.beta_proxy == _reference_beta_proxy(problem, theta_star)
+
+    @pytest.mark.parametrize("counts", [[25] * 5, [9, 25, 4, 9, 31]])
+    @pytest.mark.parametrize("loss", ["quadratic", "logistic"])
+    def test_newton_averages_equal_per_client_loops(self, loss, counts):
+        problem = ragged_problem(loss, counts, d=5, seed=1)
+        rng = np.random.default_rng(2)
+        for _ in range(3):
+            theta = rng.standard_normal(problem.d)
+            grads = [_reference_gradient(problem, c, theta) for c in range(len(counts))]
+            hessians = [_reference_hessian(problem, c, theta) for c in range(len(counts))]
+            assert np.array_equal(optimum._average_gradient(problem, theta),
+                                  np.mean(grads, axis=0))
+            assert np.array_equal(optimum._average_hessian(problem, theta),
+                                  np.mean(hessians, axis=0))

@@ -10,6 +10,7 @@ from scaffold_sim.algorithms import DivergenceError, scaffold_round
 from scaffold_sim.core import ChainState, RunConfig
 
 from conftest import random_problem
+from test_objectives import _reference_hessian, _reference_third, ragged_problem
 
 
 def certificate_for(problem):
@@ -480,3 +481,26 @@ class TestMatrixBlock:
         stationary._write_matrix_block(lines, "m", m)
         ref = ["# m"] + [",".join(f"{v:.17g}" for v in row) for row in m]
         assert lines == ref
+
+
+class TestTableWidePrediction:
+    @pytest.mark.parametrize("counts", [[20] * 4, [6, 20, 3, 20]])
+    @pytest.mark.parametrize("loss", ["quadratic", "logistic"])
+    def test_equals_per_client_loops(self, loss, counts):
+        # the per-client loops the table kernels replaced, as reference
+        problem = ragged_problem(loss, counts, d=4, seed=len(counts) + counts[0])
+        cert = optimum.build_certificate(problem, optimum.solve_optimum(problem))
+        gamma, n = 0.03, problem.n_clients
+        pred = stationary.predict_first_order(problem, cert, gamma, 5)
+        a_sigma = stationary.sylvester_solve(cert.hessian_star, cert.sigma_eps_avg)
+        cov_theta_xi = np.empty((n, problem.d, problem.d))
+        for c in range(n):
+            cov_theta_xi[c] = gamma / n * (
+                a_sigma @ (_reference_hessian(problem, c, cert.theta_star) - cert.hessian_star)
+                + (cert.sigma_eps_per_client[c] - cert.sigma_eps_avg))
+        third = np.mean([_reference_third(problem, c, cert.theta_star, a_sigma)
+                         for c in range(n)], axis=0)
+        bias = -gamma / (2.0 * n) * np.linalg.solve(cert.hessian_star, third)
+        assert np.array_equal(pred.cov_theta_xi, cov_theta_xi)
+        assert np.array_equal(pred.bias_theta, bias)
+        assert np.array_equal(np.signbit(pred.bias_theta), np.signbit(bias))
