@@ -264,30 +264,6 @@ def block_round(block, n_scaffold, thetas, xis, rounds):
     return thetas_next, xis_next
 
 
-def _local_endpoints(problem, theta, corrections, round_index, config):
-    """Endpoints (N, d) of one chain's local steps from theta (d,)."""
-    return _endpoints(ChainBlock([(problem, config)]), theta[None], corrections, round_index)
-
-
-def _round(problem, config, n_scaffold, seeds, thetas, xis, round_index):
-    """One round of K x S chains of one problem; returns (thetas, xis).
-
-    thetas (K, S, d) and xis (K, S, N, d); chain (k, s) draws its
-    minibatches from seeds[s], so the K chains of one seed share each draw
-    and gather.  Chains k < n_scaffold run Scaffold, the rest FedAvg.
-    """
-    seeds = [seeds] if np.ndim(seeds) == 0 else list(seeds)
-    block = ChainBlock([
-        (problem, config if seed == config.seed else replace(config, seed=int(seed)))
-        for seed in seeds
-    ])
-    n_algos, n_seeds, n, d = xis.shape
-    lead = (n_algos,) if n_algos > 1 else ()  # one chain per row skips a leading axis of one
-    thetas, xis = block_round(block, n_scaffold, thetas.reshape(lead + (n_seeds, d)),
-                              xis.reshape(lead + (n_seeds * n, d)), round_index)
-    return thetas.reshape(n_algos, n_seeds, d), xis.reshape(n_algos, n_seeds, n, d)
-
-
 def scaffold_round(state: ChainState, problem: Problem, config: RunConfig,
                    round_index: int) -> ChainState:
     """One Scaffold round: corrected local steps, average, control update.
@@ -296,9 +272,9 @@ def scaffold_round(state: ChainState, problem: Problem, config: RunConfig,
     re-centered so their sum stays exactly on the zero subspace.  Raises
     DivergenceError if any entry of the new state is not finite.
     """
-    thetas, xis = _round(problem, config, 1, config.seed,
-                         state.theta[None, None], state.xis[None, None], round_index)
-    return ChainState.unchecked(thetas[0, 0], xis[0, 0])
+    thetas, xis = block_round(ChainBlock([(problem, config)]), 1, state.theta[None],
+                              state.xis, round_index)
+    return ChainState.unchecked(thetas[0], xis)
 
 
 def fedavg_round(theta, problem: Problem, config: RunConfig, round_index: int):
@@ -307,10 +283,10 @@ def fedavg_round(theta, problem: Problem, config: RunConfig, round_index: int):
     Raises DivergenceError if the average is not finite.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    corrections = np.zeros((1, 1, problem.n_clients, theta.shape[0]))
-    thetas, _ = _round(problem, config, 0, config.seed,
-                       theta[None, None], corrections, round_index)
-    return thetas[0, 0]
+    corrections = np.zeros((problem.n_clients, theta.shape[0]))
+    thetas, _ = block_round(ChainBlock([(problem, config)]), 0, theta[None],
+                            corrections, round_index)
+    return thetas[0]
 
 
 def run_sweep(problem: Problem, certificate, config: RunConfig, algorithms, seeds,

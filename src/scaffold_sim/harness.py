@@ -101,6 +101,11 @@ class ExperimentConfig:
             raise ConfigError(f"key `task`: must be one of {TASKS}, got {self.task!r}")
         if self.loss not in ("quadratic", "logistic"):
             raise ConfigError(f"key `loss`: must be quadratic or logistic, got {self.loss!r}")
+        if not self.l2_weight >= 0:  # NaN fails too
+            raise ConfigError(f"key `l2_weight`: must be >= 0, got {self.l2_weight}")
+        if self.records_per_client < 1:
+            raise ConfigError(
+                f"key `records_per_client`: must be >= 1, got {self.records_per_client}")
         if self.gamma is not None and self.gamma <= 0:
             raise ConfigError(f"key `gamma`: must be positive, got {self.gamma}")
         if self.gamma_over_l is not None and self.gamma_over_l <= 0:
@@ -130,6 +135,8 @@ class ExperimentConfig:
                 )
         if not self.seeds:
             raise ConfigError("key `seeds`: list must be nonempty")
+        if any(not 0 <= s < 2 ** 64 for s in self.seeds):
+            raise ConfigError(f"key `seeds`: seeds must be in [0, 2**64), got {self.seeds}")
         if not self.algorithms:
             raise ConfigError("key `algorithms`: list must be nonempty")
         for a in self.algorithms:
@@ -144,6 +151,13 @@ class ExperimentConfig:
             )
         if len(self.generator_seeds) != 2:
             raise ConfigError(f"key `generator_seeds`: need exactly 2 seeds, got {self.generator_seeds}")
+        if any(s < 0 for s in self.generator_seeds):
+            raise ConfigError(
+                f"key `generator_seeds`: seeds must be >= 0, got {self.generator_seeds}")
+        if self.burn_in is not None and self.burn_in < 0:
+            raise ConfigError(f"key `burn_in`: must be >= 0, got {self.burn_in}")
+        if self.thinning < 1:
+            raise ConfigError(f"key `thinning`: must be >= 1, got {self.thinning}")
         if self.task == "complexity" and self.epsilon is None:
             raise ConfigError("key `epsilon`: required for the complexity task")
         if self.epsilon is not None and self.epsilon <= 0:
@@ -193,7 +207,6 @@ def parse_config(path) -> ExperimentConfig:
 
     values = {}
     section = None
-    explicit_gamma = False
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -215,59 +228,34 @@ def parse_config(path) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: empty value for key `{key}`")
         attr, conv = _SCHEMA[section][key]
         values[attr] = value if conv is str else conv(key, value)
-        if key == "gamma":
-            explicit_gamma = True
 
     if "task" not in values:
         raise ConfigError("missing required key `task` in section [experiment]")
-    if values.get("gamma_over_l") is not None and not explicit_gamma:
+    if values.get("gamma_over_l") is not None and "gamma" not in values:
         values["gamma"] = None
     return ExperimentConfig(**values).validate()
 
 
 def format_config(config: ExperimentConfig) -> str:
-    """Emit the normalized config; `parse_config(format_config(c)) == c`."""
-    def join(xs):
-        return ",".join(str(x) for x in xs)
+    """Emit the normalized config; `parse_config(format_config(c)) == c`.
 
-    lines = ["[experiment]", f"task = {config.task}"]
-    if config.output_path is not None:
-        lines.append(f"output = {config.output_path}")
-    lines += [
-        "",
-        "[problem]",
-        f"loss = {config.loss}",
-        f"l2_weight = {config.l2_weight:.17g}",
-        f"n_features = {config.n_features}",
-        f"records_per_client = {config.records_per_client}",
-        f"informative = {join(config.informative)}",
-        f"generator_seeds = {join(config.generator_seeds)}",
-        f"noise_std = {config.noise_std:.17g}",
-        f"class_sep = {config.class_sep:.17g}",
-        "",
-        "[run]",
-    ]
-    if config.gamma is not None:
-        lines.append(f"gamma = {config.gamma:.17g}")
-    if config.gamma_over_l is not None:
-        lines.append(f"gamma_over_L = {config.gamma_over_l:.17g}")
-    lines += [
-        f"local_steps = {config.local_steps}",
-        f"rounds = {config.rounds}",
-        f"batch_size = {config.batch_size}",
-        f"n_clients = {join(config.n_clients)}",
-        f"seeds = {join(config.seeds)}",
-        f"algorithms = {join(config.algorithms)}",
-    ]
-    if config.burn_in is not None:
-        lines.append(f"burn_in = {config.burn_in}")
-    lines += [
-        f"n_samples = {config.n_samples}",
-        f"thinning = {config.thinning}",
-    ]
-    if config.epsilon is not None:
-        lines.append(f"epsilon = {config.epsilon:.17g}")
-    return "\n".join(lines) + "\n"
+    Writes every `_SCHEMA` key whose value is not None, in schema order:
+    floats with 17 significant digits, lists joined by commas.
+    """
+    sections = []
+    for section, keys in _SCHEMA.items():
+        lines = [f"[{section}]"]
+        for key, (attr, conv) in keys.items():
+            value = getattr(config, attr)
+            if value is None:
+                continue
+            if conv is _parse_float:
+                value = f"{value:.17g}"
+            elif conv in (_parse_int_list, _parse_str_list):
+                value = ",".join(str(x) for x in value)
+            lines.append(f"{key} = {value}")
+        sections.append("\n".join(lines))
+    return "\n\n".join(sections) + "\n"
 
 
 def build_problem(config: ExperimentConfig, n_clients, source_records=None) -> Problem:
@@ -439,20 +427,7 @@ def run_predict(config: ExperimentConfig, threads=1):
     problem, cert = _setup(config, n)
     gamma = _resolve_gamma(config, cert)
     pred = stationary.predict_first_order(problem, cert, gamma, config.local_steps)
-
-    lines = [
-        f"gamma = {gamma:.17g}",
-        f"local_steps = {config.local_steps}",
-        f"n_clients = {n}",
-        f"bias_pred_norm = {float(np.linalg.norm(pred.bias_theta)):.17g}",
-    ]
-    stationary._write_matrix_block(lines, "bias_pred", pred.bias_theta)
-    stationary._write_matrix_block(lines, "cov_theta_pred", pred.cov_theta)
-    for c in range(n):
-        stationary._write_matrix_block(lines, f"cov_theta_xi_pred_{c}", pred.cov_theta_xi[c])
-    for c in range(n):
-        stationary._write_matrix_block(lines, f"cov_xi_pred_{c}_{c}", pred.cov_xi(c, c))
-    return "\n".join(lines) + "\n"
+    return stationary.prediction_report(pred)
 
 
 def run_complexity(config: ExperimentConfig, threads=1):

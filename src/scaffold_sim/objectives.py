@@ -211,8 +211,13 @@ def _one_client(problem, client, kernel, theta, *args):
 
 
 def _margins(features, theta):
-    """features @ theta for a (G, n, d) stack, as one product over its rows."""
-    return (features.reshape(-1, features.shape[-1]) @ theta).reshape(features.shape[:2])
+    """features @ theta for a (G, n, d) stack, one product per client.
+
+    One product over all G * n rows rounds some rows differently from the
+    client's own product (BLAS blocks the rows), so a client's margins
+    would depend on which clients share its stack.
+    """
+    return np.matmul(features, theta)
 
 
 def _gradient_stack(features, targets, theta, loss, l2_weight):
@@ -237,9 +242,10 @@ def _third_stack(features, targets, theta, matrix, loss):
     n, d = features.shape[1:]
     if loss == "quadratic":
         return np.zeros((len(features), d))
-    rows = features.reshape(-1, d)
     s = _sigmoid(targets * _margins(features, theta))
-    quad = np.einsum("mi,ij,mj->m", rows, matrix, rows).reshape(s.shape)
+    # one contraction per client: at d = 2 a row's value depends on the
+    # rows that share the call
+    quad = np.stack([np.einsum("mi,ij,mj->m", x, matrix, x) for x in features])
     weights = s * (1.0 - s) * (1.0 - 2.0 * s) * targets * quad
     return np.matmul(features.transpose(0, 2, 1), weights[..., None])[..., 0] / n
 

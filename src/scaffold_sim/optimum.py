@@ -96,6 +96,7 @@ class OptimumCertificate:
     zeta2: float
     sigma_star_sq: float
     sigma_eps_per_client: np.ndarray  # (N, d, d)
+    hessians: np.ndarray  # (N, d, d), client Hessians at theta_star
     sigma_eps_avg: np.ndarray  # (d, d)
     hessian_star: np.ndarray  # (d, d), average Hessian at theta_star
     problem: Problem = field(repr=False, compare=False)
@@ -113,22 +114,22 @@ class OptimumCertificate:
 
     @property
     def beta_proxy(self):
-        return _beta_proxy(self.problem, self.theta_star)
+        return _beta_proxy(self.problem, self.theta_star, self.sigma_star_sq)
 
 
 def _max_trace(matrices):
     return float(np.trace(matrices, axis1=1, axis2=2).max())
 
 
-def _beta_proxy(problem, theta_star, n_probe=20, radius=1.0, seed=1234):
+def _beta_proxy(problem, theta_star, base, n_probe=20, radius=1.0, seed=1234):
     """Regression slope of noise variance growth against squared distance.
 
     Samples theta around theta_star, evaluates the worst-client noise trace,
-    and fits trace(theta) - trace(theta_star) ~ beta * ||theta - theta_star||^2
-    through the origin.  An estimate, not a certified bound.
+    and fits trace(theta) - base ~ beta * ||theta - theta_star||^2 through
+    the origin, where `base` is the worst-client trace at theta_star.  An
+    estimate, not a certified bound.
     """
     rng = np.random.default_rng(seed)
-    base = _max_trace(objectives.client_noise_covariances(problem, theta_star))
     xs, ys = [], []
     for _ in range(n_probe):
         direction = rng.standard_normal(problem.d)
@@ -196,6 +197,7 @@ def build_certificate(problem: Problem, theta_star) -> OptimumCertificate:
         zeta2=zeta2,
         sigma_star_sq=sigma_star_sq,
         sigma_eps_per_client=sigma_eps,
+        hessians=hessians,
         sigma_eps_avg=sigma_eps_avg,
         hessian_star=hess_avg,
         problem=problem,

@@ -31,6 +31,7 @@ __all__ = [
     "predict_first_order",
     "complexity_recipe",
     "estimate_report",
+    "prediction_report",
 ]
 
 N_SE_BATCHES = 20
@@ -134,6 +135,8 @@ def estimate_stationary_sweep(chains, burn_in=None, n_samples=1000, thinning=1,
         raise ValueError("need at least one chain")
     if n_samples < 100:
         raise ValueError(f"need n_samples >= 100, got {n_samples}")
+    if burn_in is not None and burn_in < 0:
+        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
     if thinning < 1:
         raise ValueError(f"thinning must be >= 1, got {thinning}")
     burn_ins = []
@@ -272,9 +275,8 @@ def predict_first_order(problem, certificate: OptimumCertificate,
     a_sigma = sylvester_solve(hess_star, sigma_avg)
     cov_theta = gamma / n * a_sigma
 
-    hessians = objectives.client_hessians(problem, theta_star)
     cov_theta_xi = gamma / n * (
-        a_sigma @ (hessians - hess_star) + (sigma_eps - sigma_avg)
+        a_sigma @ (certificate.hessians - hess_star) + (sigma_eps - sigma_avg)
     )
 
     third = objectives.client_third_derivatives(problem, theta_star, a_sigma).mean(axis=0)
@@ -379,4 +381,21 @@ def estimate_report(est: StationaryEstimate) -> str:
         _write_matrix_block(lines, f"cov_theta_xi_{c}", est.cov_theta_xi[c])
     for (c, cp), m in sorted(est.cov_xi.items()):
         _write_matrix_block(lines, f"cov_xi_{c}_{cp}", m)
+    return "\n".join(lines) + "\n"
+
+
+def prediction_report(pred: FirstOrderPrediction) -> str:
+    """Report: key-value scalars, then matrices in row-major CSV blocks."""
+    lines = [
+        f"gamma = {pred.gamma:.17g}",
+        f"local_steps = {pred.local_steps}",
+        f"n_clients = {pred.n_clients}",
+        f"bias_pred_norm = {float(np.linalg.norm(pred.bias_theta)):.17g}",
+    ]
+    _write_matrix_block(lines, "bias_pred", pred.bias_theta)
+    _write_matrix_block(lines, "cov_theta_pred", pred.cov_theta)
+    for c in range(pred.n_clients):
+        _write_matrix_block(lines, f"cov_theta_xi_pred_{c}", pred.cov_theta_xi[c])
+    for c in range(pred.n_clients):
+        _write_matrix_block(lines, f"cov_xi_pred_{c}_{c}", pred.cov_xi(c, c))
     return "\n".join(lines) + "\n"

@@ -20,6 +20,17 @@ def make_config(problem, **kwargs):
     return RunConfig(**defaults)
 
 
+def _cells_round(problem, config, n_scaffold, seeds, thetas, xis, round_index):
+    # K algorithms x S seeds of one problem as one block: thetas (K, S, d),
+    # xis (K, S, N, d); a single algorithm keeps no leading axis of one
+    block = algorithms.ChainBlock([(problem, replace(config, seed=seed)) for seed in seeds])
+    n_algos, n_seeds, n, d = xis.shape
+    lead = (n_algos,) if n_algos > 1 else ()
+    thetas, xis = algorithms.block_round(block, n_scaffold, thetas.reshape(lead + (n_seeds, d)),
+                                         xis.reshape(lead + (n_seeds * n, d)), round_index)
+    return thetas.reshape(n_algos, n_seeds, d), xis.reshape(n_algos, n_seeds, n, d)
+
+
 def certificate_for(problem):
     theta = optimum.solve_optimum(problem)
     return optimum.build_certificate(problem, theta)
@@ -120,6 +131,35 @@ class TestScaffoldRound:
         out_p = algorithms.scaffold_round(state_p, shuffled, config, 0)
         assert np.allclose(out.theta, out_p.theta, atol=1e-12)
         assert np.allclose(out.xis[perm], out_p.xis, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), counts=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+           d=st.integers(1, 4), loss=st.sampled_from(["quadratic", "logistic"]),
+           batch=st.sampled_from([2, 5, None]), seed=st.integers(0, 2 ** 64 - 1),
+           round_index=st.integers(0, 2 ** 20), state_seed=st.integers(0, 2 ** 32))
+    def test_permutation_equivariance_property(self, data, counts, d, loss, batch, seed,
+                                               round_index, state_seed):
+        # clients of any sizes, listed in any order, with their ids: the
+        # round's average and each client's control variate do not change
+        perm = data.draw(st.permutations(range(len(counts))))
+        rng = np.random.default_rng(state_seed)
+        clients = [datagen.ClientDataset(rng.standard_normal((n, d)),
+                                         np.sign(rng.standard_normal(n)),
+                                         client_id=int(rng.integers(2 ** 32)) + c)
+                   for c, n in enumerate(counts)]
+        problem = objectives.Problem(clients, loss, 0.1, batch_size=batch or 3)
+        shuffled = objectives.Problem([clients[i] for i in perm], loss, 0.1,
+                                      batch_size=batch or 3)
+        config = make_config(problem, gamma=0.05, local_steps=3, batch_size=batch,
+                             seed=seed)
+        xis = rng.standard_normal((len(counts), d))
+        xis -= xis.mean(axis=0)
+        state = ChainState(rng.standard_normal(d), xis)
+        out = algorithms.scaffold_round(state, problem, config, round_index)
+        out_p = algorithms.scaffold_round(ChainState(state.theta, state.xis[perm]),
+                                          shuffled, config, round_index)
+        assert np.allclose(out.theta, out_p.theta, rtol=0.0, atol=1e-12)
+        assert np.allclose(out.xis[perm], out_p.xis, rtol=0.0, atol=1e-12)
 
 
 class TestFedavgRound:
@@ -294,7 +334,8 @@ class TestFlatGather:
                 features[rows, idx[h]], targets[rows, idx[h]], thetas,
                 logistic_problem.loss, logistic_problem.l2_weight)
             thetas = thetas - config.gamma * (grads + corrections)
-        got = algorithms._local_endpoints(logistic_problem, theta, corrections, 2, config)
+        got = algorithms._endpoints(algorithms.ChainBlock([(logistic_problem, config)]),
+                                    theta[None], corrections, 2)
         assert np.array_equal(got, thetas)
 
 
@@ -469,7 +510,7 @@ class TestRoundKernel:
         theta = rng.standard_normal((2, 3, quad_problem.d))
         xis = rng.standard_normal((2, 3, quad_problem.n_clients, quad_problem.d))
         before = theta.copy(), xis.copy()
-        algorithms._round(quad_problem, config, 1, [0, 1, 2], theta, xis, 0)
+        _cells_round(quad_problem, config, 1, [0, 1, 2], theta, xis, 0)
         assert np.array_equal(theta, before[0]) and np.array_equal(xis, before[1])
 
     @settings(max_examples=25, deadline=None)
@@ -488,8 +529,8 @@ class TestRoundKernel:
         xis = rng.standard_normal(thetas.shape[:2] + (n_clients, problem.d))
         xis -= xis.mean(axis=2, keepdims=True)
         xis[n_scaffold:] = 0.0
-        got_theta, got_xis = algorithms._round(problem, config, n_scaffold, seeds,
-                                               thetas, xis, round_index)
+        got_theta, got_xis = _cells_round(problem, config, n_scaffold, seeds,
+                                          thetas, xis, round_index)
         for k in range(n_algos):
             for s, seed in enumerate(seeds):
                 chain = replace(config, seed=seed)
@@ -536,7 +577,7 @@ class TestRaggedTable:
         xis = rng.standard_normal((2, 2, 4, 3))
         xis -= xis.mean(axis=2, keepdims=True)
         xis[1] = 0.0
-        got_theta, got_xis = algorithms._round(problem, config, 1, seeds, thetas, xis, 6)
+        got_theta, got_xis = _cells_round(problem, config, 1, seeds, thetas, xis, 6)
         for k in range(2):
             for s, seed in enumerate(seeds):
                 chain = replace(config, seed=seed)
@@ -592,6 +633,37 @@ class TestChainBlock:
         assert features.shape == (8, 12, 3)
         assert not np.shares_memory(features, problem.features)
         assert np.array_equal(features.reshape(2, -1, 3), np.stack([problem.features] * 2))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n_chains=st.integers(1, 4), n_algos=st.integers(1, 3),
+           loss=st.sampled_from(["quadratic", "logistic"]), batch=st.sampled_from([3, None]),
+           state_seed=st.integers(0, 2 ** 32))
+    def test_scaffold_chains_stay_on_state_space(self, data, n_chains, n_algos, loss, batch,
+                                                 state_seed):
+        # the sum-zero invariant after one round of a random block, from
+        # control variates that start anywhere
+        rng = np.random.default_rng(state_seed)
+        chains = []
+        for g in range(n_chains):
+            problem = random_problem(loss, n_clients=data.draw(st.integers(1, 6)),
+                                     n_records=data.draw(st.integers(1, 15)), d=3,
+                                     batch_size=3, seed=state_seed + g)
+            chains.append((problem, make_config(
+                problem, gamma=float(rng.uniform(0.01, 0.2)), local_steps=3,
+                batch_size=batch, seed=data.draw(st.integers(0, 2 ** 64 - 1)))))
+        block = algorithms.ChainBlock(chains)
+        lead = (n_algos,) if n_algos > 1 else ()
+        n_scaffold = data.draw(st.integers(0, n_algos))
+        thetas = rng.standard_normal(lead + (n_chains, 3))
+        xis = 10.0 * rng.standard_normal(lead + (block.n_rows, 3))
+        rounds = np.repeat(rng.integers(0, 2 ** 20, n_chains), [p.n_clients for p, _ in chains])
+        got_theta, got_xis = algorithms.block_round(block, n_scaffold, thetas, xis, rounds)
+        got_theta = got_theta.reshape(-1, n_chains, 3)
+        got_xis = got_xis.reshape(-1, block.n_rows, 3)
+        for k in range(n_scaffold):
+            for g, rows in enumerate(block.slices):
+                assert ChainState(got_theta[k, g], got_xis[k, rows]).on_state_space()
+        assert not got_xis[n_scaffold:].any()
 
     def test_divergence_reports_the_chain_round(self, quad_problem):
         configs = [make_config(quad_problem, gamma=g) for g in (0.05, 1e200, 0.05)]

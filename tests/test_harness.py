@@ -1,5 +1,8 @@
+import ast
+import dataclasses
 import importlib.util
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -9,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scaffold_sim
-from scaffold_sim import harness
+from scaffold_sim import cli, harness
 from scaffold_sim.cli import main as cli_main
 from scaffold_sim.harness import ConfigError, ExperimentConfig, format_config, parse_config
 
@@ -82,6 +85,51 @@ def _valid_configs(draw):
         thinning=draw(st.integers(1, 100)),
         epsilon=draw(positive if task == "complexity" else st.none() | positive),
     )
+
+
+def _reference_format_config(config):
+    # the hand-written writer that the loop over `_SCHEMA` replaced
+    def join(xs):
+        return ",".join(str(x) for x in xs)
+
+    lines = ["[experiment]", f"task = {config.task}"]
+    if config.output_path is not None:
+        lines.append(f"output = {config.output_path}")
+    lines += [
+        "",
+        "[problem]",
+        f"loss = {config.loss}",
+        f"l2_weight = {config.l2_weight:.17g}",
+        f"n_features = {config.n_features}",
+        f"records_per_client = {config.records_per_client}",
+        f"informative = {join(config.informative)}",
+        f"generator_seeds = {join(config.generator_seeds)}",
+        f"noise_std = {config.noise_std:.17g}",
+        f"class_sep = {config.class_sep:.17g}",
+        "",
+        "[run]",
+    ]
+    if config.gamma is not None:
+        lines.append(f"gamma = {config.gamma:.17g}")
+    if config.gamma_over_l is not None:
+        lines.append(f"gamma_over_L = {config.gamma_over_l:.17g}")
+    lines += [
+        f"local_steps = {config.local_steps}",
+        f"rounds = {config.rounds}",
+        f"batch_size = {config.batch_size}",
+        f"n_clients = {join(config.n_clients)}",
+        f"seeds = {join(config.seeds)}",
+        f"algorithms = {join(config.algorithms)}",
+    ]
+    if config.burn_in is not None:
+        lines.append(f"burn_in = {config.burn_in}")
+    lines += [
+        f"n_samples = {config.n_samples}",
+        f"thinning = {config.thinning}",
+    ]
+    if config.epsilon is not None:
+        lines.append(f"epsilon = {config.epsilon:.17g}")
+    return "\n".join(lines) + "\n"
 
 
 class TestParseConfig:
@@ -211,6 +259,41 @@ class TestParseConfig:
             path = Path(tmp) / "c.txt"
             path.write_text(format_config(config))
             assert parse_config(path) == config
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(config=_valid_configs())
+    def test_format_config_equals_reference_writer(self, config):
+        assert format_config(config) == _reference_format_config(config)
+
+
+class TestConfigRanges:
+    @pytest.mark.parametrize("section, line, key", [
+        ("problem", "records_per_client = 0", "records_per_client"),
+        ("problem", "l2_weight = -1", "l2_weight"),
+        ("problem", "l2_weight = nan", "l2_weight"),
+        ("problem", "generator_seeds = -1,4", "generator_seeds"),
+        ("run", "thinning = 0", "thinning"),
+        ("run", "seeds = -3", "seeds"),
+        ("run", f"seeds = 0,{2 ** 64}", "seeds"),
+        ("run", "burn_in = -5", "burn_in"),
+    ])
+    def test_out_of_range_value_names_the_key(self, tmp_path, section, line, key):
+        path = tmp_path / "c.txt"
+        path.write_text(f"[experiment]\ntask = stationary\n[{section}]\n{line}\n")
+        with pytest.raises(ConfigError, match=f"key `{key}`"):
+            parse_config(path)
+
+    def test_boundary_values_accepted(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("[experiment]\ntask = stationary\n"
+                        "[problem]\nrecords_per_client = 1\nl2_weight = 0\n"
+                        "generator_seeds = 0,0\n"
+                        f"[run]\nthinning = 1\nseeds = 0,{2 ** 64 - 1}\nburn_in = 0\n")
+        config = parse_config(path)
+        assert (config.records_per_client, config.l2_weight, config.thinning,
+                config.burn_in) == (1, 0.0, 1, 0)
+        assert config.seeds == [0, 2 ** 64 - 1] and config.generator_seeds == [0, 0]
 
 
 class TestBuildProblem:
@@ -363,6 +446,38 @@ class TestCli:
         assert out.read_text().startswith("algorithm,N,seed,t,mse")
         assert (tmp_path / "out.agg.csv").exists()
 
+    def test_negative_burn_in_exits_nonzero(self, tmp_path, capsys):
+        path = write_config(tmp_path, "stationary", extra_run="burn_in = -5\n")
+        assert cli_main(["stationary", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("ConfigError: key `burn_in`")
+
+    def test_epilog_names_every_key(self):
+        for keys in harness._SCHEMA.values():
+            for key in keys:
+                assert re.search(rf"\b{key} =", cli._EPILOG), key
+
+    def test_epilog_defaults_parse_to_config_defaults(self):
+        # `key = value` under a [section] the epilog marks "defaults shown";
+        # an empty value stands for a default of None
+        defaults = {f.name: f.default if f.default_factory is dataclasses.MISSING
+                    else f.default_factory() for f in dataclasses.fields(ExperimentConfig)}
+        shown, section = set(), None
+        for line in cli._EPILOG.splitlines():
+            header = re.match(r"  \[(\w+)\]\s+(.*)", line)
+            if header:
+                section = header[1] if "defaults shown" in header[2] else None
+                continue
+            entry = re.match(r"  (\w+) = ?(\S*)", line)
+            if section is None or entry is None:
+                continue
+            key, value = entry.groups()
+            attr, conv = harness._SCHEMA[section][key]
+            parsed = None if value == "" else value if conv is str else conv(key, value)
+            assert parsed == defaults[attr], key
+            shown.add(key)
+        assert shown == (set(harness._SCHEMA["problem"]) | set(harness._SCHEMA["run"])) \
+            - {"gamma_over_L"}
+
     def test_stdout_when_no_output_path(self, tmp_path, capsys):
         path = write_config(tmp_path, "complexity",
                             extra_run="epsilon = 0.1\n")
@@ -379,3 +494,28 @@ def test_benchmark_lookup_sites_resolve():
     spec.loader.exec_module(spans)
     for module, attr, _, _ in spans.FULL_SITES:
         assert callable(getattr(getattr(scaffold_sim, module), attr)), f"{module}.{attr}"
+
+
+def _is_private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_modules_read_no_private_names_of_siblings():
+    # a private name has one owner, its module: a sibling that reads it
+    # (`stationary._name`, `from .stationary import _name`) is a second one
+    package = Path(scaffold_sim.__file__).resolve().parent
+    siblings = {path.stem for path in package.glob("*.py")}
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+                   for alias in node.names if alias.name in siblings}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level >= 1:
+                found += [f"{path.name}:{node.lineno}: from .{node.module or ''} import {a.name}"
+                          for a in node.names if _is_private(a.name)]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules and _is_private(node.attr)):
+                found.append(f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}")
+    assert found == []

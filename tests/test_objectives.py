@@ -437,6 +437,22 @@ class TestTableKernels:
         m = rng.standard_normal((d, d))
         _assert_kernels_equal_loops(problem, theta, m + m.T)
 
+    @pytest.mark.parametrize("counts, d, loss, seed, scale", [
+        ([1, 1], 4, "logistic", 0, 5.0),
+        ([1, 1, 2, 1], 2, "logistic", 0, 0.3),
+        ([9, 9, 1], 16, "quadratic", 3469623439, 5.0),
+        ([7, 30, 7, 12, 30, 1, 12, 1], 20, "logistic", 5, 0.5),
+    ])
+    def test_equal_loops_whatever_rows_share_a_product(self, counts, d, loss, seed, scale):
+        # one BLAS product over several clients' rows, or one contraction
+        # over them at d = 2, rounds some rows differently from each
+        # client's own product
+        problem = ragged_problem(loss, counts, d=d, batch_size=2, seed=seed)
+        rng = np.random.default_rng(seed)
+        theta = scale * rng.standard_normal(d)
+        m = rng.standard_normal((d, d))
+        _assert_kernels_equal_loops(problem, theta, m + m.T)
+
     def test_non_symmetric_matrix_rejected_once(self, logistic_problem):
         m = np.zeros((logistic_problem.d, logistic_problem.d))
         m[0, 1] = 1.0

@@ -154,6 +154,21 @@ class TestLazyBetaProxy:
         assert cert.beta_proxy == first
         assert "problem" not in repr(cert)
 
+    def test_read_makes_the_probe_calls_only(self, logistic_problem, monkeypatch):
+        # the base trace at theta_star is sigma_star_sq, not a second pass
+        cert = optimum.build_certificate(logistic_problem,
+                                         optimum.solve_optimum(logistic_problem))
+        calls = []
+        original = objectives.client_noise_covariances
+
+        def counting(*args):
+            calls.append(args[1])
+            return original(*args)
+
+        monkeypatch.setattr(objectives, "client_noise_covariances", counting)
+        cert.beta_proxy
+        assert len(calls) == 20
+
 
 # Reference: the certificate constants as the per-client loops computed them.
 def _reference_certificate(problem, theta_star):
@@ -211,6 +226,16 @@ class TestTableWideCertificate:
             got = getattr(cert, key)
             assert np.array_equal(got, expected), key
         assert cert.beta_proxy == _reference_beta_proxy(problem, theta_star)
+
+    @pytest.mark.parametrize("counts", [[25] * 5, [9, 25, 4, 9, 31]])
+    @pytest.mark.parametrize("loss", ["quadratic", "logistic"])
+    def test_keeps_the_client_hessians(self, loss, counts):
+        problem = ragged_problem(loss, counts, d=5, seed=sum(counts))
+        theta_star = optimum.solve_optimum(problem)
+        cert = optimum.build_certificate(problem, theta_star)
+        assert np.array_equal(cert.hessians, np.stack(
+            [_reference_hessian(problem, c, theta_star) for c in range(len(counts))]))
+        assert np.array_equal(cert.hessian_star, cert.hessians.mean(axis=0))
 
     @pytest.mark.parametrize("counts", [[25] * 5, [9, 25, 4, 9, 31]])
     @pytest.mark.parametrize("loss", ["quadratic", "logistic"])

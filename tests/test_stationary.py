@@ -75,6 +75,20 @@ class TestEstimateStationary:
             stationary.estimate_stationary(quad_problem, cert, config,
                                            n_samples=100, thinning=0)
 
+    def test_negative_burn_in_rejected(self, quad_problem):
+        # a negative burn-in used to run burn_in + n_samples rounds and
+        # divide the sums by n_samples
+        cert = certificate_for(quad_problem)
+        config = RunConfig(gamma=0.02, local_steps=5,
+                           n_clients=quad_problem.n_clients, rounds=1,
+                           batch_size=quad_problem.batch_size)
+        with pytest.raises(ValueError, match="burn_in"):
+            stationary.estimate_stationary(quad_problem, cert, config,
+                                           burn_in=-5, n_samples=100)
+        est = stationary.estimate_stationary(quad_problem, cert, config,
+                                             burn_in=0, n_samples=100)
+        assert est.burn_in_rounds == 0
+
     def test_default_burn_in_used(self, quad_problem):
         cert = certificate_for(quad_problem)
         config = RunConfig(gamma=0.05, local_steps=10,
@@ -472,6 +486,24 @@ class TestEstimateStationarySweep:
         _sweep_matches_separate_calls(chains, **kwargs)
 
 
+class TestPredictionReport:
+    def test_report_structure(self, logistic_problem):
+        cert = certificate_for(logistic_problem)
+        pred = stationary.predict_first_order(logistic_problem, cert, 0.03, 5)
+        lines = stationary.prediction_report(pred).splitlines()
+        n, d = logistic_problem.n_clients, logistic_problem.d
+        assert lines[:3] == ["gamma = 0.029999999999999999", "local_steps = 5",
+                             f"n_clients = {n}"]
+        headers = [line for line in lines if line.startswith("# ")]
+        assert headers == (["# bias_pred", "# cov_theta_pred"]
+                           + [f"# cov_theta_xi_pred_{c}" for c in range(n)]
+                           + [f"# cov_xi_pred_{c}_{c}" for c in range(n)])
+        block = lines.index("# cov_theta_pred")
+        matrix = np.array([[float(v) for v in row.split(",")]
+                           for row in lines[block + 1:block + 1 + d]])
+        assert np.array_equal(matrix, pred.cov_theta)
+
+
 class TestMatrixBlock:
     def test_bytes_match_numpy_scalar_formatting(self):
         rng = np.random.default_rng(2)
@@ -504,3 +536,18 @@ class TestTableWidePrediction:
         assert np.array_equal(pred.cov_theta_xi, cov_theta_xi)
         assert np.array_equal(pred.bias_theta, bias)
         assert np.array_equal(np.signbit(pred.bias_theta), np.signbit(bias))
+
+    def test_reads_the_certificate_hessians(self, logistic_problem, monkeypatch):
+        # the client Hessians at theta_star come from the certificate, not
+        # from a second pass over the table
+        cert = certificate_for(logistic_problem)
+        calls = []
+        original = objectives.client_hessians
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(objectives, "client_hessians", counting)
+        stationary.predict_first_order(logistic_problem, cert, 0.03, 5)
+        assert calls == []
