@@ -373,6 +373,8 @@ def coupled_run(problem: Problem, config: RunConfig,
     one seed realizes the synchronous coupling: each round draws and
     gathers one minibatch per client and step for both.
     """
+    if config.algorithm != "scaffold":
+        raise ValueError(f"algorithm must be scaffold for coupled_run, got {config.algorithm!r}")
     gamma, local_steps = config.gamma, config.local_steps
     block = ChainBlock([(problem, config)])
     dist = np.empty(config.rounds + 1)

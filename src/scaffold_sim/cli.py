@@ -74,6 +74,7 @@ def main(argv=None):
         config = parse_config(args.config)
         if args.seed_override is not None:
             config.seeds = [args.seed_override]
+            config.validate()
 
         if args.command == "print-config":
             text = format_config(config)

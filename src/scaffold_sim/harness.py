@@ -156,6 +156,8 @@ class ExperimentConfig:
                 f"key `generator_seeds`: seeds must be >= 0, got {self.generator_seeds}")
         if self.burn_in is not None and self.burn_in < 0:
             raise ConfigError(f"key `burn_in`: must be >= 0, got {self.burn_in}")
+        if self.n_samples < 100:
+            raise ConfigError(f"key `n_samples`: must be >= 100, got {self.n_samples}")
         if self.thinning < 1:
             raise ConfigError(f"key `thinning`: must be >= 1, got {self.thinning}")
         if self.task == "complexity" and self.epsilon is None:
@@ -294,6 +296,18 @@ def _resolve_gamma(config: ExperimentConfig, certificate):
     return config.gamma_over_l / certificate.big_l
 
 
+def _first_setup(config: ExperimentConfig):
+    """(n, problem, certificate, gamma) for the smallest client count."""
+    n = min(config.n_clients)
+    problem, cert = _setup(config, n)
+    return n, problem, cert, _resolve_gamma(config, cert)
+
+
+def _run_config(config: ExperimentConfig, n, gamma, seed, rounds=1):
+    return RunConfig(gamma=gamma, local_steps=config.local_steps, n_clients=n,
+                     rounds=rounds, batch_size=config.batch_size, seed=seed)
+
+
 def run_figure1(config: ExperimentConfig, threads=1):
     """Trajectory sweep over (algorithm, N, seed) cells.
 
@@ -307,10 +321,7 @@ def run_figure1(config: ExperimentConfig, threads=1):
 
     def run_group(n):
         problem, cert = _setup(config, n)
-        rc = RunConfig(
-            gamma=_resolve_gamma(config, cert), local_steps=config.local_steps,
-            n_clients=n, rounds=config.rounds, batch_size=config.batch_size,
-        )
+        rc = _run_config(config, n, _resolve_gamma(config, cert), seeds[0], config.rounds)
         sweep = run_sweep(problem, cert, rc, algorithms, seeds)
         return {(algo, n, seed): traj for (algo, seed), traj in sweep.items()}
 
@@ -332,7 +343,7 @@ def run_figure1(config: ExperimentConfig, threads=1):
     agg = ["algorithm,N,t,mean_mse,std_mse"]
     for algo in sorted(algorithms):
         for n in n_list:
-            stack = np.stack([results[(algo, n, s)].mse for s in config.seeds])
+            stack = np.stack([results[(algo, n, s)].mse for s in seeds])
             mean = stack.mean(axis=0)
             std = stack.std(axis=0)
             for t in range(stack.shape[1]):
@@ -340,7 +351,7 @@ def run_figure1(config: ExperimentConfig, threads=1):
     return "\n".join(rows) + "\n", "\n".join(agg) + "\n"
 
 
-def run_speedup(config: ExperimentConfig, threads=1):
+def run_speedup(config: ExperimentConfig):
     """Stationary parameter variance against the client count.
 
     All client counts re-split one shared data pool (sized for the largest
@@ -354,13 +365,8 @@ def run_speedup(config: ExperimentConfig, threads=1):
     setups = {n: _setup(config, n, pool_records) for n in n_list}
     gamma = _resolve_gamma(config, setups[n_max][1])
 
-    chains = []
-    for n in n_list:
-        rc = RunConfig(
-            gamma=gamma, local_steps=config.local_steps, n_clients=n,
-            rounds=1, batch_size=config.batch_size, seed=config.seeds[0],
-        )
-        chains.append(setups[n] + (rc,))
+    chains = [setups[n] + (_run_config(config, n, gamma, config.seeds[0]),)
+              for n in n_list]
     estimates = stationary.estimate_stationary_sweep(
         chains, burn_in=config.burn_in, n_samples=config.n_samples,
         thinning=config.thinning,
@@ -377,19 +383,17 @@ def run_speedup(config: ExperimentConfig, threads=1):
     return "\n".join(rows) + "\n"
 
 
-def run_coupling(config: ExperimentConfig, threads=1):
-    """Mean coupled squared distance per round against the geometric bound."""
-    n = sorted(set(config.n_clients))[0]
-    problem, cert = _setup(config, n)
-    gamma = _resolve_gamma(config, cert)
+def run_coupling(config: ExperimentConfig):
+    """Mean coupled squared distance per round against the geometric bound.
+
+    The mean is over the distinct seeds, each counted once.
+    """
+    n, problem, cert, gamma = _first_setup(config)
     d = problem.d
 
     dists = []
-    for seed in config.seeds:
-        rc = RunConfig(
-            gamma=gamma, local_steps=config.local_steps, n_clients=n,
-            rounds=config.rounds, batch_size=config.batch_size, seed=seed,
-        )
+    for seed in dict.fromkeys(config.seeds):
+        rc = _run_config(config, n, gamma, seed, config.rounds)
         rng = np.random.default_rng(1_000_000 + seed)
         state_a = ChainState.zeros(d, n)
         state_b = ChainState(rng.standard_normal(d), np.zeros((n, d)))
@@ -404,15 +408,10 @@ def run_coupling(config: ExperimentConfig, threads=1):
     return "\n".join(rows) + "\n"
 
 
-def run_stationary(config: ExperimentConfig, threads=1):
+def run_stationary(config: ExperimentConfig):
     """Full stationary-moment report for the first client count."""
-    n = sorted(set(config.n_clients))[0]
-    problem, cert = _setup(config, n)
-    gamma = _resolve_gamma(config, cert)
-    rc = RunConfig(
-        gamma=gamma, local_steps=config.local_steps, n_clients=n,
-        rounds=1, batch_size=config.batch_size, seed=config.seeds[0],
-    )
+    n, problem, cert, gamma = _first_setup(config)
+    rc = _run_config(config, n, gamma, config.seeds[0])
     est = stationary.estimate_stationary(
         problem, cert, rc, burn_in=config.burn_in,
         n_samples=config.n_samples, thinning=config.thinning,
@@ -421,19 +420,16 @@ def run_stationary(config: ExperimentConfig, threads=1):
     return header + stationary.estimate_report(est)
 
 
-def run_predict(config: ExperimentConfig, threads=1):
+def run_predict(config: ExperimentConfig):
     """First-order predicted covariances and bias for the first client count."""
-    n = sorted(set(config.n_clients))[0]
-    problem, cert = _setup(config, n)
-    gamma = _resolve_gamma(config, cert)
+    _, problem, cert, gamma = _first_setup(config)
     pred = stationary.predict_first_order(problem, cert, gamma, config.local_steps)
     return stationary.prediction_report(pred)
 
 
-def run_complexity(config: ExperimentConfig, threads=1):
+def run_complexity(config: ExperimentConfig):
     """Parameter recipe rows for each requested client count."""
-    n0 = sorted(set(config.n_clients))[0]
-    _, cert = _setup(config, n0)
+    _, _, cert, _ = _first_setup(config)
 
     rows = ["N,gamma,local_steps,rounds,grads_per_client,n_max,n_clients_ok"]
     for n in sorted(set(config.n_clients)):
@@ -456,7 +452,6 @@ def aggregate_path(path):
 
 
 _RUNNERS = {
-    "figure1": run_figure1,
     "speedup": run_speedup,
     "coupling": run_coupling,
     "stationary": run_stationary,
@@ -471,17 +466,14 @@ def run_task(config: ExperimentConfig, out_path=None, threads=1):
     Returns the main output text.  figure1 additionally writes the
     aggregate CSV next to the main file.
     """
-    out = out_path or config.output_path
-    result = _RUNNERS[config.task](config, threads=threads)
     if config.task == "figure1":
-        per_seed, agg = result
-        if out is not None:
-            with open(out, "w") as fh:
-                fh.write(per_seed)
-            with open(aggregate_path(out), "w") as fh:
-                fh.write(agg)
-        return per_seed
+        text, agg = run_figure1(config, threads=threads)
+    else:
+        text, agg = _RUNNERS[config.task](config), None
+    out = out_path or config.output_path
     if out is not None:
-        with open(out, "w") as fh:
-            fh.write(result)
-    return result
+        for path, content in ((out, text), (aggregate_path(out), agg)):
+            if content is not None:
+                with open(path, "w") as fh:
+                    fh.write(content)
+    return text

@@ -128,8 +128,9 @@ def estimate_stationary_sweep(chains, burn_in=None, n_samples=1000, thinning=1,
     its round 0 at iteration max(b) - b_g, so every chain samples at the
     same iterations, and each moment sum is one array for all chains.
     Each estimate equals a separate `estimate_stationary` call bit for
-    bit.  The chains must share the loss, l2 weight, local steps and batch
-    width.  Returns one StationaryEstimate per chain, in order.
+    bit.  The chains must run Scaffold and share the loss, l2 weight,
+    local steps and batch width.  Returns one StationaryEstimate per
+    chain, in order.
     """
     if not chains:
         raise ValueError("need at least one chain")
@@ -141,6 +142,9 @@ def estimate_stationary_sweep(chains, burn_in=None, n_samples=1000, thinning=1,
         raise ValueError(f"thinning must be >= 1, got {thinning}")
     burn_ins = []
     for _, certificate, config in chains:
+        if config.algorithm != "scaffold":
+            raise ValueError(
+                f"algorithm must be scaffold for the estimator, got {config.algorithm!r}")
         burn_ins.append(default_burn_in(config.gamma, certificate.mu, config.local_steps)
                         if burn_in is None else burn_in)
         config.stepsize_diagnostics(certificate.mu, certificate.big_l)

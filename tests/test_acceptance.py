@@ -16,6 +16,7 @@ PASS/FAIL line (bypassing capture) so the suite doubles as a report:
 The slow chains run once per module via shared fixtures.
 """
 
+import dataclasses
 import filecmp
 
 import numpy as np
@@ -24,7 +25,7 @@ import pytest
 from scaffold_sim import algorithms, datagen, objectives, optimum, stationary
 from scaffold_sim.cli import main as cli_main
 from scaffold_sim.core import ChainState, RunConfig, derive_stream
-from scaffold_sim.harness import ExperimentConfig, build_problem, run_figure1
+from scaffold_sim.harness import ExperimentConfig, build_problem, run_figure1, run_speedup
 
 from test_objectives import fd_third_apply
 
@@ -137,24 +138,15 @@ def test_variance_bound(report, n8_setup):
 
 
 def test_linear_speedup(report):
-    # all client counts re-split one pool sized for N=32 and share one
-    # step size, so the only varying knob is N itself
-    config = quad_desk_config()
-    pool_records = config.records_per_client * 32 // 2
-    setups = {}
-    for n in (2, 8, 32):
-        problem = build_problem(config, n, source_records=pool_records)
-        setups[n] = (problem, certificate_for(problem))
-    gamma = 1.0 / (8.0 * setups[32][1].big_l)
-
-    scaled = []
-    for n in (2, 8, 32):
-        problem, cert = setups[n]
-        rc = RunConfig(gamma=gamma, local_steps=10, n_clients=n, rounds=1,
-                       batch_size=10, seed=0)
-        est = stationary.estimate_stationary(problem, cert, rc,
-                                             n_samples=20000)
-        scaled.append(n * float(np.trace(est.cov_theta)))
+    # the shipped speedup task: all client counts re-split one pool sized
+    # for N=32 and share the step size 1/(8L) of the N=32 certificate, so
+    # the only varying knob is N itself
+    config = dataclasses.replace(
+        quad_desk_config(), task="speedup", n_clients=[2, 8, 32], gamma=None,
+        gamma_over_l=0.125, local_steps=10, seeds=[0], n_samples=20000,
+    ).validate()
+    rows = [row.split(",") for row in run_speedup(config).splitlines()[1:]]
+    scaled = [int(n) * float(trace) for n, trace, _ in rows]
     spread = (max(scaled) - min(scaled)) / min(scaled)
     ok = spread <= 0.25
     report("linear-speedup", ok,
@@ -174,11 +166,9 @@ def test_covariance_formula(report, n8_setup):
 def test_bias_formula(report):
     # heterogeneous logistic problem in d=5 with N=4 clients, single-record
     # batches for a strong noise signal; 1e5 post-burn-in samples
-    def estimate(problem, cert, gamma):
-        rc = RunConfig(gamma=gamma, local_steps=5, n_clients=4, rounds=1,
-                       batch_size=1, seed=3)
-        return stationary.estimate_stationary(problem, cert, rc,
-                                              n_samples=100000)
+    def run_config(gamma):
+        return RunConfig(gamma=gamma, local_steps=5, n_clients=4, rounds=1,
+                         batch_size=1, seed=3)
 
     log_cfg = ExperimentConfig(
         task="stationary", loss="logistic", l2_weight=0.02, n_features=5,
@@ -188,10 +178,12 @@ def test_bias_formula(report):
     problem = build_problem(log_cfg, 4)
     cert = certificate_for(problem)
     gamma0 = 1.0 / (16.0 * cert.big_l)
+    gammas = (gamma0, gamma0 / 2.0)
 
-    est = {g: estimate(problem, cert, g) for g in (gamma0, gamma0 / 2.0)}
-    pred = {g: stationary.predict_first_order(problem, cert, g, 5)
-            for g in (gamma0, gamma0 / 2.0)}
+    # both step sizes run as one block of chains
+    est = dict(zip(gammas, stationary.estimate_stationary_sweep(
+        [(problem, cert, run_config(g)) for g in gammas], n_samples=100000)))
+    pred = {g: stationary.predict_first_order(problem, cert, g, 5) for g in gammas}
 
     ratio = (np.linalg.norm(est[gamma0].bias_theta)
              / np.linalg.norm(est[gamma0 / 2.0].bias_theta))
@@ -201,7 +193,7 @@ def test_bias_formula(report):
     # predicted bias rises 5 standard errors above the estimation noise
     cosines = []
     ok_cosine = True
-    for g in (gamma0, gamma0 / 2.0):
+    for g in gammas:
         b, bp = est[g].bias_theta, pred[g].bias_theta
         cos = float(b @ bp / (np.linalg.norm(b) * np.linalg.norm(bp)))
         cosines.append(cos)
@@ -217,7 +209,9 @@ def test_bias_formula(report):
     )
     qproblem = build_problem(quad_cfg, 4)
     qcert = certificate_for(qproblem)
-    qest = estimate(qproblem, qcert, gamma0)
+    # a separate block: the chains of one block must share the loss
+    qest = stationary.estimate_stationary(qproblem, qcert, run_config(gamma0),
+                                          n_samples=100000)
     null_ratio = (np.linalg.norm(qest.bias_theta)
                   / np.linalg.norm(qest.se_bias))
     ok_null = null_ratio <= 3.0

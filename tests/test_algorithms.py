@@ -269,6 +269,14 @@ class TestCoupledRun:
         algorithms.coupled_run(quad_problem, config, a, b)
         assert np.array_equal(b.theta, theta_before)
 
+    def test_fedavg_config_rejected(self, quad_problem):
+        # the coupling runs Scaffold chains; a FedAvg config would get
+        # Scaffold distances under its name
+        config = make_config(quad_problem, rounds=3, algorithm="fedavg")
+        state = ChainState.zeros(quad_problem.d, quad_problem.n_clients)
+        with pytest.raises(ValueError, match="algorithm"):
+            algorithms.coupled_run(quad_problem, config, state, state.copy())
+
 
 class TestRaggedClients:
     def test_uneven_record_counts_match_slow_path_semantics(self):

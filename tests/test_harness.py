@@ -81,7 +81,7 @@ def _valid_configs(draw):
         algorithms=draw(st.lists(st.sampled_from(["scaffold", "fedavg"]),
                                  min_size=1, max_size=3)),
         burn_in=draw(st.none() | st.integers(0, 10 ** 6)),
-        n_samples=draw(st.integers(1, 10 ** 6)),
+        n_samples=draw(st.integers(100, 10 ** 6)),
         thinning=draw(st.integers(1, 100)),
         epsilon=draw(positive if task == "complexity" else st.none() | positive),
     )
@@ -159,6 +159,18 @@ class TestParseConfig:
         path = tmp_path / "c.txt"
         path.write_text("[experiment]\ntask = figure1\n[run]\nrounds = soon\n")
         with pytest.raises(ConfigError, match="expected integer"):
+            parse_config(path)
+
+    def test_line_without_equals_names_line(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("[experiment]\ntask = figure1\n[run]\nrounds 5\n")
+        with pytest.raises(ConfigError, match="line 4: expected `key = value`"):
+            parse_config(path)
+
+    def test_empty_value_names_key(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("[experiment]\ntask = figure1\n[run]\nrounds =\n")
+        with pytest.raises(ConfigError, match="line 4: empty value for key `rounds`"):
             parse_config(path)
 
     def test_key_outside_section(self, tmp_path):
@@ -277,6 +289,20 @@ class TestConfigRanges:
         ("run", "seeds = -3", "seeds"),
         ("run", f"seeds = 0,{2 ** 64}", "seeds"),
         ("run", "burn_in = -5", "burn_in"),
+        ("experiment", "task = train", "task"),
+        ("problem", "loss = hinge", "loss"),
+        ("problem", "noise_std = loud", "noise_std"),
+        ("problem", "informative = 2", "informative"),
+        ("problem", "generator_seeds = 1,2,3", "generator_seeds"),
+        ("run", "gamma_over_L = 0", "gamma_over_L"),
+        ("run", "local_steps = 0", "local_steps"),
+        ("run", "rounds = -1", "rounds"),
+        ("run", "batch_size = 0", "batch_size"),
+        ("run", "n_clients = ,", "n_clients"),
+        ("run", "seeds = ,", "seeds"),
+        ("run", "algorithms = sgd", "algorithms"),
+        ("run", "n_samples = 99", "n_samples"),
+        ("run", "epsilon = 0", "epsilon"),
     ])
     def test_out_of_range_value_names_the_key(self, tmp_path, section, line, key):
         path = tmp_path / "c.txt"
@@ -407,6 +433,14 @@ class TestRunners:
         agg = tmp_path / "fig.agg.csv"
         assert agg.exists()
 
+    def test_repeated_seeds_count_once(self):
+        # a repeated seed is one chain: it gets one per-seed row set and one
+        # weight in the figure1 aggregate and the coupling mean
+        for task, runner in (("figure1", harness.run_figure1),
+                             ("coupling", harness.run_coupling)):
+            assert runner(small_config(task=task, seeds=[0, 0, 1])) == \
+                runner(small_config(task=task, seeds=[0, 1])), task
+
     def test_aggregate_path(self):
         assert harness.aggregate_path("a/b.csv") == "a/b.agg.csv"
         assert harness.aggregate_path("plain") == "plain.agg"
@@ -436,6 +470,21 @@ class TestCli:
         assert cli_main(["print-config", "--config", str(path),
                          "--seed-override", "7"]) == 0
         assert "seeds = 7\n" in capsys.readouterr().out
+
+    def test_seed_override_is_validated(self, tmp_path, capsys):
+        path = write_config(tmp_path, "figure1")
+        assert cli_main(["print-config", "--config", str(path),
+                         "--seed-override", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ConfigError: key `seeds`")
+
+    def test_print_config_out_writes_file(self, tmp_path, capsys):
+        path = write_config(tmp_path, "figure1")
+        out = tmp_path / "echo.txt"
+        assert cli_main(["print-config", "--config", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == format_config(parse_config(path))
 
     def test_figure1_writes_output(self, tmp_path):
         path = write_config(tmp_path, "figure1",
