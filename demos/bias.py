@@ -36,8 +36,7 @@ def main():
     gammas = (gamma0, gamma0 / 2.0)
     # both step sizes run in lockstep as one block of chains
     chains = [
-        (problem, cert, RunConfig(gamma=gamma, local_steps=5, n_clients=4, rounds=1,
-                                  batch_size=1, seed=3))
+        (problem, cert, RunConfig(gamma=gamma, local_steps=5, rounds=1, seed=3))
         for gamma in gammas
     ]
     biases = []

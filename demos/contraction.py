@@ -35,9 +35,7 @@ def main():
     cert = build_certificate(problem, solve_optimum(problem))
     gamma = 1.0 / (4.0 * cert.big_l)
     local_steps, rounds = 10, 60
-    config = RunConfig(gamma=gamma, local_steps=local_steps,
-                       n_clients=problem.n_clients, rounds=rounds,
-                       batch_size=problem.batch_size, seed=7)
+    config = RunConfig(gamma=gamma, local_steps=local_steps, rounds=rounds, seed=7)
 
     rng = np.random.default_rng(1)
     state_a = ChainState.zeros(problem.d, problem.n_clients)

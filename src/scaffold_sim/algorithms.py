@@ -79,17 +79,10 @@ def _block_keys(problem, config):
     }
 
 
-def _check_ownership(problem, config):
-    if config.n_clients != problem.n_clients:
+def _check_algorithm(config, algorithm, caller):
+    if config.algorithm != algorithm:
         raise ValueError(
-            f"RunConfig n_clients={config.n_clients} does not match the "
-            f"problem's {problem.n_clients} clients"
-        )
-    if config.batch_size is not None and config.batch_size != problem.batch_size:
-        raise ValueError(
-            f"RunConfig batch_size={config.batch_size} does not match the "
-            f"problem's batch_size={problem.batch_size}"
-        )
+            f"algorithm must be {algorithm} for {caller}, got {config.algorithm!r}")
 
 
 def _flat_data(problems):
@@ -140,7 +133,6 @@ class ChainBlock:
         problem, config = chains[0]
         shared = _block_keys(problem, config)
         for p, c in chains:
-            _check_ownership(p, c)
             for key, value in _block_keys(p, c).items():
                 if value != shared[key]:
                     raise ValueError(
@@ -270,8 +262,10 @@ def scaffold_round(state: ChainState, problem: Problem, config: RunConfig,
 
     The control variates move by (endpoint - average) / (gamma * H) and are
     re-centered so their sum stays exactly on the zero subspace.  Raises
-    DivergenceError if any entry of the new state is not finite.
+    DivergenceError if any entry of the new state is not finite, and a
+    ValueError if the config's algorithm is not Scaffold.
     """
+    _check_algorithm(config, "scaffold", "scaffold_round")
     thetas, xis = block_round(ChainBlock([(problem, config)]), 1, state.theta[None],
                               state.xis, round_index)
     return ChainState.unchecked(thetas[0], xis)
@@ -280,8 +274,10 @@ def scaffold_round(state: ChainState, problem: Problem, config: RunConfig,
 def fedavg_round(theta, problem: Problem, config: RunConfig, round_index: int):
     """One FedAvg round: plain local steps, then average the endpoints.
 
-    Raises DivergenceError if the average is not finite.
+    Raises DivergenceError if the average is not finite, and a ValueError
+    if the config's algorithm is not FedAvg.
     """
+    _check_algorithm(config, "fedavg", "fedavg_round")
     theta = np.asarray(theta, dtype=np.float64)
     corrections = np.zeros((problem.n_clients, theta.shape[0]))
     thetas, _ = block_round(ChainBlock([(problem, config)]), 0, theta[None],
@@ -290,15 +286,15 @@ def fedavg_round(theta, problem: Problem, config: RunConfig, round_index: int):
 
 
 def run_sweep(problem: Problem, certificate, config: RunConfig, algorithms, seeds,
-              theta0=None, xis0=None):
+              theta0=None):
     """Run every (algorithm, seed) chain for config.rounds rounds as one block.
 
     Each chain takes its algorithm and seed from `algorithms` and `seeds`;
     `config` supplies the rest.  All chains start from theta0 (default
-    zero), Scaffold chains with control variates xis0 (default zero), and
-    advance through one round kernel, so the chains of one seed share every
-    minibatch draw and gather.  Each trajectory equals that of a separate
-    `run` bit for bit.  Returns {(algorithm, seed): Trajectory}.
+    zero) with zero control variates, and advance through one round
+    kernel, so the chains of one seed share every minibatch draw and
+    gather.  Each trajectory equals that of a separate `run` bit for bit.
+    Returns {(algorithm, seed): Trajectory}.
     """
     for algorithm in algorithms:
         for seed in seeds:
@@ -311,16 +307,14 @@ def run_sweep(problem: Problem, certificate, config: RunConfig, algorithms, seed
     d = problem.d
     n = problem.n_clients
     theta_star = certificate.theta_star
-    theta = np.zeros(d) if theta0 is None else np.asarray(theta0, dtype=np.float64)
+    # ChainState checks that theta0 is a finite length-d vector
+    theta = ChainState(np.zeros(d) if theta0 is None else theta0, np.zeros((n, d))).theta
     # one algorithm keeps no leading axis of one
     lead = (n_algos,) if n_algos > 1 else ()
     thetas = np.tile(theta, lead + (n_seeds, 1))
     xis = np.zeros(lead + (n_seeds * n, d))
     cell_thetas = thetas.reshape(n_algos, n_seeds, d)
     cell_xis = xis.reshape(n_algos, n_seeds, n, d)
-    if n_scaffold:
-        start = ChainState(theta, np.zeros((n, d)) if xis0 is None else xis0)
-        cell_xis[:n_scaffold] = start.xis
     target = ChainState(theta_star, certificate.xi_star)
     cells = [(k, s) for k in range(n_scaffold) for s in range(n_seeds)]
 
@@ -350,8 +344,7 @@ def run_sweep(problem: Problem, certificate, config: RunConfig, algorithms, seed
     }
 
 
-def run(problem: Problem, certificate, config: RunConfig,
-        theta0=None, xis0=None) -> Trajectory:
+def run(problem: Problem, certificate, config: RunConfig, theta0=None) -> Trajectory:
     """Run T rounds from theta0 (default zero) with zero control variates.
 
     Records the squared distance to the optimum after every round; for
@@ -359,7 +352,7 @@ def run(problem: Problem, certificate, config: RunConfig,
     fixed point (theta_star, xi_star).
     """
     sweep = run_sweep(problem, certificate, config, [config.algorithm],
-                      [config.seed], theta0, xis0)
+                      [config.seed], theta0)
     return sweep[config.algorithm, config.seed]
 
 
@@ -373,8 +366,7 @@ def coupled_run(problem: Problem, config: RunConfig,
     one seed realizes the synchronous coupling: each round draws and
     gathers one minibatch per client and step for both.
     """
-    if config.algorithm != "scaffold":
-        raise ValueError(f"algorithm must be scaffold for coupled_run, got {config.algorithm!r}")
+    _check_algorithm(config, "scaffold", "coupled_run")
     gamma, local_steps = config.gamma, config.local_steps
     block = ChainBlock([(problem, config)])
     dist = np.empty(config.rounds + 1)

@@ -227,9 +227,8 @@ class RunConfig:
 
     gamma: float
     local_steps: int
-    n_clients: int
     rounds: int
-    batch_size: int | None = 1  # None means exact (deterministic) gradients
+    deterministic: bool = False  # exact gradients instead of the problem's minibatches
     seed: int = 0
     algorithm: str = "scaffold"
 
@@ -238,12 +237,8 @@ class RunConfig:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         if self.local_steps < 1:
             raise ValueError(f"local_steps must be >= 1, got {self.local_steps}")
-        if self.n_clients < 1:
-            raise ValueError(f"n_clients must be >= 1, got {self.n_clients}")
         if self.rounds < 0:
             raise ValueError(f"rounds must be >= 0, got {self.rounds}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1 or None, got {self.batch_size}")
         if not (0 <= int(self.seed) < 2 ** 64):
             raise ValueError("seed must fit in 64 unsigned bits")
         if self.algorithm not in _ALGORITHMS:
@@ -251,11 +246,7 @@ class RunConfig:
                 f"algorithm must be one of {_ALGORITHMS}, got {self.algorithm!r}"
             )
 
-    @property
-    def deterministic(self):
-        return self.batch_size is None
-
-    def stepsize_diagnostics(self, mu, big_l, warn=True):
+    def stepsize_diagnostics(self, mu, big_l):
         """Check the contraction-regime conditions against (mu, L).
 
         Returns a dict with the two flags; a violation is reported as a
@@ -263,7 +254,7 @@ class RunConfig:
         """
         cond_gamma = self.gamma <= 1.0 / (2.0 * big_l)
         cond_horizon = self.gamma * self.local_steps * (big_l + mu) <= 1.0
-        if warn and not (cond_gamma and cond_horizon):
+        if not (cond_gamma and cond_horizon):
             warnings.warn(
                 "step-size conditions violated: "
                 f"gamma <= 1/(2L) is {cond_gamma}, "

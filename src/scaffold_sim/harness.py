@@ -10,7 +10,6 @@ byte-identical files at any thread count.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -297,15 +296,13 @@ def _resolve_gamma(config: ExperimentConfig, certificate):
 
 
 def _first_setup(config: ExperimentConfig):
-    """(n, problem, certificate, gamma) for the smallest client count."""
-    n = min(config.n_clients)
-    problem, cert = _setup(config, n)
-    return n, problem, cert, _resolve_gamma(config, cert)
+    """(problem, certificate, gamma) for the smallest client count."""
+    problem, cert = _setup(config, min(config.n_clients))
+    return problem, cert, _resolve_gamma(config, cert)
 
 
-def _run_config(config: ExperimentConfig, n, gamma, seed, rounds=1):
-    return RunConfig(gamma=gamma, local_steps=config.local_steps, n_clients=n,
-                     rounds=rounds, batch_size=config.batch_size, seed=seed)
+def _run_config(config: ExperimentConfig, gamma, seed, rounds=1):
+    return RunConfig(gamma=gamma, local_steps=config.local_steps, rounds=rounds, seed=seed)
 
 
 def run_figure1(config: ExperimentConfig, threads=1):
@@ -321,7 +318,7 @@ def run_figure1(config: ExperimentConfig, threads=1):
 
     def run_group(n):
         problem, cert = _setup(config, n)
-        rc = _run_config(config, n, _resolve_gamma(config, cert), seeds[0], config.rounds)
+        rc = _run_config(config, _resolve_gamma(config, cert), seeds[0], config.rounds)
         sweep = run_sweep(problem, cert, rc, algorithms, seeds)
         return {(algo, n, seed): traj for (algo, seed), traj in sweep.items()}
 
@@ -365,7 +362,7 @@ def run_speedup(config: ExperimentConfig):
     setups = {n: _setup(config, n, pool_records) for n in n_list}
     gamma = _resolve_gamma(config, setups[n_max][1])
 
-    chains = [setups[n] + (_run_config(config, n, gamma, config.seeds[0]),)
+    chains = [setups[n] + (_run_config(config, gamma, config.seeds[0]),)
               for n in n_list]
     estimates = stationary.estimate_stationary_sweep(
         chains, burn_in=config.burn_in, n_samples=config.n_samples,
@@ -388,12 +385,12 @@ def run_coupling(config: ExperimentConfig):
 
     The mean is over the distinct seeds, each counted once.
     """
-    n, problem, cert, gamma = _first_setup(config)
-    d = problem.d
+    problem, cert, gamma = _first_setup(config)
+    n, d = problem.n_clients, problem.d
 
     dists = []
     for seed in dict.fromkeys(config.seeds):
-        rc = _run_config(config, n, gamma, seed, config.rounds)
+        rc = _run_config(config, gamma, seed, config.rounds)
         rng = np.random.default_rng(1_000_000 + seed)
         state_a = ChainState.zeros(d, n)
         state_b = ChainState(rng.standard_normal(d), np.zeros((n, d)))
@@ -410,8 +407,8 @@ def run_coupling(config: ExperimentConfig):
 
 def run_stationary(config: ExperimentConfig):
     """Full stationary-moment report for the first client count."""
-    n, problem, cert, gamma = _first_setup(config)
-    rc = _run_config(config, n, gamma, config.seeds[0])
+    problem, cert, gamma = _first_setup(config)
+    rc = _run_config(config, gamma, config.seeds[0])
     est = stationary.estimate_stationary(
         problem, cert, rc, burn_in=config.burn_in,
         n_samples=config.n_samples, thinning=config.thinning,
@@ -422,23 +419,22 @@ def run_stationary(config: ExperimentConfig):
 
 def run_predict(config: ExperimentConfig):
     """First-order predicted covariances and bias for the first client count."""
-    _, problem, cert, gamma = _first_setup(config)
+    problem, cert, gamma = _first_setup(config)
     pred = stationary.predict_first_order(problem, cert, gamma, config.local_steps)
     return stationary.prediction_report(pred)
 
 
 def run_complexity(config: ExperimentConfig):
     """Parameter recipe rows for each requested client count."""
-    _, _, cert, _ = _first_setup(config)
+    _, cert, _ = _first_setup(config)
 
     rows = ["N,gamma,local_steps,rounds,grads_per_client,n_max,n_clients_ok"]
     for n in sorted(set(config.n_clients)):
         recipe = stationary.complexity_recipe(cert, config.epsilon, n)
-        n_max = "inf" if math.isinf(recipe.n_max) else f"{recipe.n_max:.17g}"
         rows.append(
             f"{n},{recipe.gamma:.17g},{recipe.local_steps:.17g},"
             f"{recipe.rounds:.17g},{recipe.grads_per_client:.17g},"
-            f"{n_max},{str(recipe.n_clients_ok).lower()}"
+            f"{recipe.n_max:.17g},{str(recipe.n_clients_ok).lower()}"
         )
     return "\n".join(rows) + "\n"
 

@@ -95,18 +95,17 @@ class StationaryEstimate:
             raise ValueError(f"need n_samples >= 100, got {self.n_samples}")
 
 
-def _xi_pair_subset(n_clients, seed=0):
-    """All diagonal pairs plus a seeded shuffle of off-diagonal pairs."""
+def _xi_pair_subset(n_clients):
+    """All diagonal pairs plus a fixed shuffle of off-diagonal pairs."""
     pairs = [(c, c) for c in range(n_clients)]
     off = [(c, cp) for c in range(n_clients) for cp in range(c + 1, n_clients)]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     rng.shuffle(off)
     return pairs + off[:MAX_XI_PAIRS]
 
 
 def estimate_stationary(problem, certificate: OptimumCertificate, config: RunConfig,
-                        burn_in=None, n_samples=1000, thinning=1,
-                        pair_seed=0) -> StationaryEstimate:
+                        burn_in=None, n_samples=1000, thinning=1) -> StationaryEstimate:
     """Time-average moments of the chain after burn-in.
 
     Collects `n_samples` states spaced by `thinning` rounds.  Standard
@@ -115,11 +114,10 @@ def estimate_stationary(problem, certificate: OptimumCertificate, config: RunCon
     `estimate_stationary_sweep`.
     """
     return estimate_stationary_sweep([(problem, certificate, config)], burn_in,
-                                     n_samples, thinning, pair_seed)[0]
+                                     n_samples, thinning)[0]
 
 
-def estimate_stationary_sweep(chains, burn_in=None, n_samples=1000, thinning=1,
-                              pair_seed=0):
+def estimate_stationary_sweep(chains, burn_in=None, n_samples=1000, thinning=1):
     """`estimate_stationary` for every (problem, certificate, config) chain.
 
     The chains advance in lockstep as one block through one round kernel:
@@ -165,7 +163,7 @@ def estimate_stationary_sweep(chains, burn_in=None, n_samples=1000, thinning=1,
 
     # one (P, d, d) accumulator over the pairs of all chains: chain g owns
     # the entries pair_rows[g], and its pair (c, c') is a pair of block rows
-    pairs = [_xi_pair_subset(n, seed=pair_seed) for n in sizes]
+    pairs = [_xi_pair_subset(n) for n in sizes]
     pair_c, pair_cp, pair_rows = [], [], []
     for rows, chain_pairs in zip(block.slices, pairs):
         pair_rows.append(slice(len(pair_c), len(pair_c) + len(chain_pairs)))
@@ -312,8 +310,7 @@ class ComplexityRecipe:
     n_clients_ok: bool
 
 
-def complexity_recipe(certificate: OptimumCertificate, epsilon, n_clients,
-                      theta0=None) -> ComplexityRecipe:
+def complexity_recipe(certificate: OptimumCertificate, epsilon, n_clients) -> ComplexityRecipe:
     """Step size, horizon, and round count reaching mean squared error eps^2.
 
     Evaluates the speed-up recipe with unit proportionality constants:
@@ -329,8 +326,7 @@ def complexity_recipe(certificate: OptimumCertificate, epsilon, n_clients,
     sigma_sq = certificate.sigma_star_sq
     q = certificate.third_deriv_bound
 
-    theta0 = np.zeros_like(certificate.theta_star) if theta0 is None else np.asarray(theta0)
-    init_sq = float(np.sum((theta0 - certificate.theta_star) ** 2))
+    init_sq = float(np.sum(certificate.theta_star ** 2))  # from theta0 = 0
     psi0 = init_sq + zeta1 ** 2 / big_l ** 2 + sigma_sq / (big_l * mu)
 
     gamma = n_clients * mu * epsilon ** 2 / sigma_sq

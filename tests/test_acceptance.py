@@ -59,8 +59,7 @@ def n8_setup():
     problem = build_problem(quad_desk_config(), 8)
     cert = certificate_for(problem)
     gamma = 1.0 / (8.0 * cert.big_l)
-    config = RunConfig(gamma=gamma, local_steps=10, n_clients=8, rounds=1,
-                       batch_size=10, seed=0)
+    config = RunConfig(gamma=gamma, local_steps=10, rounds=1, seed=0)
     est = stationary.estimate_stationary(problem, cert, config, n_samples=20000)
     pred = stationary.predict_first_order(problem, cert, gamma, 10)
     return problem, cert, gamma, est, pred
@@ -88,9 +87,7 @@ def test_contraction(report):
     gamma, local_steps, rounds = 1.0 / (4.0 * cert.big_l), 10, 200
     dists = []
     for seed in range(20):
-        config = RunConfig(gamma=gamma, local_steps=local_steps,
-                           n_clients=n_clients, rounds=rounds,
-                           batch_size=10, seed=seed)
+        config = RunConfig(gamma=gamma, local_steps=local_steps, rounds=rounds, seed=seed)
         rng = np.random.default_rng(1000 + seed)
         state_a = ChainState.zeros(d, n_clients)
         state_b = ChainState(rng.standard_normal(d), np.zeros((n_clients, d)))
@@ -110,8 +107,7 @@ def test_contraction(report):
 
 def test_invariants(report, n8_setup):
     problem, cert, gamma, _, _ = n8_setup
-    config = RunConfig(gamma=gamma, local_steps=10, n_clients=8, rounds=1,
-                       batch_size=None, seed=0)
+    config = RunConfig(gamma=gamma, local_steps=10, rounds=1, deterministic=True, seed=0)
     state = ChainState(cert.theta_star.copy(), cert.xi_star.copy())
     target = ChainState(cert.theta_star, cert.xi_star)
     max_dist, max_violation = 0.0, 0.0
@@ -167,8 +163,7 @@ def test_bias_formula(report):
     # heterogeneous logistic problem in d=5 with N=4 clients, single-record
     # batches for a strong noise signal; 1e5 post-burn-in samples
     def run_config(gamma):
-        return RunConfig(gamma=gamma, local_steps=5, n_clients=4, rounds=1,
-                         batch_size=1, seed=3)
+        return RunConfig(gamma=gamma, local_steps=5, rounds=1, seed=3)
 
     log_cfg = ExperimentConfig(
         task="stationary", loss="logistic", l2_weight=0.02, n_features=5,
@@ -302,8 +297,7 @@ def test_oracle_equivalence(report, two_client_1d):
     sgd_problem = objectives.Problem(
         [datagen.ClientDataset(x, y, client_id=0)], "quadratic", 0.1, 5
     )
-    config = RunConfig(gamma=0.01, local_steps=7, n_clients=1, rounds=1,
-                       batch_size=5, seed=13)
+    config = RunConfig(gamma=0.01, local_steps=7, rounds=1, seed=13)
     state = ChainState.zeros(4, 1)
     theta_sgd = np.zeros(4)
     for t in range(4):
@@ -316,8 +310,7 @@ def test_oracle_equivalence(report, two_client_1d):
     details.append(f"single-client sgd bitwise {ok_sgd}")
 
     # hand-computed two-client deterministic round
-    hand = RunConfig(gamma=0.1, local_steps=2, n_clients=2, rounds=1,
-                     batch_size=None)
+    hand = RunConfig(gamma=0.1, local_steps=2, rounds=1, deterministic=True)
     out = algorithms.scaffold_round(
         ChainState(np.array([1.0]), np.zeros((2, 1))), two_client_1d, hand, 0
     )

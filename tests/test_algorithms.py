@@ -13,9 +13,7 @@ from conftest import random_problem
 
 
 def make_config(problem, **kwargs):
-    defaults = dict(gamma=0.05, local_steps=5, n_clients=problem.n_clients,
-                    rounds=10, batch_size=problem.batch_size, seed=0,
-                    algorithm="scaffold")
+    defaults = dict(gamma=0.05, local_steps=5, rounds=10, seed=0, algorithm="scaffold")
     defaults.update(kwargs)
     return RunConfig(**defaults)
 
@@ -43,12 +41,19 @@ class TestScaffoldRound:
         #   step 1: 1 - 0.1*(1+1) = 0.8; step 2: 0.8 - 0.1*1.8 = 0.62
         # average 0.81; xi moves by (endpoint - avg)/(0.1*2) = +-0.95
         config = make_config(two_client_1d, gamma=0.1, local_steps=2,
-                             batch_size=None)
+                             deterministic=True)
         state = ChainState(np.array([1.0]), np.zeros((2, 1)))
         out = algorithms.scaffold_round(state, two_client_1d, config, 0)
         assert out.theta[0] == pytest.approx(0.81, abs=1e-12)
         assert out.xis[0, 0] == pytest.approx(0.95, abs=1e-12)
         assert out.xis[1, 0] == pytest.approx(-0.95, abs=1e-12)
+
+    def test_fedavg_config_rejected(self, quad_problem):
+        # the round runs Scaffold, so a FedAvg config would be run as Scaffold
+        config = make_config(quad_problem, algorithm="fedavg")
+        state = ChainState.zeros(quad_problem.d, quad_problem.n_clients)
+        with pytest.raises(ValueError, match="algorithm"):
+            algorithms.scaffold_round(state, quad_problem, config, 0)
 
     def test_matches_straight_line_oracle(self, quad_problem):
         # independent re-derivation: explicit per-client python loop
@@ -78,7 +83,7 @@ class TestScaffoldRound:
     def test_fixed_point_is_stationary_without_noise(self, two_client_1d):
         cert = certificate_for(two_client_1d)
         config = make_config(two_client_1d, gamma=0.1, local_steps=7,
-                             batch_size=None)
+                             deterministic=True)
         state = ChainState(cert.theta_star.copy(), cert.xi_star.copy())
         out = algorithms.scaffold_round(state, two_client_1d, config, 0)
         assert np.allclose(out.theta, cert.theta_star, atol=1e-14)
@@ -150,7 +155,7 @@ class TestScaffoldRound:
         problem = objectives.Problem(clients, loss, 0.1, batch_size=batch or 3)
         shuffled = objectives.Problem([clients[i] for i in perm], loss, 0.1,
                                       batch_size=batch or 3)
-        config = make_config(problem, gamma=0.05, local_steps=3, batch_size=batch,
+        config = make_config(problem, gamma=0.05, local_steps=3, deterministic=batch is None,
                              seed=seed)
         xis = rng.standard_normal((len(counts), d))
         xis -= xis.mean(axis=0)
@@ -176,16 +181,22 @@ class TestFedavgRound:
         out = algorithms.fedavg_round(theta, quad_problem, config, 0)
         assert np.allclose(out, expected, atol=1e-15)
 
+    def test_scaffold_config_rejected(self, quad_problem):
+        # the round runs FedAvg, so a Scaffold config would be run as FedAvg
+        config = make_config(quad_problem, algorithm="scaffold")
+        with pytest.raises(ValueError, match="algorithm"):
+            algorithms.fedavg_round(np.zeros(quad_problem.d), quad_problem, config, 0)
+
     def test_symmetric_two_client_average_stays_put(self, two_client_1d):
         config = make_config(two_client_1d, gamma=0.1, local_steps=3,
-                             batch_size=None, algorithm="fedavg")
+                             deterministic=True, algorithm="fedavg")
         out = algorithms.fedavg_round(np.array([0.0]), two_client_1d, config, 0)
         assert out[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_asymmetric_hand_value(self, two_client_1d):
         # H=2, gamma=0.1 from theta=1: endpoints 1.0 and 0.62, average 0.81
         config = make_config(two_client_1d, gamma=0.1, local_steps=2,
-                             batch_size=None, algorithm="fedavg")
+                             deterministic=True, algorithm="fedavg")
         out = algorithms.fedavg_round(np.array([1.0]), two_client_1d, config, 0)
         assert out[0] == pytest.approx(0.81, abs=1e-12)
 
@@ -203,7 +214,7 @@ class TestRun:
     def test_deterministic_runs_decrease_monotonically(self, quad_problem, algorithm):
         cert = certificate_for(quad_problem)
         config = make_config(quad_problem, gamma=0.02, local_steps=3,
-                             rounds=150, batch_size=None, algorithm=algorithm)
+                             rounds=150, deterministic=True, algorithm=algorithm)
         traj = algorithms.run(quad_problem, cert, config)
         assert np.all(np.diff(traj.mse) <= 1e-15)
         assert traj.mse[-1] < 1e-3 * traj.mse[0]
@@ -460,7 +471,7 @@ class TestRoundKernel:
 
     def test_deterministic_sweep_equals_separate_runs(self, quad_problem):
         cert = certificate_for(quad_problem)
-        config = make_config(quad_problem, local_steps=3, rounds=5, batch_size=None)
+        config = make_config(quad_problem, local_steps=3, rounds=5, deterministic=True)
         sweep = algorithms.run_sweep(quad_problem, cert, config, ["fedavg", "scaffold"], [0, 3])
         for (algo, seed), traj in sweep.items():
             alone = algorithms.run(quad_problem, cert,
@@ -579,7 +590,7 @@ class TestRaggedTable:
                    for i, n in enumerate([7, 12, 1, 30])]
         problem = objectives.Problem(clients, "logistic" if batch_size else "quadratic",
                                      0.1, batch_size=3)
-        config = make_config(problem, gamma=0.2, local_steps=4, batch_size=batch_size)
+        config = make_config(problem, gamma=0.2, local_steps=4, deterministic=batch_size is None)
         seeds = [2, 9]
         thetas = rng.standard_normal((2, 2, 3))
         xis = rng.standard_normal((2, 2, 4, 3))
@@ -611,7 +622,8 @@ class TestChainBlock:
                                          np.sign(rng.standard_normal(n)), client_id=3 * i)
                    for i, n in enumerate([6, 30, 2])]
         problems.append(objectives.Problem(clients, "logistic", 0.1, batch_size=4))
-        configs = [make_config(p, gamma=g, local_steps=3, seed=s, batch_size=batch_size)
+        configs = [make_config(p, gamma=g, local_steps=3, seed=s,
+                               deterministic=batch_size is None)
                    for p, g, s in zip(problems, (0.1, 0.05, 0.2, 0.07), (4, 4, 2 ** 64 - 1, 9))]
         block = algorithms.ChainBlock(list(zip(problems, configs)))
         thetas = rng.standard_normal((4, 3))
@@ -630,7 +642,7 @@ class TestChainBlock:
     @pytest.mark.parametrize("loss", ["quadratic", "logistic"])
     def test_one_problem_exact_block_views_the_table(self, loss):
         problem = random_problem(loss, n_clients=4, n_records=12, d=3, batch_size=2)
-        config = make_config(problem, batch_size=None, local_steps=2)
+        config = make_config(problem, deterministic=True, local_steps=2)
         (rows, features, targets), = algorithms.ChainBlock([(problem, config)]).groups
         assert rows == slice(None) and features.shape == (4, 12, 3)
         assert np.shares_memory(features, problem.features)
@@ -658,7 +670,7 @@ class TestChainBlock:
                                      batch_size=3, seed=state_seed + g)
             chains.append((problem, make_config(
                 problem, gamma=float(rng.uniform(0.01, 0.2)), local_steps=3,
-                batch_size=batch, seed=data.draw(st.integers(0, 2 ** 64 - 1)))))
+                deterministic=batch is None, seed=data.draw(st.integers(0, 2 ** 64 - 1)))))
         block = algorithms.ChainBlock(chains)
         lead = (n_algos,) if n_algos > 1 else ()
         n_scaffold = data.draw(st.integers(0, n_algos))
@@ -685,19 +697,8 @@ class TestChainBlock:
 
 
 class TestConfigOwnership:
-    def test_n_clients_mismatch_raises(self, quad_problem):
-        config = make_config(quad_problem, n_clients=quad_problem.n_clients + 1)
-        state = ChainState.zeros(quad_problem.d, quad_problem.n_clients)
-        with pytest.raises(ValueError, match="n_clients"):
-            algorithms.scaffold_round(state, quad_problem, config, 0)
-
-    def test_batch_size_mismatch_raises(self, quad_problem):
-        config = make_config(quad_problem, batch_size=quad_problem.batch_size + 1)
-        with pytest.raises(ValueError, match="batch_size"):
-            algorithms.fedavg_round(np.zeros(quad_problem.d), quad_problem, config, 0)
-
-    def test_none_batch_size_means_exact_gradients(self, quad_problem):
-        config = make_config(quad_problem, batch_size=None, local_steps=1,
+    def test_deterministic_means_exact_gradients(self, quad_problem):
+        config = make_config(quad_problem, deterministic=True, local_steps=1,
                              algorithm="fedavg")
         theta = np.full(quad_problem.d, 0.3)
         exact = np.mean([objectives.full_gradient(quad_problem, c, theta)

@@ -3,6 +3,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scaffold_sim import core
 from scaffold_sim.core import (
@@ -50,6 +52,9 @@ class TestLambdaNorm:
         b = state([0.0], [[0.0], [0.0]])
         with pytest.raises(ValueError, match="shape"):
             lambda_norm_sq(a, b, 0.1, 5)
+
+
+_U64_VALUES = st.integers(0, 2 ** 64 - 1)
 
 
 def _centered(rng, n, d):
@@ -173,6 +178,39 @@ class TestDeriveStream:
         expected = (_reference_raw_words(key, 50) % np.uint64(13)).astype(np.int64)
         assert np.array_equal(stream.uniform_indices(13, 50), expected)
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n_cols=st.integers(1, 6), n_steps=st.integers(1, 4),
+           batch=st.integers(1, 5))
+    def test_batch_columns_equal_scalar_calls_property(self, data, n_cols, n_steps, batch):
+        def column(values):
+            return np.array(data.draw(st.lists(values, min_size=n_cols, max_size=n_cols)),
+                            dtype=np.uint64)
+
+        seeds, rounds, ids = (column(_U64_VALUES) for _ in range(3))
+        sizes = column(st.integers(1, 2 ** 32))
+        before = [a.copy() for a in (seeds, rounds, ids, sizes)]
+        got = batch_uniform_indices(seeds, rounds, ids, n_steps, sizes, batch)
+        assert got.shape == (n_steps, n_cols, batch)
+        for i in range(n_cols):
+            alone = batch_uniform_indices(int(seeds[i]), int(rounds[i]), ids[i:i + 1],
+                                          n_steps, int(sizes[i]), batch)
+            assert np.array_equal(got[:, i:i + 1], alone)
+        h, i = data.draw(st.integers(0, n_steps - 1)), data.draw(st.integers(0, n_cols - 1))
+        stream = derive_stream(int(seeds[i]), int(rounds[i]), int(ids[i]), h)
+        assert np.array_equal(got[h, i], stream.uniform_indices(int(sizes[i]), batch))
+        # pure: the inputs are untouched and a second call repeats the draws
+        for after, kept in zip((seeds, rounds, ids, sizes), before):
+            assert np.array_equal(after, kept)
+        assert np.array_equal(batch_uniform_indices(seeds, rounds, ids, n_steps, sizes, batch),
+                              got)
+
+    @settings(max_examples=60, deadline=None)
+    @given(tuples=st.sets(st.tuples(*[st.integers(0, 3) | _U64_VALUES] * 4),
+                          min_size=2, max_size=40))
+    def test_distinct_tuples_have_distinct_prefixes_property(self, tuples):
+        prefixes = {tuple(derive_stream(*t).raw(2).tolist()) for t in tuples}
+        assert len(prefixes) == len(tuples)
+
     def test_uniforms_in_unit_interval(self):
         u = derive_stream(1, 0, 0, 0).uniforms(1000)
         assert np.all((0.0 <= u) & (u < 1.0))
@@ -199,21 +237,20 @@ class TestChainState:
 class TestRunConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="gamma"):
-            RunConfig(gamma=-0.1, local_steps=1, n_clients=1, rounds=1)
+            RunConfig(gamma=-0.1, local_steps=1, rounds=1)
         with pytest.raises(ValueError, match="local_steps"):
-            RunConfig(gamma=0.1, local_steps=0, n_clients=1, rounds=1)
+            RunConfig(gamma=0.1, local_steps=0, rounds=1)
         with pytest.raises(ValueError, match="algorithm"):
-            RunConfig(gamma=0.1, local_steps=1, n_clients=1, rounds=1,
-                      algorithm="sgd")
+            RunConfig(gamma=0.1, local_steps=1, rounds=1, algorithm="sgd")
 
     def test_stepsize_diagnostics_warns_not_raises(self):
-        cfg = RunConfig(gamma=1.0, local_steps=10, n_clients=2, rounds=1)
+        cfg = RunConfig(gamma=1.0, local_steps=10, rounds=1)
         with pytest.warns(RuntimeWarning, match="step-size conditions"):
             flags = cfg.stepsize_diagnostics(mu=1.0, big_l=10.0)
         assert not flags["gamma_le_inv_2L"]
         assert not flags["gammaH_le_inv_Lmu"]
 
-        cfg2 = RunConfig(gamma=0.01, local_steps=5, n_clients=2, rounds=1)
+        cfg2 = RunConfig(gamma=0.01, local_steps=5, rounds=1)
         flags = cfg2.stepsize_diagnostics(mu=1.0, big_l=10.0)
         assert flags["gamma_le_inv_2L"] and flags["gammaH_le_inv_Lmu"]
 

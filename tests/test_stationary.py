@@ -55,9 +55,7 @@ class TestDefaultBurnIn:
 class TestEstimateStationary:
     def test_noise_free_chain_has_vanishing_moments(self, quad_problem):
         cert = certificate_for(quad_problem)
-        config = RunConfig(gamma=0.02, local_steps=5,
-                           n_clients=quad_problem.n_clients, rounds=1,
-                           batch_size=None, seed=0)
+        config = RunConfig(gamma=0.02, local_steps=5, rounds=1, deterministic=True, seed=0)
         est = stationary.estimate_stationary(quad_problem, cert, config,
                                              burn_in=400, n_samples=100)
         assert np.linalg.norm(est.bias_theta) < 1e-10
@@ -66,8 +64,7 @@ class TestEstimateStationary:
 
     def test_sample_count_validation(self, quad_problem):
         cert = certificate_for(quad_problem)
-        config = RunConfig(gamma=0.02, local_steps=5,
-                           n_clients=quad_problem.n_clients, rounds=1)
+        config = RunConfig(gamma=0.02, local_steps=5, rounds=1)
         with pytest.raises(ValueError, match="n_samples"):
             stationary.estimate_stationary(quad_problem, cert, config,
                                            n_samples=50)
@@ -79,9 +76,7 @@ class TestEstimateStationary:
         # a negative burn-in used to run burn_in + n_samples rounds and
         # divide the sums by n_samples
         cert = certificate_for(quad_problem)
-        config = RunConfig(gamma=0.02, local_steps=5,
-                           n_clients=quad_problem.n_clients, rounds=1,
-                           batch_size=quad_problem.batch_size)
+        config = RunConfig(gamma=0.02, local_steps=5, rounds=1)
         with pytest.raises(ValueError, match="burn_in"):
             stationary.estimate_stationary(quad_problem, cert, config,
                                            burn_in=-5, n_samples=100)
@@ -91,9 +86,7 @@ class TestEstimateStationary:
 
     def test_default_burn_in_used(self, quad_problem):
         cert = certificate_for(quad_problem)
-        config = RunConfig(gamma=0.05, local_steps=10,
-                           n_clients=quad_problem.n_clients, rounds=1,
-                           batch_size=None)
+        config = RunConfig(gamma=0.05, local_steps=10, rounds=1, deterministic=True)
         # this gamma*H violates the contraction horizon on purpose: the
         # estimator must warn but still run
         with pytest.warns(RuntimeWarning, match="step-size conditions"):
@@ -114,8 +107,7 @@ class TestEstimateStationary:
                                  d=3, batch_size=2, seed=30)
         cert = certificate_for(problem)
         gamma = 1.0 / (16.0 * cert.big_l)
-        config = RunConfig(gamma=gamma, local_steps=10, n_clients=4, rounds=1,
-                           batch_size=2, seed=5)
+        config = RunConfig(gamma=gamma, local_steps=10, rounds=1, seed=5)
         est = stationary.estimate_stationary(problem, cert, config,
                                              n_samples=4000)
         pred = stationary.predict_first_order(problem, cert, gamma, 10)
@@ -219,9 +211,7 @@ class TestComplexityRecipe:
 class TestEstimateReport:
     def test_report_structure(self, quad_problem):
         cert = certificate_for(quad_problem)
-        config = RunConfig(gamma=0.02, local_steps=5,
-                           n_clients=quad_problem.n_clients, rounds=1,
-                           batch_size=None)
+        config = RunConfig(gamma=0.02, local_steps=5, rounds=1, deterministic=True)
         est = stationary.estimate_stationary(quad_problem, cert, config,
                                              burn_in=10, n_samples=100)
         report = stationary.estimate_report(est)
@@ -246,14 +236,12 @@ class TestXiPairAccumulator:
         problem = random_problem("logistic", n_clients=13, n_records=12, d=3,
                                  batch_size=2, seed=9)
         cert = certificate_for(problem)
-        rc = RunConfig(gamma=0.05, local_steps=2, n_clients=13, rounds=1,
-                       batch_size=2, seed=4)
+        rc = RunConfig(gamma=0.05, local_steps=2, rounds=1, seed=4)
         burn_in, n_samples, thinning = 3, 100, 2
         est = stationary.estimate_stationary(problem, cert, rc, burn_in=burn_in,
-                                             n_samples=n_samples, thinning=thinning,
-                                             pair_seed=6)
+                                             n_samples=n_samples, thinning=thinning)
 
-        pairs = stationary._xi_pair_subset(13, seed=6)
+        pairs = stationary._xi_pair_subset(13)
         assert len(pairs) == 13 + stationary.MAX_XI_PAIRS
         sums = {p: np.zeros((3, 3)) for p in pairs}
         state = ChainState.zeros(3, 13)
@@ -271,8 +259,7 @@ class TestXiPairAccumulator:
         from scaffold_sim.algorithms import DivergenceError
 
         cert = certificate_for(quad_problem)
-        rc = RunConfig(gamma=50.0, local_steps=20, n_clients=quad_problem.n_clients,
-                       rounds=1, batch_size=quad_problem.batch_size, seed=0)
+        rc = RunConfig(gamma=50.0, local_steps=20, rounds=1, seed=0)
         with pytest.warns(RuntimeWarning) as record:
             with pytest.raises(DivergenceError) as info:
                 stationary.estimate_stationary(quad_problem, cert, rc, burn_in=0,
@@ -289,8 +276,7 @@ class TestXiPairAccumulator:
         from scaffold_sim.algorithms import DivergenceError
 
         cert = certificate_for(quad_problem)
-        rc = RunConfig(gamma=6.0, local_steps=1, n_clients=quad_problem.n_clients,
-                       rounds=1, batch_size=quad_problem.batch_size, seed=0)
+        rc = RunConfig(gamma=6.0, local_steps=1, rounds=1, seed=0)
         with pytest.warns(RuntimeWarning) as record:
             with pytest.raises(DivergenceError) as info:
                 stationary.estimate_stationary(quad_problem, cert, rc, burn_in=0,
@@ -312,10 +298,9 @@ def _speedup_chains(n_list=(2, 8, 32), seed=1, **run):
         problem = harness.build_problem(config, n, source_records=pool)
         setups.append((problem, certificate_for(problem)))
     gamma = 0.125 / setups[-1][1].big_l
-    defaults = dict(gamma=gamma, local_steps=3, rounds=1, batch_size=2, seed=seed)
+    defaults = dict(gamma=gamma, local_steps=3, rounds=1, seed=seed)
     defaults.update(run)
-    return [(problem, cert, RunConfig(n_clients=problem.n_clients, **defaults))
-            for problem, cert in setups]
+    return [(problem, cert, RunConfig(**defaults)) for problem, cert in setups]
 
 
 def _assert_estimates_equal(got, expected):
@@ -336,9 +321,9 @@ def _sweep_matches_separate_calls(chains, **kwargs):
     return estimates
 
 
-def _reference_estimate(problem, cert, config, burn_in, n_samples, thinning=1, pair_seed=0):
+def _reference_estimate(problem, cert, config, burn_in, n_samples, thinning=1):
     # the one-chain estimator loop over scaffold_round that the sweep replaced
-    pairs = stationary._xi_pair_subset(problem.n_clients, seed=pair_seed)
+    pairs = stationary._xi_pair_subset(problem.n_clients)
     state = ChainState.zeros(problem.d, problem.n_clients)
     t = 0
     for _ in range(burn_in):
@@ -390,24 +375,22 @@ class TestEstimateStationarySweep:
 
     def test_thinning(self):
         chains = _speedup_chains(n_list=(2, 4, 8), seed=7)
-        estimates = _sweep_matches_separate_calls(chains, n_samples=105, thinning=3,
-                                                  pair_seed=2)
+        estimates = _sweep_matches_separate_calls(chains, n_samples=105, thinning=3)
         _assert_estimates_equal(estimates[1], _reference_estimate(
-            *chains[1], estimates[1].burn_in_rounds, 105, thinning=3, pair_seed=2))
+            *chains[1], estimates[1].burn_in_rounds, 105, thinning=3))
 
     def test_two_step_sizes_on_one_problem(self, logistic_problem):
         # the bias check's shape: one problem at gamma and gamma/2
         cert = certificate_for(logistic_problem)
         gamma = 1.0 / (16.0 * cert.big_l)
         chains = [(logistic_problem, cert,
-                   RunConfig(gamma=g, local_steps=5, n_clients=logistic_problem.n_clients,
-                             rounds=1, batch_size=logistic_problem.batch_size, seed=3))
+                   RunConfig(gamma=g, local_steps=5, rounds=1, seed=3))
                   for g in (gamma, gamma / 2.0)]
         estimates = _sweep_matches_separate_calls(chains, n_samples=100)
         assert estimates[1].burn_in_rounds > estimates[0].burn_in_rounds
 
     def test_exact_gradients(self):
-        chains = _speedup_chains(n_list=(2, 4, 8), batch_size=None)
+        chains = _speedup_chains(n_list=(2, 4, 8), deterministic=True)
         chains.append((chains[0][0], chains[0][1], replace(chains[0][2], gamma=0.5 * chains[0][2].gamma)))
         _sweep_matches_separate_calls(chains, n_samples=100)
 
@@ -432,9 +415,8 @@ class TestEstimateStationarySweep:
         ("loss", lambda p, c: (objectives.Problem(
             [datagen.ClientDataset(x.features, np.sign(x.targets), x.client_id)
              for x in p.clients], "logistic", p.l2_weight, p.batch_size), c)),
-        ("batch_size", lambda p, c: (objectives.Problem(p.clients, p.loss, p.l2_weight, 1),
-                                     replace(c, batch_size=1))),
-        ("batch_size", lambda p, c: (p, replace(c, batch_size=None))),
+        ("batch_size", lambda p, c: (objectives.Problem(p.clients, p.loss, p.l2_weight, 1), c)),
+        ("batch_size", lambda p, c: (p, replace(c, deterministic=True))),
         ("l2_weight", lambda p, c: (objectives.Problem(p.clients, p.loss, 0.25, p.batch_size),
                                     c)),
     ])
@@ -489,9 +471,8 @@ class TestEstimateStationarySweep:
             if shared_problem and chains:
                 problem = chains[0][0]
             chains.append((problem, certificate_for(problem),
-                           RunConfig(gamma=gamma, local_steps=2, n_clients=problem.n_clients,
-                                     rounds=1, batch_size=3, seed=seed)))
-        kwargs = dict(burn_in=burn_in, n_samples=100, thinning=thinning, pair_seed=1)
+                           RunConfig(gamma=gamma, local_steps=2, rounds=1, seed=seed)))
+        kwargs = dict(burn_in=burn_in, n_samples=100, thinning=thinning)
         if burn_in is None:
             kwargs.pop("burn_in")
         _sweep_matches_separate_calls(chains, **kwargs)
