@@ -3,9 +3,10 @@
 One round sends the global parameter to every client, runs H corrected
 local SGD steps per client, averages the endpoints, and (for Scaffold)
 updates the control variates from the endpoint spread.  One round kernel,
-`block_round`, advances a block of chains laid out as a flat client table
-(`ChainBlock`), vectorized across chains and clients; the chains may
-differ in problem, client count, step size, seed and round index.
+`block_rounds`, advances a block of chains laid out as a flat client table
+(`ChainBlock`) through a sequence of rounds, vectorized across chains and
+clients, with one RNG call for the minibatches of many rounds; the chains
+may differ in problem, client count, step size, seed and round index.
 Randomness comes from the per (seed, round, client, step) counter
 streams, so chains with the same key see the same minibatches, and
 results do not depend on scheduling or on which chains share a block.
@@ -14,6 +15,7 @@ results do not depend on scheduling or on which chains share a block.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain, islice
 
 import numpy as np
 
@@ -30,7 +32,11 @@ __all__ = [
     "coupled_run",
     "ChainBlock",
     "block_round",
+    "block_rounds",
 ]
+
+# Words of one RNG call in `block_rounds`: 512 KB of minibatch indices.
+_CHUNK_WORDS = 2 ** 16
 
 
 class DivergenceError(RuntimeError):
@@ -117,7 +123,7 @@ class ChainBlock:
     tables of the block's problems, see `_flat_data`), its record count,
     client id and seed, and its chain's step size, so chains with
     different problems, client counts, step sizes and round indices share
-    one draw and one gather per local step.  A part that is the same on
+    each draw and one gather per local step.  A part that is the same on
     every row stays a scalar, which mixes its RNG key once instead of per
     row.  For exact gradients the block holds every record of every row in
     `groups` of rows with equal record count (`record_groups`): views of
@@ -178,14 +184,15 @@ class ChainBlock:
         return ChainBlock(self.chains[:n_chains], self._data)
 
 
-def _endpoints(block, thetas, corrections, rounds):
+def _endpoints(block, thetas, corrections, idx):
     """H local steps on every row of the block; returns the endpoints.
 
     thetas (..., G, d) holds one parameter per chain and corrections
     (..., R, d) one control variate per row.  A leading axis holds chains
-    that share the block's rows, and with them each draw and each gathered
-    batch.  `rounds` is the round index, one for all rows or one per row.
-    The endpoints have the shape of `corrections`.
+    that share the block's rows, and with them each gathered batch.  `idx`
+    (H, R, b) holds the round's minibatch rows in the block's data, or is
+    None for exact gradients.  The endpoints have the shape of
+    `corrections`.
     """
     thetas = np.repeat(thetas, block.counts, axis=-2)
     gamma, loss, l2_weight = block.gamma, block.loss, block.l2_weight
@@ -201,9 +208,6 @@ def _endpoints(block, thetas, corrections, rounds):
 
     # each step gathers its (R, b) batch, shared by every chain of a
     # leading axis, with a single take from the flat (rows, d) data
-    idx = batch_uniform_indices(block.seed, rounds, block.ids, block.local_steps,
-                                block.n_records, block.batch)
-    idx += block.first_rows
     flat_x, flat_y = block.flat_x, block.flat_y
     with np.errstate(over="ignore", invalid="ignore"):
         for h in range(block.local_steps):
@@ -215,36 +219,36 @@ def _endpoints(block, thetas, corrections, rounds):
     return thetas
 
 
-def block_round(block, n_scaffold, thetas, xis, rounds):
-    """Advance every chain of a ChainBlock one round; returns (thetas, xis).
+def _draw(block, rounds):
+    """Minibatch rows (C, H, R, b) in the block's data for C rounds.
 
-    thetas (..., G, d) and xis (..., R, d) as in `_endpoints`.  Along a
-    leading axis the first n_scaffold chains run Scaffold and the rest
-    FedAvg; without one, n_scaffold is 1 (Scaffold) or 0 (FedAvg).  FedAvg
-    chains keep all-zero control variates, which still enter every local
-    step as in a separate FedAvg round (the add turns -0.0 gradients into
-    +0.0).
-
-    Each chain averages its own endpoints.  Its control variates move by
-    (endpoint - average) / (gamma * H) and are re-centered so their sum
-    stays exactly on the zero subspace.  Raises DivergenceError, with the
-    round index of the first chain hit, if any entry of the new block is
-    not finite; an overflow anywhere in the round leaves one, so this
-    single check covers the round.
+    `rounds` holds C round indices, each one for all rows or one per row;
+    one RNG call draws them all.
     """
+    rounds = np.array(rounds, dtype=np.uint64)
+    idx = batch_uniform_indices(block.seed, rounds.reshape(len(rounds), 1, -1), block.ids,
+                                block.local_steps, block.n_records, block.batch)
+    idx += block.first_rows
+    return idx
+
+
+def _advance(block, n_scaffold, thetas, xis, idx, round_index):
+    # one round of `block_rounds` on the drawn rows idx (H, R, b), or None;
     # the fresh endpoint array becomes the new control variates in place;
     # spread / (gamma * H) + xi is the same IEEE sum as xi + spread / (gamma * H)
-    xis_next = _endpoints(block, thetas, xis, rounds)
+    xis_next = _endpoints(block, thetas, xis, idx)
     thetas_next = np.empty_like(thetas)
     with np.errstate(over="ignore", invalid="ignore"):
         for g, (rows, gamma_h) in enumerate(zip(block.slices, block.gamma_h)):
+            # add.reduce / n is numpy's mean without its Python layer
+            n = rows.stop - rows.start
             xi = xis_next[..., rows, :]
-            mean = xi.mean(axis=-2)
+            mean = np.add.reduce(xi, axis=-2) / n
             thetas_next[..., g, :] = mean
             xi -= mean[..., None, :]
             xi /= gamma_h
             xi += xis[..., rows, :]
-            xi -= xi.mean(axis=-2, keepdims=True)
+            xi -= np.add.reduce(xi, axis=-2, keepdims=True) / n
     xis_next.reshape(-1, block.n_rows, block.d)[n_scaffold:] = 0.0
     if not (np.isfinite(thetas_next).all() and np.isfinite(xis_next).all()):
         first_row = next(
@@ -252,8 +256,56 @@ def block_round(block, n_scaffold, thetas, xis, rounds):
             if not (np.isfinite(thetas_next[..., g, :]).all()
                     and np.isfinite(xis_next[..., rows, :]).all())
         )
-        raise DivergenceError(int(rounds if np.ndim(rounds) == 0 else rounds[first_row]))
+        raise DivergenceError(int(round_index if np.ndim(round_index) == 0
+                                  else round_index[first_row]))
     return thetas_next, xis_next
+
+
+def block_rounds(block, n_scaffold, thetas, xis, rounds):
+    """Advance every chain of a ChainBlock through `rounds`; yields (thetas, xis).
+
+    thetas (..., G, d) and xis (..., R, d) as in `_endpoints`.  Along a
+    leading axis the first n_scaffold chains run Scaffold and the rest
+    FedAvg; without one, n_scaffold is 1 (Scaffold) or 0 (FedAvg).  FedAvg
+    chains keep all-zero control variates, which still enter every local
+    step as in a separate FedAvg round (the add turns -0.0 gradients into
+    +0.0).  `rounds` is an iterable of round indices, each one for all
+    rows or one per row; the new state is yielded after each round.
+
+    Each chain averages its own endpoints.  Its control variates move by
+    (endpoint - average) / (gamma * H) and are re-centered so their sum
+    stays exactly on the zero subspace.  Raises DivergenceError, with the
+    round index of the first chain hit, if any entry of the new block is
+    not finite; an overflow anywhere in the round leaves one, so this
+    single check covers the round.
+
+    The minibatches of consecutive rounds are drawn by one RNG call, in
+    chunks of at most _CHUNK_WORDS words; a larger round is drawn alone.
+    """
+    rounds = iter(rounds)
+    if block.batch is None:
+        for r in rounds:
+            thetas, xis = _advance(block, n_scaffold, thetas, xis, None, r)
+            yield thetas, xis
+        return
+    chunk = max(1, _CHUNK_WORDS // (block.local_steps * block.n_rows * block.batch))
+    while part := list(islice(rounds, chunk)):
+        idx = _draw(block, part)
+        for r, drawn in zip(part, idx):
+            thetas, xis = _advance(block, n_scaffold, thetas, xis, drawn, r)
+            yield thetas, xis
+        # the next chunk is drawn only after this one is released
+        del idx, drawn
+
+
+def block_round(block, n_scaffold, thetas, xis, rounds):
+    """Advance every chain of a ChainBlock one round; returns (thetas, xis).
+
+    The one-round case of `block_rounds`; `rounds` is the round index, one
+    for all rows or one per row.
+    """
+    (state,) = block_rounds(block, n_scaffold, thetas, xis, [rounds])
+    return state
 
 
 def scaffold_round(state: ChainState, problem: Problem, config: RunConfig,
@@ -313,18 +365,16 @@ def run_sweep(problem: Problem, certificate, config: RunConfig, algorithms, seed
     lead = (n_algos,) if n_algos > 1 else ()
     thetas = np.tile(theta, lead + (n_seeds, 1))
     xis = np.zeros(lead + (n_seeds * n, d))
-    cell_thetas = thetas.reshape(n_algos, n_seeds, d)
-    cell_xis = xis.reshape(n_algos, n_seeds, n, d)
     target = ChainState(theta_star, certificate.xi_star)
     cells = [(k, s) for k in range(n_scaffold) for s in range(n_seeds)]
 
     mse = np.empty((config.rounds + 1, n_algos, n_seeds))
     lam_dist = np.empty_like(mse)
-    for t in range(config.rounds + 1):
-        if t > 0:
-            thetas, xis = block_round(block, n_scaffold, thetas, xis, t - 1)
-            cell_thetas = thetas.reshape(n_algos, n_seeds, d)
-            cell_xis = xis.reshape(n_algos, n_seeds, n, d)
+    states = chain([(thetas, xis)],
+                   block_rounds(block, n_scaffold, thetas, xis, range(config.rounds)))
+    for t, (thetas, xis) in enumerate(states):
+        cell_thetas = thetas.reshape(n_algos, n_seeds, d)
+        cell_xis = xis.reshape(n_algos, n_seeds, n, d)
         with np.errstate(over="ignore"):
             mse[t] = np.sum((cell_thetas - theta_star) ** 2, axis=-1)
         for k, s in cells:
@@ -373,9 +423,9 @@ def coupled_run(problem: Problem, config: RunConfig,
     dist[0] = lambda_norm_sq(state_a, state_b, gamma, local_steps)
     thetas = np.stack([state_a.theta, state_b.theta])[:, None]
     xis = np.stack([state_a.xis, state_b.xis])
-    for t in range(config.rounds):
-        thetas, xis = block_round(block, 2, thetas, xis, t)
+    states = block_rounds(block, 2, thetas, xis, range(config.rounds))
+    for t, (thetas, xis) in enumerate(states, 1):
         a = ChainState.unchecked(thetas[0, 0], xis[0])
         b = ChainState.unchecked(thetas[1, 0], xis[1])
-        dist[t + 1] = lambda_norm_sq(a, b, gamma, local_steps)
+        dist[t] = lambda_norm_sq(a, b, gamma, local_steps)
     return dist

@@ -71,6 +71,8 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ValueError(f"--threads must be >= 1, got {args.threads}")
         config = parse_config(args.config)
         if args.seed_override is not None:
             config.seeds = [args.seed_override]
@@ -90,7 +92,7 @@ def main(argv=None):
                 f"key `task`: config says {config.task!r} but the "
                 f"`{args.command}` subcommand was invoked"
             )
-        text = run_task(config, out_path=args.out, threads=max(1, args.threads))
+        text = run_task(config, out_path=args.out, threads=args.threads)
         if args.out is None and config.output_path is None:
             sys.stdout.write(text)
         return 0

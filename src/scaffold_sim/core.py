@@ -122,7 +122,9 @@ def batch_uniform_indices(root_seed, round_idx, client_ids, n_steps, n_records, 
     client_ids[i], h).uniform_indices(n_records, batch), computed in one
     vectorized pass.  `root_seed`, `round_idx` and `n_records` are each a
     scalar or, like `client_ids`, one value per column, so clients of
-    several chains (seeds, rounds, data sizes) are drawn in one call.
+    several chains (seeds, rounds, data sizes) are drawn in one call.  A
+    `round_idx` of shape (B, 1, 1) or (B, 1, n_clients) draws B rounds at
+    once, shape (B, n_steps, n_clients, batch), each equal to its own call.
     """
     client_ids = np.asarray(client_ids, dtype=_U64)
     steps = np.arange(n_steps, dtype=_U64)

@@ -102,6 +102,10 @@ class ExperimentConfig:
             raise ConfigError(f"key `loss`: must be quadratic or logistic, got {self.loss!r}")
         if not self.l2_weight >= 0:  # NaN fails too
             raise ConfigError(f"key `l2_weight`: must be >= 0, got {self.l2_weight}")
+        for key in ("noise_std", "class_sep"):
+            value = getattr(self, key)
+            if not (np.isfinite(value) and value >= 0):
+                raise ConfigError(f"key `{key}`: must be finite and >= 0, got {value}")
         if self.records_per_client < 1:
             raise ConfigError(
                 f"key `records_per_client`: must be >= 1, got {self.records_per_client}")

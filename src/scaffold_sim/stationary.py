@@ -8,6 +8,7 @@ A : M -> X solving  Hf X + X Hf = M  at the optimum's average Hessian.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import objectives
 # `scaffold_round` stays importable here: perfbench/spans.py wraps it
-from .algorithms import ChainBlock, DivergenceError, block_round, scaffold_round  # noqa: F401
+from .algorithms import ChainBlock, DivergenceError, block_rounds, scaffold_round  # noqa: F401
 from .core import RunConfig
 from .optimum import OptimumCertificate
 
@@ -121,7 +122,8 @@ def estimate_stationary_sweep(chains, burn_in=None, n_samples=1000, thinning=1):
     """`estimate_stationary` for every (problem, certificate, config) chain.
 
     The chains advance in lockstep as one block through one round kernel:
-    each local step makes one draw and one gather for all of them.  Chain
+    each local step makes one gather for all of them, and one draw covers
+    the minibatches of many rounds.  Chain
     g (burn-in b_g, default from its own step size and certificate) runs
     its round 0 at iteration max(b) - b_g, so every chain samples at the
     same iterations, and each moment sum is one array for all chains.
@@ -179,33 +181,33 @@ def estimate_stationary_sweep(chains, burn_in=None, n_samples=1000, thinning=1):
 
     thetas = np.zeros((0, d))
     xis = np.zeros((0, d))
-    n_active = 0
+    # one segment of iterations per distinct start: the block grows at its
+    # first iteration by the chains that start there, from zero
+    bounds = sorted(set(starts)) + [sampling + n_samples * thinning]
     # a finite but huge state overflows the sums before the chain itself
     # diverges; that is reported once, below, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(sampling + n_samples * thinning):
-            running = n_active
-            while n_active < len(chains) and starts[n_active] == it:
-                n_active += 1
-            if n_active > running:
-                # the block grows by the chains that start now, from zero
-                active = block.prefix(n_active)
-                thetas = np.concatenate([thetas, np.zeros((n_active - running, d))])
-                xis = np.concatenate([xis, np.zeros((active.n_rows - len(xis), d))])
-                start = row_starts[:active.n_rows]
-                if starts[0] == starts[n_active - 1]:
-                    start = starts[0]  # one round index mixes its key once
-            thetas, xis = block_round(active, 1, thetas, xis, it - start)
-            if it < sampling or (it - sampling + 1) % thinning:
-                continue
-            k = (it - sampling) // thinning
-            dtheta = thetas - theta_star
-            dxi = xis - xi_star
-            sum_dtheta += dtheta
-            sum_outer_theta += dtheta[:, :, None] * dtheta[:, None, :]
-            sum_theta_xi += np.repeat(dtheta, block.counts, axis=0)[:, :, None] * dxi[:, None, :]
-            sum_xi += dxi[pair_c][:, :, None] * dxi[pair_cp][:, None, :]
-            batch_means[:, min(k // batch_size, N_SE_BATCHES - 1)] += dtheta
+        for lo, hi in zip(bounds, bounds[1:]):
+            active = block.prefix(bisect.bisect_right(starts, lo))
+            thetas = np.concatenate([thetas, np.zeros((len(active.chains) - len(thetas), d))])
+            xis = np.concatenate([xis, np.zeros((active.n_rows - len(xis), d))])
+            if lo == 0:
+                rounds = range(hi)  # every row starts at 0: one index for all rows
+            else:
+                rounds = (it - row_starts[:active.n_rows] for it in range(lo, hi))
+            states = block_rounds(active, 1, thetas, xis, rounds)
+            for it, (thetas, xis) in enumerate(states, lo):
+                if it < sampling or (it - sampling + 1) % thinning:
+                    continue
+                k = (it - sampling) // thinning
+                dtheta = thetas - theta_star
+                dxi = xis - xi_star
+                sum_dtheta += dtheta
+                sum_outer_theta += dtheta[:, :, None] * dtheta[:, None, :]
+                sum_theta_xi += (np.repeat(dtheta, block.counts, axis=0)[:, :, None]
+                                 * dxi[:, None, :])
+                sum_xi += dxi[pair_c][:, :, None] * dxi[pair_cp][:, None, :]
+                batch_means[:, min(k // batch_size, N_SE_BATCHES - 1)] += dtheta
 
     # trailing samples beyond 20*batch_size fold into the last batch
     counts = np.full(N_SE_BATCHES, batch_size, dtype=float)

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scaffold_sim import algorithms, datagen, objectives, optimum
+from scaffold_sim import algorithms, datagen, objectives, optimum, stationary
 from scaffold_sim.core import ChainState, RunConfig, derive_stream, lambda_norm_sq
 from scaffold_sim.objectives import stochastic_gradient
 
@@ -353,8 +354,9 @@ class TestFlatGather:
                 features[rows, idx[h]], targets[rows, idx[h]], thetas,
                 logistic_problem.loss, logistic_problem.l2_weight)
             thetas = thetas - config.gamma * (grads + corrections)
-        got = algorithms._endpoints(algorithms.ChainBlock([(logistic_problem, config)]),
-                                    theta[None], corrections, 2)
+        block = algorithms.ChainBlock([(logistic_problem, config)])
+        got = algorithms._endpoints(block, theta[None], corrections,
+                                    algorithms._draw(block, [2])[0])
         assert np.array_equal(got, thetas)
 
 
@@ -694,6 +696,146 @@ class TestChainBlock:
         with pytest.raises(algorithms.DivergenceError) as info:
             algorithms.block_round(block, 1, thetas, xis, rounds)
         assert info.value.round_index == 17
+
+
+def _chunk(block):
+    # rounds drawn by one RNG call of `block_rounds`
+    return algorithms._CHUNK_WORDS // (block.local_steps * block.n_rows * block.batch)
+
+
+def _one_round_calls(block, n_scaffold, thetas, xis, rounds):
+    states = []
+    for r in rounds:
+        thetas, xis = algorithms.block_round(block, n_scaffold, thetas, xis, r)
+        states.append((thetas, xis))
+    return states
+
+
+class TestBlockRounds:
+    def _assert_equals_one_round_calls(self, block, n_scaffold, thetas, xis, rounds):
+        before = thetas.copy(), xis.copy()
+        got = list(algorithms.block_rounds(block, n_scaffold, thetas, xis, iter(rounds)))
+        expected = _one_round_calls(block, n_scaffold, thetas, xis, rounds)
+        assert len(got) == len(expected) == len(rounds)
+        for (got_theta, got_xis), (theta, xi) in zip(got, expected):
+            assert np.array_equal(got_theta, theta) and np.array_equal(got_xis, xi)
+        assert np.array_equal(thetas, before[0]) and np.array_equal(xis, before[1])
+
+    def test_scaffold_and_fedavg_axis_over_chunks(self):
+        problem = random_problem("logistic", n_clients=3, n_records=9, d=3, batch_size=500)
+        config = make_config(problem, gamma=0.05, local_steps=4)
+        block = algorithms.ChainBlock([(problem, replace(config, seed=s)) for s in (0, 5)])
+        chunk = _chunk(block)
+        assert chunk == 5
+        rng = np.random.default_rng(1)
+        thetas = rng.standard_normal((2, 2, 3))
+        xis = rng.standard_normal((2, block.n_rows, 3))
+        xis[1] = 0.0
+        # two whole chunks and a partial last one
+        self._assert_equals_one_round_calls(block, 1, thetas, xis,
+                                            list(range(7, 7 + 2 * chunk + 2)))
+
+    def test_ragged_chains_with_rounds_per_row_over_chunks(self):
+        rng = np.random.default_rng(5)
+        clients = [datagen.ClientDataset(rng.standard_normal((n, 3)), rng.standard_normal(n),
+                                         client_id=2 * i + 1)
+                   for i, n in enumerate([4, 11, 1])]
+        problems = [random_problem("quadratic", n_clients=2, n_records=9, d=3, batch_size=500),
+                    objectives.Problem(clients, "quadratic", 0.1, batch_size=500)]
+        configs = [make_config(p, gamma=g, local_steps=4, seed=s)
+                   for p, g, s in zip(problems, (0.05, 0.02), (3, 2 ** 64 - 1))]
+        block = algorithms.ChainBlock(list(zip(problems, configs)))
+        chunk = _chunk(block)
+        assert chunk == 6
+        thetas = rng.standard_normal((2, 3))
+        xis = rng.standard_normal((block.n_rows, 3))
+        rounds = [np.repeat([40 + t, t], [2, 3]) for t in range(2 * chunk + 1)]
+        self._assert_equals_one_round_calls(block, 1, thetas, xis, rounds)
+
+    def test_exact_gradients(self, quad_problem):
+        configs = [make_config(quad_problem, gamma=g, local_steps=3, deterministic=True)
+                   for g in (0.05, 0.1)]
+        block = algorithms.ChainBlock([(quad_problem, c) for c in configs])
+        rng = np.random.default_rng(2)
+        thetas = rng.standard_normal((2, quad_problem.d))
+        xis = rng.standard_normal((block.n_rows, quad_problem.d))
+        self._assert_equals_one_round_calls(block, 1, thetas, xis, list(range(6)))
+
+    def test_one_rng_call_per_chunk(self, monkeypatch):
+        # a speedup-like block: N = 2, 8, 32 in lockstep, H = 10, b = 10
+        problems = [random_problem("quadratic", n_clients=n, n_records=20, d=5, batch_size=10,
+                                   seed=n) for n in (2, 8, 32)]
+        block = algorithms.ChainBlock([(p, make_config(p, gamma=0.01, local_steps=10))
+                                       for p in problems])
+        calls = []
+        draw = algorithms.batch_uniform_indices
+
+        def counted(*args):
+            calls.append(np.shape(args[1]))
+            return draw(*args)
+
+        monkeypatch.setattr(algorithms, "batch_uniform_indices", counted)
+        n_rounds = 40
+        for _ in algorithms.block_rounds(block, 1, np.zeros((3, 5)), np.zeros((42, 5)),
+                                         range(n_rounds)):
+            pass
+        chunk = _chunk(block)
+        assert chunk == 15
+        assert len(calls) == math.ceil(n_rounds / chunk)
+        assert calls == [(15, 1, 1), (15, 1, 1), (10, 1, 1)]
+
+    def test_rounds_call_the_traced_lookup_sites(self, monkeypatch, logistic_problem):
+        # perfbench/spans.py times the RNG and gradient layers by wrapping
+        # these module globals; a kernel that bypassed them would blind it
+        called = []
+        for name in ("batch_uniform_indices", "stacked_minibatch_gradient"):
+            def wrapped(*args, _name=name, _fn=getattr(algorithms, name)):
+                called.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(algorithms, name, wrapped)
+        block = algorithms.ChainBlock([(logistic_problem, make_config(logistic_problem))])
+        d, n = logistic_problem.d, logistic_problem.n_clients
+        list(algorithms.block_rounds(block, 1, np.zeros((1, d)), np.zeros((n, d)), range(2)))
+        assert called.count("batch_uniform_indices") == 1
+        assert called.count("stacked_minibatch_gradient") == 2 * block.local_steps
+
+    def test_sweep_divergence_inside_a_chunk_reports_its_round(self):
+        problem = random_problem("quadratic", n_clients=3, seed=1, batch_size=100)
+        cert = certificate_for(problem)
+        config = make_config(problem, gamma=2.0, local_steps=5, rounds=300)
+        algos, seeds = ["scaffold", "fedavg"], [0, 1, 2]
+        rounds = []
+        for algo in algos:
+            for seed in seeds:
+                with pytest.raises(algorithms.DivergenceError) as info:
+                    _reference_run(problem, cert, replace(config, algorithm=algo, seed=seed))
+                rounds.append(info.value.round_index)
+        first, second = sorted(rounds)[:2]
+        chunk = algorithms._CHUNK_WORDS // (5 * len(seeds) * problem.n_clients * 100)
+        assert first < second and first > chunk and first % chunk
+        with pytest.raises(algorithms.DivergenceError) as info:
+            algorithms.run_sweep(problem, cert, replace(config, rounds=second), algos, seeds)
+        assert info.value.round_index == first
+
+    @pytest.mark.filterwarnings("ignore:step-size conditions")
+    def test_estimator_divergence_inside_a_chunk_reports_its_round(self):
+        # the diverging chain starts later than the stable one, so it runs
+        # in a segment with one round index per row
+        problem = random_problem("quadratic", n_clients=3, seed=1, batch_size=100)
+        cert = certificate_for(problem)
+        stable, unstable = (make_config(problem, gamma=g, local_steps=5, rounds=400)
+                            for g in (0.3, 2.0))
+        with pytest.raises(algorithms.DivergenceError) as info:
+            _reference_run(problem, cert, unstable)
+        expected = info.value.round_index
+        burn_ins = [stationary.default_burn_in(c.gamma, cert.mu, 5) for c in (stable, unstable)]
+        assert burn_ins[0] > burn_ins[1]
+        chunk = algorithms._CHUNK_WORDS // (5 * 2 * problem.n_clients * 100)
+        assert expected > chunk and expected % chunk
+        with pytest.raises(algorithms.DivergenceError) as info:
+            stationary.estimate_stationary_sweep([(problem, cert, stable),
+                                                  (problem, cert, unstable)], n_samples=300)
+        assert info.value.round_index == expected
 
 
 class TestConfigOwnership:

@@ -205,6 +205,29 @@ class TestDeriveStream:
                               got)
 
     @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n_rounds=st.integers(1, 4), n_cols=st.integers(1, 5),
+           n_steps=st.integers(1, 3), batch=st.integers(1, 4), per_row=st.booleans())
+    def test_leading_rounds_axis_equals_per_round_calls_property(self, data, n_rounds, n_cols,
+                                                                 n_steps, batch, per_row):
+        # round_idx (B, 1, 1) or (B, 1, R) draws B rounds in one call
+        def values(strategy, size):
+            return data.draw(st.lists(strategy, min_size=size, max_size=size))
+
+        seeds, ids = (np.array(values(_U64_VALUES, n_cols), dtype=np.uint64) for _ in range(2))
+        sizes = np.array(values(st.integers(1, 2 ** 32), n_cols), dtype=np.uint64)
+        rounds = np.array([values(_U64_VALUES, n_cols if per_row else 1)
+                           for _ in range(n_rounds)], dtype=np.uint64)
+        got = batch_uniform_indices(seeds, rounds[:, None, :], ids, n_steps, sizes, batch)
+        assert got.shape == (n_rounds, n_steps, n_cols, batch)
+        for t in range(n_rounds):
+            round_idx = rounds[t] if per_row else int(rounds[t, 0])
+            alone = batch_uniform_indices(seeds, round_idx, ids, n_steps, sizes, batch)
+            assert np.array_equal(got[t], alone)
+            expected = _reference_batch_indices(seeds, round_idx, ids, n_steps, sizes[:, None],
+                                                batch)
+            assert np.array_equal(got[t], expected)
+
+    @settings(max_examples=60, deadline=None)
     @given(tuples=st.sets(st.tuples(*[st.integers(0, 3) | _U64_VALUES] * 4),
                           min_size=2, max_size=40))
     def test_distinct_tuples_have_distinct_prefixes_property(self, tuples):

@@ -69,8 +69,8 @@ def _valid_configs(draw):
         records_per_client=records,
         informative=draw(st.lists(st.integers(1, n_features), min_size=2, max_size=2)),
         generator_seeds=draw(st.lists(st.integers(0, 2 ** 32), min_size=2, max_size=2)),
-        noise_std=draw(st.floats(allow_nan=False, allow_infinity=False)),
-        class_sep=draw(st.floats(-1e6, 1e6)),
+        noise_std=draw(st.floats(0.0, allow_infinity=False)),
+        class_sep=draw(st.floats(0.0, 1e6)),
         gamma=gamma,
         gamma_over_l=gamma_over_l,
         local_steps=draw(st.integers(1, 10 ** 6)),
@@ -292,6 +292,10 @@ class TestConfigRanges:
         ("experiment", "task = train", "task"),
         ("problem", "loss = hinge", "loss"),
         ("problem", "noise_std = loud", "noise_std"),
+        ("problem", "noise_std = nan", "noise_std"),
+        ("problem", "noise_std = -1", "noise_std"),
+        ("problem", "class_sep = -2", "class_sep"),
+        ("problem", "class_sep = inf", "class_sep"),
         ("problem", "informative = 2", "informative"),
         ("problem", "generator_seeds = 1,2,3", "generator_seeds"),
         ("run", "gamma_over_L = 0", "gamma_over_L"),
@@ -320,6 +324,13 @@ class TestConfigRanges:
         assert (config.records_per_client, config.l2_weight, config.thinning,
                 config.burn_in) == (1, 0.0, 1, 0)
         assert config.seeds == [0, 2 ** 64 - 1] and config.generator_seeds == [0, 0]
+
+    def test_zero_noise_and_separation_accepted(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("[experiment]\ntask = stationary\n"
+                        "[problem]\nnoise_std = 0\nclass_sep = 0\n")
+        config = parse_config(path)
+        assert (config.noise_std, config.class_sep) == (0.0, 0.0)
 
 
 class TestBuildProblem:
@@ -478,6 +489,14 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("ConfigError: key `seeds`")
+
+    @pytest.mark.parametrize("threads", ["0", "-5"])
+    def test_threads_below_one_rejected(self, tmp_path, capsys, threads):
+        path = write_config(tmp_path, "figure1")
+        assert cli_main(["figure1", "--config", str(path), "--threads", threads]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ValueError: --threads must be >= 1")
 
     def test_print_config_out_writes_file(self, tmp_path, capsys):
         path = write_config(tmp_path, "figure1")
