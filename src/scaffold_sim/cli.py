@@ -35,7 +35,7 @@ config file format (strict `key = value` lines under [section] headers):
   class_sep = 1             classification center separation
 
   [run]                     all optional, defaults shown
-  gamma = 0.05              or gamma_over_L = <x> to set gamma = x / L
+  gamma = 0.05              or gamma_over_L = <x> to set gamma = x / L (not both)
   local_steps = 100
   rounds = 100
   batch_size = 10

@@ -113,8 +113,9 @@ class ExperimentConfig:
             raise ConfigError(f"key `gamma`: must be positive, got {self.gamma}")
         if self.gamma_over_l is not None and self.gamma_over_l <= 0:
             raise ConfigError(f"key `gamma_over_L`: must be positive, got {self.gamma_over_l}")
-        if self.gamma is None and self.gamma_over_l is None:
-            raise ConfigError("one of `gamma` or `gamma_over_L` is required")
+        if (self.gamma is None) == (self.gamma_over_l is None):
+            raise ConfigError("exactly one of `gamma` or `gamma_over_L` is required, got "
+                              f"gamma = {self.gamma}, gamma_over_L = {self.gamma_over_l}")
         if self.local_steps < 1:
             raise ConfigError(f"key `local_steps`: must be >= 1, got {self.local_steps}")
         if self.rounds < 0:
@@ -370,7 +371,7 @@ def run_speedup(config: ExperimentConfig):
               for n in n_list]
     estimates = stationary.estimate_stationary_sweep(
         chains, burn_in=config.burn_in, n_samples=config.n_samples,
-        thinning=config.thinning,
+        thinning=config.thinning, xi_moments=False,
     )
 
     rows = ["N,trace_cov_theta,predicted_trace"]

@@ -76,7 +76,8 @@ class StationaryEstimate:
 
     All second moments are taken about the optimum (theta_star, xi_star),
     matching the stationary covariance definitions, not about the sample
-    mean.
+    mean.  The xi fields are None on a theta-only estimate
+    (`estimate_stationary_sweep(..., xi_moments=False)`).
     """
 
     burn_in_rounds: int
@@ -84,8 +85,8 @@ class StationaryEstimate:
     thinning: int
     bias_theta: np.ndarray
     cov_theta: np.ndarray
-    cov_theta_xi: np.ndarray  # (N, d, d)
-    cov_xi: dict  # (c, c') -> (d, d)
+    cov_theta_xi: np.ndarray | None  # (N, d, d)
+    cov_xi: dict | None  # (c, c') -> (d, d)
     se_bias: np.ndarray
 
     def __post_init__(self):
@@ -118,7 +119,8 @@ def estimate_stationary(problem, certificate: OptimumCertificate, config: RunCon
                                      n_samples, thinning)[0]
 
 
-def estimate_stationary_sweep(chains, burn_in=None, n_samples=1000, thinning=1):
+def estimate_stationary_sweep(chains, burn_in=None, n_samples=1000, thinning=1, *,
+                              xi_moments=True):
     """`estimate_stationary` for every (problem, certificate, config) chain.
 
     The chains advance in lockstep as one block through one round kernel:
@@ -130,7 +132,9 @@ def estimate_stationary_sweep(chains, burn_in=None, n_samples=1000, thinning=1):
     Each estimate equals a separate `estimate_stationary` call bit for
     bit.  The chains must run Scaffold and share the loss, l2 weight,
     local steps and batch width.  Returns one StationaryEstimate per
-    chain, in order.
+    chain, in order.  With `xi_moments=False` only the theta moments are
+    accumulated: `cov_theta_xi` and `cov_xi` are None, every other field
+    is unchanged, and only a non-finite theta sum raises DivergenceError.
     """
     if not chains:
         raise ValueError("need at least one chain")
@@ -164,8 +168,9 @@ def estimate_stationary_sweep(chains, burn_in=None, n_samples=1000, thinning=1):
     xi_star = np.concatenate([certificate.xi_star for _, certificate, _ in chains])
 
     # one (P, d, d) accumulator over the pairs of all chains: chain g owns
-    # the entries pair_rows[g], and its pair (c, c') is a pair of block rows
-    pairs = [_xi_pair_subset(n) for n in sizes]
+    # the entries pair_rows[g], and its pair (c, c') is a pair of block rows;
+    # without xi moments the xi accumulators are empty and pass the check below
+    pairs = [_xi_pair_subset(n) if xi_moments else [] for n in sizes]
     pair_c, pair_cp, pair_rows = [], [], []
     for rows, chain_pairs in zip(block.slices, pairs):
         pair_rows.append(slice(len(pair_c), len(pair_c) + len(chain_pairs)))
@@ -174,7 +179,7 @@ def estimate_stationary_sweep(chains, burn_in=None, n_samples=1000, thinning=1):
     pair_c, pair_cp = np.array(pair_c), np.array(pair_cp)
     sum_dtheta = np.zeros((len(chains), d))
     sum_outer_theta = np.zeros((len(chains), d, d))
-    sum_theta_xi = np.zeros((block.n_rows, d, d))
+    sum_theta_xi = np.zeros((block.n_rows if xi_moments else 0, d, d))
     sum_xi = np.zeros((len(pair_c), d, d))
     batch_size = n_samples // N_SE_BATCHES
     batch_means = np.zeros((len(chains), N_SE_BATCHES, d))
@@ -201,12 +206,13 @@ def estimate_stationary_sweep(chains, burn_in=None, n_samples=1000, thinning=1):
                     continue
                 k = (it - sampling) // thinning
                 dtheta = thetas - theta_star
-                dxi = xis - xi_star
                 sum_dtheta += dtheta
                 sum_outer_theta += dtheta[:, :, None] * dtheta[:, None, :]
-                sum_theta_xi += (np.repeat(dtheta, block.counts, axis=0)[:, :, None]
-                                 * dxi[:, None, :])
-                sum_xi += dxi[pair_c][:, :, None] * dxi[pair_cp][:, None, :]
+                if xi_moments:
+                    dxi = xis - xi_star
+                    sum_theta_xi += (np.repeat(dtheta, block.counts, axis=0)[:, :, None]
+                                     * dxi[:, None, :])
+                    sum_xi += dxi[pair_c][:, :, None] * dxi[pair_cp][:, None, :]
                 batch_means[:, min(k // batch_size, N_SE_BATCHES - 1)] += dtheta
 
     # trailing samples beyond 20*batch_size fold into the last batch
@@ -229,8 +235,8 @@ def estimate_stationary_sweep(chains, burn_in=None, n_samples=1000, thinning=1):
             thinning=thinning,
             bias_theta=sum_dtheta[g] / n_samples,
             cov_theta=cov_theta,
-            cov_theta_xi=sum_theta_xi[rows] / n_samples,
-            cov_xi=dict(zip(pairs[g], sum_xi[pair_rows[g]] / n_samples)),
+            cov_theta_xi=sum_theta_xi[rows] / n_samples if xi_moments else None,
+            cov_xi=dict(zip(pairs[g], sum_xi[pair_rows[g]] / n_samples)) if xi_moments else None,
             se_bias=means.std(axis=0, ddof=1) / np.sqrt(N_SE_BATCHES),
         )
     return estimates
@@ -368,6 +374,9 @@ def _write_matrix_block(lines, name, matrix):
 
 def estimate_report(est: StationaryEstimate) -> str:
     """Report: key-value scalars, then matrices in row-major CSV blocks."""
+    if est.cov_theta_xi is None or est.cov_xi is None:
+        raise ValueError("the report needs xi moments; this estimate was made "
+                         "with xi_moments=False")
     lines = [
         f"burn_in_rounds = {est.burn_in_rounds}",
         f"n_samples = {est.n_samples}",

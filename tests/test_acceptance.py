@@ -25,7 +25,7 @@ import pytest
 from scaffold_sim import algorithms, datagen, objectives, optimum, stationary
 from scaffold_sim.cli import main as cli_main
 from scaffold_sim.core import ChainState, RunConfig, derive_stream
-from scaffold_sim.harness import ExperimentConfig, build_problem, run_figure1, run_speedup
+from scaffold_sim.harness import ExperimentConfig, build_problem, run_speedup
 
 from test_objectives import fd_third_apply
 
@@ -219,9 +219,22 @@ def test_bias_formula(report):
     assert ok
 
 
-def test_figure1_orderings(report):
-    config = ExperimentConfig(task="figure1").validate()
-    _, agg = run_figure1(config, threads=4)
+@pytest.fixture(scope="module")
+def figure1_runs(tmp_path_factory):
+    """Directory of three default figure1 CLI runs, a and b at 1 thread, c at 8."""
+    tmp_path = tmp_path_factory.mktemp("figure1")
+    config_path = tmp_path / "fig.txt"
+    config_path.write_text("[experiment]\ntask = figure1\n")
+    for label, threads in (("a", 1), ("b", 1), ("c", 8)):
+        code = cli_main(["figure1", "--config", str(config_path),
+                         "--out", str(tmp_path / f"{label}.csv"), "--threads", str(threads)])
+        assert code == 0
+    return tmp_path
+
+
+def test_figure1_orderings(report, figure1_runs):
+    # run a's aggregate: its bytes are the same at any thread count
+    agg = (figure1_runs / "a.agg.csv").read_text()
     series = {}
     for row in agg.strip().splitlines()[1:]:
         algo, n, _, mean, _ = row.split(",")
@@ -324,18 +337,9 @@ def test_oracle_equivalence(report, two_client_1d):
     assert ok
 
 
-def test_reproducibility(report, tmp_path):
-    config_path = tmp_path / "fig.txt"
-    config_path.write_text("[experiment]\ntask = figure1\n")
-
-    outs = {}
-    for label, threads in (("a", 1), ("b", 1), ("c", 8)):
-        out = tmp_path / f"{label}.csv"
-        code = cli_main(["figure1", "--config", str(config_path),
-                         "--out", str(out), "--threads", str(threads)])
-        assert code == 0
-        outs[label] = out
-
+def test_reproducibility(report, figure1_runs):
+    tmp_path = figure1_runs
+    outs = {label: tmp_path / f"{label}.csv" for label in "abc"}
     same_repeat = filecmp.cmp(outs["a"], outs["b"], shallow=False)
     same_threads = filecmp.cmp(outs["a"], outs["c"], shallow=False)
     agg_repeat = filecmp.cmp(tmp_path / "a.agg.csv", tmp_path / "b.agg.csv",

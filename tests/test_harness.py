@@ -57,8 +57,7 @@ def _valid_configs(draw):
         # the pool of records_per_client * max(N) / 2 must split over every N / 2
         records *= 2 * math.lcm(*(n // 2 for n in n_clients))
     gamma = draw(st.none() | st.floats(1e-300, 1e3))
-    gamma_over_l = draw(st.floats(1e-300, 1e3) if gamma is None
-                        else st.none() | st.floats(1e-300, 1e3))
+    gamma_over_l = draw(st.floats(1e-300, 1e3)) if gamma is None else None
     positive = st.floats(1e-300, 1e3)
     return ExperimentConfig(
         task=task,
@@ -237,6 +236,16 @@ class TestParseConfig:
         config = parse_config(path)
         assert config.gamma is None
         assert config.gamma_over_l == 0.125
+
+    def test_gamma_and_gamma_over_l_together_rejected(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("[experiment]\ntask = predict\n[run]\ngamma = 0.05\n"
+                        "gamma_over_L = 0.5\n")
+        with pytest.raises(ConfigError, match=r"`gamma` or `gamma_over_L`"):
+            parse_config(path)
+        assert cli_main(["print-config", "--config", str(path)]) == 2
+        with pytest.raises(ConfigError, match=r"`gamma` or `gamma_over_L`"):
+            ExperimentConfig(task="predict", gamma_over_l=0.5).validate()
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "c.txt"

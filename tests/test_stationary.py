@@ -478,6 +478,59 @@ class TestEstimateStationarySweep:
         _sweep_matches_separate_calls(chains, **kwargs)
 
 
+@pytest.mark.filterwarnings("ignore:step-size conditions")
+class TestThetaOnlySweep:
+    @pytest.mark.parametrize("thinning", [1, 2])
+    def test_theta_fields_equal_the_default_call(self, thinning):
+        chains = _speedup_chains()
+        full = stationary.estimate_stationary_sweep(chains, n_samples=100, thinning=thinning)
+        theta_only = stationary.estimate_stationary_sweep(chains, n_samples=100,
+                                                          thinning=thinning, xi_moments=False)
+        assert len({est.burn_in_rounds for est in full}) == 3
+        for got, expected in zip(theta_only, full):
+            assert got.burn_in_rounds == expected.burn_in_rounds
+            assert (got.n_samples, got.thinning) == (expected.n_samples, expected.thinning)
+            for name in ("bias_theta", "cov_theta", "se_bias"):
+                assert np.array_equal(getattr(got, name), getattr(expected, name)), name
+            assert got.cov_theta_xi is None and got.cov_xi is None
+
+    def test_report_needs_xi_moments(self):
+        est = stationary.estimate_stationary_sweep(_speedup_chains(n_list=(2,)), n_samples=100,
+                                                   xi_moments=False)[0]
+        with pytest.raises(ValueError, match="xi_moments"):
+            stationary.estimate_report(est)
+
+    # the state overflows (x300) or only the moment sums, theta's among
+    # them, do (x80), as in test_one_diverging_chain_raises_at_its_own_round
+    @pytest.mark.parametrize("factor", [300.0, 80.0])
+    def test_divergence_raises_at_the_default_round(self, factor):
+        chains = _speedup_chains(n_list=(2, 4, 8))
+        problem, cert, config = chains[1]
+        chains[1] = (problem, cert, replace(config, gamma=factor * config.gamma))
+        with pytest.raises(DivergenceError) as full:
+            stationary.estimate_stationary_sweep(chains, n_samples=100)
+        with pytest.raises(DivergenceError) as theta_only:
+            stationary.estimate_stationary_sweep(chains, n_samples=100, xi_moments=False)
+        assert theta_only.value.round_index == full.value.round_index
+
+    def test_speedup_task_asks_for_theta_only(self, monkeypatch):
+        config = harness.ExperimentConfig(
+            task="speedup", loss="quadratic", l2_weight=0.5, n_features=3,
+            records_per_client=4, informative=[2, 3], noise_std=2.0, batch_size=2,
+            n_clients=[2, 4], gamma=None, gamma_over_l=0.125, local_steps=3, seeds=[0],
+            n_samples=100).validate()
+        sweep = stationary.estimate_stationary_sweep
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(stationary, "estimate_stationary_sweep", spy)
+        harness.run_speedup(config)
+        assert [call.get("xi_moments") for call in calls] == [False]
+
+
 class TestPredictionReport:
     def test_report_structure(self, logistic_problem):
         cert = certificate_for(logistic_problem)
