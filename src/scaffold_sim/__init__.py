@@ -15,17 +15,16 @@ from .algorithms import (
     run_sweep,
     scaffold_round,
 )
-from .core import ChainState, RngStream, RunConfig, derive_stream, lambda_norm_sq
+from .core import ChainState, RunConfig, lambda_norm_sq
 from .datagen import ClientDataset, make_classification, make_regression, split_two_blocks
 from .objectives import (
     Problem,
     full_gradient,
     hessian,
     noise_covariance_at,
-    stochastic_gradient,
     third_derivative_apply,
 )
-from .optimum import OptimumCertificate, SolverError, build_certificate, certificate_report, solve_optimum
+from .optimum import OptimumCertificate, SolverError, build_certificate, solve_optimum
 from .stationary import (
     ComplexityRecipe,
     FirstOrderPrediction,
@@ -47,16 +46,13 @@ __all__ = [
     "FirstOrderPrediction",
     "OptimumCertificate",
     "Problem",
-    "RngStream",
     "RunConfig",
     "SolverError",
     "StationaryEstimate",
     "Trajectory",
     "build_certificate",
-    "certificate_report",
     "complexity_recipe",
     "coupled_run",
-    "derive_stream",
     "estimate_stationary",
     "estimate_stationary_sweep",
     "fedavg_round",
@@ -72,7 +68,6 @@ __all__ = [
     "scaffold_round",
     "solve_optimum",
     "split_two_blocks",
-    "stochastic_gradient",
     "sylvester_solve",
     "third_derivative_apply",
 ]

@@ -58,21 +58,6 @@ class Trajectory:
     mse: np.ndarray
     lambda_dist: np.ndarray | None = None
 
-    def to_csv(self, path=None):
-        """Serialize as `t,mse[,lambda_dist]` with 17 significant digits."""
-        with_dist = self.lambda_dist is not None
-        lines = ["t,mse,lambda_dist" if with_dist else "t,mse"]
-        for i, t in enumerate(self.rounds):
-            row = f"{t},{self.mse[i]:.17g}"
-            if with_dist:
-                row += f",{self.lambda_dist[i]:.17g}"
-            lines.append(row)
-        text = "\n".join(lines) + "\n"
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
-
 
 def _block_keys(problem, config):
     # what every chain of one block must share

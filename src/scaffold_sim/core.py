@@ -12,15 +12,13 @@ per-client work is scheduled.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "ChainState",
     "RunConfig",
-    "RngStream",
-    "derive_stream",
     "batch_uniform_indices",
     "lambda_norm_sq",
 ]
@@ -72,55 +70,13 @@ def _raw_words(key, count, offset=0):
         return _finalize(key[..., None] + ctr)
 
 
-@dataclass(frozen=True)
-class RngStream:
-    """Pure random stream identified by (root_seed, round, client, step).
-
-    The same tuple always yields the same draws, on any machine and under
-    any thread count.
-    """
-
-    root_seed: int
-    round: int
-    client: int
-    step: int
-    _key: np.uint64 = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_key", _mix_key(self.root_seed, self.round, self.client, self.step)
-        )
-
-    def raw(self, count, offset=0):
-        """First `count` 64-bit words of the stream (after `offset` words)."""
-        return _raw_words(self._key, count, offset)
-
-    def uniform_indices(self, n, count):
-        """`count` i.i.d. uniform draws from {0, ..., n-1}."""
-        if n <= 0:
-            raise ValueError(f"need n >= 1, got {n}")
-        words = _raw_words(self._key, count)
-        # modulo map; bias is ~n/2^64, negligible for in-memory datasets
-        words %= _U64(n)
-        return words.view(np.int64)
-
-    def uniforms(self, count):
-        """`count` i.i.d. uniform draws from [0, 1)."""
-        words = _raw_words(self._key, count)
-        return (words >> _U64(11)).astype(np.float64) * (2.0 ** -53)
-
-
-def derive_stream(root_seed, round_idx, client, step):
-    """Stream for one (seed, round, client, step) tuple; a pure function."""
-    return RngStream(root_seed, round_idx, client, step)
-
-
 def batch_uniform_indices(root_seed, round_idx, client_ids, n_steps, n_records, batch):
     """Minibatch indices for a whole round, shape (n_steps, n_clients, batch).
 
-    Entry [h, i, :] equals derive_stream(root_seed, round_idx,
-    client_ids[i], h).uniform_indices(n_records, batch), computed in one
-    vectorized pass.  `root_seed`, `round_idx` and `n_records` are each a
+    Entry [h, i, :] is the first `batch` words of the (root_seed,
+    round_idx, client_ids[i], h) stream modulo n_records, computed in one
+    vectorized pass; `derive_stream` in tests/reference.py draws one such
+    entry.  `root_seed`, `round_idx` and `n_records` are each a
     scalar or, like `client_ids`, one value per column, so clients of
     several chains (seeds, rounds, data sizes) are drawn in one call.  A
     `round_idx` of shape (B, 1, 1) or (B, 1, n_clients) draws B rounds at
@@ -139,8 +95,8 @@ def batch_uniform_indices(root_seed, round_idx, client_ids, n_steps, n_records, 
 class ChainState:
     """State of the coupled chain: global parameter plus N control variates.
 
-    The control variates live on the sum-zero subspace; `recenter` projects
-    back onto it (the projection is analytically a no-op).
+    The control variates live on the sum-zero subspace; the round operator
+    re-centers them onto it (analytically a no-op).
     """
 
     theta: np.ndarray
@@ -168,21 +124,6 @@ class ChainState:
     @property
     def n_clients(self):
         return self.xis.shape[0]
-
-    def sum_zero_violation(self):
-        """Max-abs entry of sum_c xi_c, the distance from the state space."""
-        return float(np.max(np.abs(self.xis.sum(axis=0))))
-
-    def on_state_space(self, tol=SUM_ZERO_TOL):
-        scale = 1.0 + float(np.max(np.abs(self.xis))) if self.xis.size else 1.0
-        return self.sum_zero_violation() <= tol * scale
-
-    def recenter(self):
-        """Project the control variates back onto the sum-zero subspace."""
-        self.xis -= self.xis.mean(axis=0, keepdims=True)
-
-    def copy(self):
-        return ChainState(self.theta.copy(), self.xis.copy())
 
     @classmethod
     def unchecked(cls, theta, xis):
@@ -235,7 +176,7 @@ class RunConfig:
     algorithm: str = "scaffold"
 
     def __post_init__(self):
-        if self.gamma <= 0:
+        if not self.gamma > 0:  # NaN fails too
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         if self.local_steps < 1:
             raise ValueError(f"local_steps must be >= 1, got {self.local_steps}")

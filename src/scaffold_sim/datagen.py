@@ -17,8 +17,6 @@ __all__ = [
     "make_regression",
     "make_classification",
     "split_two_blocks",
-    "dataset_to_csv",
-    "dataset_from_csv",
 ]
 
 
@@ -130,24 +128,3 @@ def split_two_blocks(dataset_a, dataset_b, n_clients):
             )
     return clients
 
-
-def dataset_to_csv(dataset: ClientDataset, path):
-    """Write one client's records as CSV: header f0,...,f{d-1},y."""
-    d = dataset.d
-    header = ",".join(f"f{j}" for j in range(d)) + ",y"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row, y in zip(dataset.features, dataset.targets):
-            fields = [f"{v:.17g}" for v in row] + [f"{y:.17g}"]
-            fh.write(",".join(fields) + "\n")
-
-
-def dataset_from_csv(path, client_id=0):
-    """Read a dataset written by `dataset_to_csv`."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if not header or header[-1] != "y" or header[0] != "f0":
-            raise ValueError(f"{path}: not a dataset CSV (bad header)")
-        rows = [[float(v) for v in line.split(",")] for line in fh if line.strip()]
-    data = np.asarray(rows, dtype=np.float64)
-    return ClientDataset(data[:, :-1], data[:, -1], client_id=client_id)

@@ -100,12 +100,14 @@ class ExperimentConfig:
             raise ConfigError(f"key `task`: must be one of {TASKS}, got {self.task!r}")
         if self.loss not in ("quadratic", "logistic"):
             raise ConfigError(f"key `loss`: must be quadratic or logistic, got {self.loss!r}")
-        if not self.l2_weight >= 0:  # NaN fails too
-            raise ConfigError(f"key `l2_weight`: must be >= 0, got {self.l2_weight}")
-        for key in ("noise_std", "class_sep"):
-            value = getattr(self, key)
-            if not (np.isfinite(value) and value >= 0):
-                raise ConfigError(f"key `{key}`: must be finite and >= 0, got {value}")
+        for section in _SCHEMA.values():
+            for key, (attr, conv) in section.items():
+                value = getattr(self, attr)
+                if conv is _parse_float and value is not None and not np.isfinite(value):
+                    raise ConfigError(f"key `{key}`: must be finite, got {value}")
+        for key in ("l2_weight", "noise_std", "class_sep"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"key `{key}`: must be >= 0, got {getattr(self, key)}")
         if self.records_per_client < 1:
             raise ConfigError(
                 f"key `records_per_client`: must be >= 1, got {self.records_per_client}")

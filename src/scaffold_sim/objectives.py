@@ -18,14 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RngStream
 from .datagen import ClientDataset
 
 __all__ = [
     "Problem",
-    "loss_value",
     "full_gradient",
-    "stochastic_gradient",
     "stacked_minibatch_gradient",
     "hessian",
     "third_derivative_apply",
@@ -113,20 +110,6 @@ def _sigmoid(z):
     return np.where(z >= 0, 1.0 / den, ez / den)
 
 
-def loss_value(problem, client, theta):
-    """Client loss f_c(theta), averaged over the client's records."""
-    ds = problem.clients[client]
-    theta = np.asarray(theta, dtype=np.float64)
-    margin = ds.features @ theta
-    if problem.loss == "quadratic":
-        data_term = 0.5 * np.mean((margin - ds.targets) ** 2)
-    else:
-        z = -ds.targets * margin
-        # log(1 + e^z), stable for large |z|
-        data_term = np.mean(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))))
-    return float(data_term + 0.5 * problem.l2_weight * theta @ theta)
-
-
 def _loss_weights(margin, targets, loss):
     """Per-record derivative of the data loss with respect to the margin."""
     if loss == "quadratic":
@@ -140,9 +123,9 @@ def stacked_minibatch_gradient(features, targets, thetas, loss, l2_weight):
     features: (N, m, d), targets: (N, m), thetas: (..., N, d); returns
     (..., N, d).  Leading axes of `thetas` are chains that share the
     gathered stack; each of their rows equals the one-chain result bit for
-    bit.  This kernel is the single arithmetic path used by both the
-    per-client `stochastic_gradient` and the round simulator, so that a
-    one-client simulation reproduces plain SGD bit for bit.
+    bit.  The round simulator and the exact client gradients share this
+    kernel; `stochastic_gradient` in tests/reference.py is its one-client
+    minibatch case, which a one-client simulation reproduces bit for bit.
     """
     margin = np.einsum("nmd,...nd->...nm", features, thetas)
     weights = _loss_weights(margin, targets, loss)
@@ -201,13 +184,6 @@ def per_client(problem, kernel, *args):
             out = np.empty((problem.n_clients,) + part.shape[1:])
         out[clients] = part
     return out
-
-
-def _one_client(problem, client, kernel, theta, *args):
-    """`kernel` at theta on one client's records: `per_client` for one client."""
-    ds = problem.clients[client]
-    theta = np.asarray(theta, dtype=np.float64)
-    return kernel(ds.features[None], ds.targets[None], theta, *args)[0]
 
 
 def _margins(features, theta):
@@ -309,51 +285,20 @@ def client_noise_covariances(problem, theta):
 
 
 def full_gradient(problem, client, theta):
-    """Exact gradient of the client loss, including the l2 term."""
-    return _one_client(problem, client, _gradient_stack, theta,
-                       problem.loss, problem.l2_weight)
-
-
-def stochastic_gradient(problem, client, theta, stream: RngStream):
-    """Minibatch gradient: b records drawn i.i.d. uniformly with replacement.
-
-    Unbiased for `full_gradient`; identical streams give identical output.
-    """
-    ds = problem.clients[client]
-    theta = np.asarray(theta, dtype=np.float64)
-    idx = stream.uniform_indices(ds.n_records, problem.batch_size)
-    return stacked_minibatch_gradient(
-        ds.features[idx][None], ds.targets[idx][None], theta[None],
-        problem.loss, problem.l2_weight,
-    )[0]
+    """Exact gradient of one client loss: its row of `client_gradients`."""
+    return client_gradients(problem, theta)[client]
 
 
 def hessian(problem, client, theta):
-    """Exact Hessian of the client loss."""
-    return _one_client(problem, client, _hessian_stack, theta,
-                       problem.loss, problem.l2_weight)
+    """Exact Hessian of one client loss: its row of `client_hessians`."""
+    return client_hessians(problem, theta)[client]
 
 
 def third_derivative_apply(problem, client, theta, matrix):
-    """Contraction of the third derivative with a symmetric matrix M.
-
-    Returns the vector with entries sum_{j,k} d^3 f / dtheta_i dtheta_j
-    dtheta_k * M_{jk}.  Zero for the quadratic loss.
-    """
-    return _one_client(problem, client, _third_stack, theta, _check_symmetric(matrix),
-                       problem.loss)
-
-
-def per_record_gradients(problem, client, theta):
-    """All per-record gradients at theta, shape (n, d), including l2."""
-    return _one_client(problem, client, _record_gradient_stack, theta,
-                       problem.loss, problem.l2_weight)
+    """One client's row of `client_third_derivatives`."""
+    return client_third_derivatives(problem, theta, matrix)[client]
 
 
 def noise_covariance_at(problem, client, theta):
-    """Exact covariance of the minibatch gradient noise at theta.
-
-    One client's case of `client_noise_covariances`.
-    """
-    return _one_client(problem, client, _noise_stack, theta, problem.loss,
-                       problem.l2_weight, problem.batch_size)
+    """One client's row of `client_noise_covariances`."""
+    return client_noise_covariances(problem, theta)[client]

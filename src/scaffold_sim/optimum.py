@@ -8,7 +8,7 @@ and exact per-client gradient-noise covariances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ __all__ = [
     "SolverError",
     "solve_optimum",
     "build_certificate",
-    "certificate_report",
 ]
 
 class SolverError(RuntimeError):
@@ -81,9 +80,7 @@ class OptimumCertificate:
 
     `mu_is_local_estimate` flags that for the logistic loss the strong
     convexity constant is measured at theta_star only; the l2 weight is the
-    certified global lower bound.  `beta_is_estimate` flags that the noise
-    growth coefficient is a regression proxy, not a closed form; it is
-    evaluated from `problem` on each read, since only reports use it.
+    certified global lower bound.
     """
 
     theta_star: np.ndarray
@@ -99,10 +96,7 @@ class OptimumCertificate:
     hessians: np.ndarray  # (N, d, d), client Hessians at theta_star
     sigma_eps_avg: np.ndarray  # (d, d)
     hessian_star: np.ndarray  # (d, d), average Hessian at theta_star
-    problem: Problem = field(repr=False, compare=False)
     mu_is_local_estimate: bool = False
-    beta_is_estimate: bool = True
-    l2_weight: float = field(default=0.0)
 
     @property
     def n_clients(self):
@@ -111,37 +105,6 @@ class OptimumCertificate:
     @property
     def d(self):
         return self.theta_star.shape[0]
-
-    @property
-    def beta_proxy(self):
-        return _beta_proxy(self.problem, self.theta_star, self.sigma_star_sq)
-
-
-def _max_trace(matrices):
-    return float(np.trace(matrices, axis1=1, axis2=2).max())
-
-
-def _beta_proxy(problem, theta_star, base, n_probe=20, radius=1.0, seed=1234):
-    """Regression slope of noise variance growth against squared distance.
-
-    Samples theta around theta_star, evaluates the worst-client noise trace,
-    and fits trace(theta) - base ~ beta * ||theta - theta_star||^2 through
-    the origin, where `base` is the worst-client trace at theta_star.  An
-    estimate, not a certified bound.
-    """
-    rng = np.random.default_rng(seed)
-    xs, ys = [], []
-    for _ in range(n_probe):
-        direction = rng.standard_normal(problem.d)
-        direction /= np.linalg.norm(direction)
-        theta = theta_star + radius * rng.uniform(0.1, 1.0) * direction
-        val = _max_trace(objectives.client_noise_covariances(problem, theta))
-        xs.append(float(np.sum((theta - theta_star) ** 2)))
-        ys.append(val - base)
-    xs = np.asarray(xs)
-    ys = np.asarray(ys)
-    slope = float(xs @ ys / (xs @ xs))
-    return max(slope, 0.0)
 
 
 def build_certificate(problem: Problem, theta_star) -> OptimumCertificate:
@@ -184,7 +147,7 @@ def build_certificate(problem: Problem, theta_star) -> OptimumCertificate:
 
     sigma_eps = objectives.client_noise_covariances(problem, theta_star)
     sigma_eps_avg = sigma_eps.mean(axis=0)
-    sigma_star_sq = _max_trace(sigma_eps)
+    sigma_star_sq = float(np.trace(sigma_eps, axis1=1, axis2=2).max())
 
     return OptimumCertificate(
         theta_star=theta_star,
@@ -200,25 +163,6 @@ def build_certificate(problem: Problem, theta_star) -> OptimumCertificate:
         hessians=hessians,
         sigma_eps_avg=sigma_eps_avg,
         hessian_star=hess_avg,
-        problem=problem,
         mu_is_local_estimate=(problem.loss == "logistic"),
-        beta_is_estimate=True,
-        l2_weight=lam,
     )
 
-
-def certificate_report(cert: OptimumCertificate) -> str:
-    """Flat key-value text report of the scalar certificate constants."""
-    lines = [
-        f"mu = {cert.mu:.17g}",
-        f"L = {cert.big_l:.17g}",
-        f"Q = {cert.third_deriv_bound:.17g}",
-        f"zeta1 = {cert.zeta1:.17g}",
-        f"zeta2 = {cert.zeta2:.17g}",
-        f"sigma_star_sq = {cert.sigma_star_sq:.17g}",
-        f"grad_norm_at_star = {cert.grad_norm_at_star:.17g}",
-        f"beta_proxy = {cert.beta_proxy:.17g}",
-        f"mu_is_local_estimate = {str(cert.mu_is_local_estimate).lower()}",
-        f"beta_is_estimate = {str(cert.beta_is_estimate).lower()}",
-    ]
-    return "\n".join(lines) + "\n"

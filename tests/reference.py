@@ -1,0 +1,103 @@
+"""Scalar and one-client references that tests compare the simulator against.
+
+The simulator computes these in vectorized form: the counter-based stream
+of one (seed, round, client, step) tuple, one client's minibatch gradient,
+loss and per-record gradients, and the sum-zero check of a chain state.
+Tests import this module the way they import `conftest`.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from scaffold_sim.core import _U64, SUM_ZERO_TOL, _mix_key, _raw_words
+from scaffold_sim.objectives import _record_gradient_stack, stacked_minibatch_gradient
+
+
+@dataclass(frozen=True)
+class RngStream:
+    """Pure random stream identified by (root_seed, round, client, step).
+
+    The same tuple always yields the same draws, on any machine and under
+    any thread count.
+    """
+
+    root_seed: int
+    round: int
+    client: int
+    step: int
+    _key: np.uint64 = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "_key", _mix_key(self.root_seed, self.round, self.client, self.step)
+        )
+
+    def raw(self, count, offset=0):
+        """First `count` 64-bit words of the stream (after `offset` words)."""
+        return _raw_words(self._key, count, offset)
+
+    def uniform_indices(self, n, count):
+        """`count` i.i.d. uniform draws from {0, ..., n-1}."""
+        if n <= 0:
+            raise ValueError(f"need n >= 1, got {n}")
+        words = _raw_words(self._key, count)
+        # modulo map; bias is ~n/2^64, negligible for in-memory datasets
+        words %= _U64(n)
+        return words.view(np.int64)
+
+
+def derive_stream(root_seed, round_idx, client, step):
+    """Stream for one (seed, round, client, step) tuple; a pure function."""
+    return RngStream(root_seed, round_idx, client, step)
+
+
+def loss_value(problem, client, theta):
+    """Client loss f_c(theta), averaged over the client's records."""
+    ds = problem.clients[client]
+    theta = np.asarray(theta, dtype=np.float64)
+    margin = ds.features @ theta
+    if problem.loss == "quadratic":
+        data_term = 0.5 * np.mean((margin - ds.targets) ** 2)
+    else:
+        z = -ds.targets * margin
+        # log(1 + e^z), stable for large |z|
+        data_term = np.mean(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))))
+    return float(data_term + 0.5 * problem.l2_weight * theta @ theta)
+
+
+def stochastic_gradient(problem, client, theta, stream: RngStream):
+    """Minibatch gradient: b records drawn i.i.d. uniformly with replacement.
+
+    Unbiased for `full_gradient`; identical streams give identical output.
+    One client's case of the round simulator's kernel,
+    `stacked_minibatch_gradient`, so a one-client simulation reproduces
+    plain SGD bit for bit.
+    """
+    ds = problem.clients[client]
+    theta = np.asarray(theta, dtype=np.float64)
+    idx = stream.uniform_indices(ds.n_records, problem.batch_size)
+    return stacked_minibatch_gradient(
+        ds.features[idx][None], ds.targets[idx][None], theta[None],
+        problem.loss, problem.l2_weight,
+    )[0]
+
+
+def per_record_gradients(problem, client, theta):
+    """All per-record gradients at theta, shape (n, d), including l2."""
+    ds = problem.clients[client]
+    theta = np.asarray(theta, dtype=np.float64)
+    return _record_gradient_stack(ds.features[None], ds.targets[None], theta,
+                                  problem.loss, problem.l2_weight)[0]
+
+
+def sum_zero_violation(theta, xis):
+    """Max-abs entry of sum_c xi_c, the distance from the state space."""
+    return float(np.max(np.abs(xis.sum(axis=0))))
+
+
+def on_state_space(theta, xis, tol=SUM_ZERO_TOL):
+    scale = 1.0 + float(np.max(np.abs(xis))) if xis.size else 1.0
+    return sum_zero_violation(theta, xis) <= tol * scale

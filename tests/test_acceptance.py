@@ -24,9 +24,10 @@ import pytest
 
 from scaffold_sim import algorithms, datagen, objectives, optimum, stationary
 from scaffold_sim.cli import main as cli_main
-from scaffold_sim.core import ChainState, RunConfig, derive_stream
+from scaffold_sim.core import ChainState, RunConfig
 from scaffold_sim.harness import ExperimentConfig, build_problem, run_speedup
 
+from reference import derive_stream, per_record_gradients, stochastic_gradient, sum_zero_violation
 from test_objectives import fd_third_apply
 
 pytestmark = pytest.mark.filterwarnings("ignore:step-size conditions")
@@ -116,7 +117,7 @@ def test_invariants(report, n8_setup):
         state = algorithms.scaffold_round(state, problem, config, t)
         dist = np.sqrt(lambda_norm_sq(state, target, gamma, 10))
         max_dist = max(max_dist, dist)
-        max_violation = max(max_violation, state.sum_zero_violation())
+        max_violation = max(max_violation, sum_zero_violation(state.theta, state.xis))
     ok = max_dist <= 1e-10 and max_violation <= 1e-8
     report("invariants", ok,
            f"max fixed-point drift {max_dist:.3g}, max sum-zero "
@@ -298,7 +299,7 @@ def test_oracle_equivalence(report, two_client_1d):
     from scaffold_sim.core import batch_uniform_indices
     idx = batch_uniform_indices(7, 0, np.array([0], dtype=np.uint64),
                                 100000, 60, 5)[:, 0, :]
-    grads = objectives.per_record_gradients(problem, 0, theta)
+    grads = per_record_gradients(problem, 0, theta)
     draws = grads[idx].mean(axis=1)
     centered = draws - objectives.full_gradient(problem, 0, theta)
     empirical = centered.T @ centered / len(draws)
@@ -317,7 +318,7 @@ def test_oracle_equivalence(report, two_client_1d):
         state = algorithms.scaffold_round(state, sgd_problem, config, t)
         for h in range(7):
             stream = derive_stream(13, t, 0, h)
-            grad = objectives.stochastic_gradient(sgd_problem, 0, theta_sgd, stream)
+            grad = stochastic_gradient(sgd_problem, 0, theta_sgd, stream)
             theta_sgd = theta_sgd - 0.01 * grad
     ok_sgd = bool(np.array_equal(state.theta, theta_sgd))
     details.append(f"single-client sgd bitwise {ok_sgd}")

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scaffold_sim import algorithms, datagen, objectives, optimum, stationary
-from scaffold_sim.core import ChainState, RunConfig, derive_stream, lambda_norm_sq
-from scaffold_sim.objectives import stochastic_gradient
+from scaffold_sim.core import ChainState, RunConfig, lambda_norm_sq
 
 from conftest import random_problem
+from reference import derive_stream, on_state_space, stochastic_gradient
 
 
 def make_config(problem, **kwargs):
@@ -95,7 +95,7 @@ class TestScaffoldRound:
         state = ChainState.zeros(logistic_problem.d, logistic_problem.n_clients)
         for t in range(8):
             state = algorithms.scaffold_round(state, logistic_problem, config, t)
-            assert state.on_state_space(tol=1e-12)
+            assert on_state_space(state.theta, state.xis, tol=1e-12)
 
     def test_single_client_controls_stay_zero(self):
         problem = random_problem("quadratic", n_clients=1, seed=12)
@@ -257,7 +257,8 @@ class TestCoupledRun:
     def test_identical_chains_stay_identical(self, quad_problem):
         config = make_config(quad_problem, rounds=6, seed=17)
         state = ChainState.zeros(quad_problem.d, quad_problem.n_clients)
-        dist = algorithms.coupled_run(quad_problem, config, state, state.copy())
+        dist = algorithms.coupled_run(quad_problem, config, state,
+                                      ChainState(state.theta.copy(), state.xis.copy()))
         assert dist.shape == (7,)
         assert np.all(dist == 0.0)
 
@@ -287,7 +288,8 @@ class TestCoupledRun:
         config = make_config(quad_problem, rounds=3, algorithm="fedavg")
         state = ChainState.zeros(quad_problem.d, quad_problem.n_clients)
         with pytest.raises(ValueError, match="algorithm"):
-            algorithms.coupled_run(quad_problem, config, state, state.copy())
+            algorithms.coupled_run(quad_problem, config, state,
+                                   ChainState(state.theta.copy(), state.xis.copy()))
 
 
 class TestRaggedClients:
@@ -315,22 +317,6 @@ class TestRaggedClients:
             endpoints.append(theta)
         endpoints = np.stack(endpoints)
         assert np.allclose(out.theta, endpoints.mean(axis=0), atol=1e-15)
-
-
-class TestTrajectoryCsv:
-    def test_csv_format(self, tmp_path):
-        traj = algorithms.Trajectory(np.array([0, 1]), np.array([2.0, 0.5]),
-                                     np.array([3.0, 1.0]))
-        path = tmp_path / "traj.csv"
-        text = traj.to_csv(path)
-        assert path.read_text() == text
-        lines = text.splitlines()
-        assert lines[0] == "t,mse,lambda_dist"
-        assert lines[1] == "0,2,3"
-
-    def test_csv_without_lambda(self):
-        traj = algorithms.Trajectory(np.array([0]), np.array([1.25]))
-        assert traj.to_csv().splitlines() == ["t,mse", "0,1.25"]
 
 
 class TestFlatGather:
@@ -684,7 +670,8 @@ class TestChainBlock:
         got_xis = got_xis.reshape(-1, block.n_rows, 3)
         for k in range(n_scaffold):
             for g, rows in enumerate(block.slices):
-                assert ChainState(got_theta[k, g], got_xis[k, rows]).on_state_space()
+                state = ChainState(got_theta[k, g], got_xis[k, rows])
+                assert on_state_space(state.theta, state.xis)
         assert not got_xis[n_scaffold:].any()
 
     def test_divergence_reports_the_chain_round(self, quad_problem):

@@ -92,21 +92,3 @@ class TestSplitTwoBlocks:
         with pytest.raises(ValueError):
             datagen.split_two_blocks(a, a, 3)
 
-
-class TestCsvRoundTrip:
-    def test_round_trip(self, tmp_path):
-        x, y, _ = datagen.make_regression(17, 4, 2, seed=2)
-        ds = datagen.ClientDataset(x, y, client_id=5)
-        path = tmp_path / "client.csv"
-        datagen.dataset_to_csv(ds, path)
-        header = path.read_text().splitlines()[0]
-        assert header == "f0,f1,f2,f3,y"
-        loaded = datagen.dataset_from_csv(path, client_id=5)
-        assert np.array_equal(loaded.features, ds.features)
-        assert np.array_equal(loaded.targets, ds.targets)
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(ValueError, match="header"):
-            datagen.dataset_from_csv(path)

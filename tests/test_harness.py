@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import importlib
 import importlib.util
 import math
 import re
@@ -316,6 +317,10 @@ class TestConfigRanges:
         ("run", "algorithms = sgd", "algorithms"),
         ("run", "n_samples = 99", "n_samples"),
         ("run", "epsilon = 0", "epsilon"),
+        ("run", "gamma = nan", "gamma"),
+        ("run", "gamma_over_L = inf", "gamma_over_L"),
+        ("run", "epsilon = nan", "epsilon"),
+        ("problem", "l2_weight = inf", "l2_weight"),
     ])
     def test_out_of_range_value_names_the_key(self, tmp_path, section, line, key):
         path = tmp_path / "c.txt"
@@ -571,6 +576,19 @@ def test_benchmark_lookup_sites_resolve():
     spec.loader.exec_module(spans)
     for module, attr, _, _ in spans.FULL_SITES:
         assert callable(getattr(getattr(scaffold_sim, module), attr)), f"{module}.{attr}"
+
+
+def test_exports_resolve():
+    # a trimmed module must not leave a stale name in an `__all__`
+    package = Path(scaffold_sim.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        module = importlib.import_module(f"scaffold_sim.{path.stem}".removesuffix(".__init__"))
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{path.name}: {name}"
+    tree = ast.parse((package / "__init__.py").read_text())
+    imported = [alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names]
+    assert sorted(scaffold_sim.__all__) == sorted(imported)
 
 
 def _is_private(name):

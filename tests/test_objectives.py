@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scaffold_sim import datagen, objectives
-from scaffold_sim.core import batch_uniform_indices, derive_stream
+from scaffold_sim.core import batch_uniform_indices
 
 from conftest import random_problem
+from reference import derive_stream, loss_value, per_record_gradients, stochastic_gradient
 
 
 def fd_gradient(problem, client, theta, eps=1e-6):
@@ -18,8 +19,8 @@ def fd_gradient(problem, client, theta, eps=1e-6):
         up, down = theta.copy(), theta.copy()
         up[i] += eps
         down[i] -= eps
-        grad[i] = (objectives.loss_value(problem, client, up)
-                   - objectives.loss_value(problem, client, down)) / (2 * eps)
+        grad[i] = (loss_value(problem, client, up)
+                   - loss_value(problem, client, down)) / (2 * eps)
     return grad
 
 
@@ -84,7 +85,7 @@ class TestStochasticGradient:
         theta = np.array([0.3, -0.2])
         stream = derive_stream(0, 0, 0, 0)
         assert np.allclose(
-            objectives.stochastic_gradient(problem, 0, theta, stream),
+            stochastic_gradient(problem, 0, theta, stream),
             objectives.full_gradient(problem, 0, theta),
         )
 
@@ -92,8 +93,8 @@ class TestStochasticGradient:
         problem = random_problem("logistic", seed=3)
         theta = np.ones(problem.d)
         stream = derive_stream(9, 2, 1, 4)
-        a = objectives.stochastic_gradient(problem, 1, theta, stream)
-        b = objectives.stochastic_gradient(problem, 1, theta, stream)
+        a = stochastic_gradient(problem, 1, theta, stream)
+        b = stochastic_gradient(problem, 1, theta, stream)
         assert np.array_equal(a, b)
 
     def test_monte_carlo_unbiased(self):
@@ -104,7 +105,7 @@ class TestStochasticGradient:
         ds = problem.clients[0]
         idx = batch_uniform_indices(123, 0, np.array([0], dtype=np.uint64),
                                     n_draws, ds.n_records, problem.batch_size)[:, 0, :]
-        grads = objectives.per_record_gradients(problem, 0, theta)
+        grads = per_record_gradients(problem, 0, theta)
         draws = grads[idx].mean(axis=1)
         mean = draws.mean(axis=0)
         se = draws.std(axis=0, ddof=1) / np.sqrt(n_draws)
@@ -204,7 +205,7 @@ class TestNoiseCovariance:
         n_draws = 100_000
         idx = batch_uniform_indices(55, 0, np.array([2], dtype=np.uint64),
                                     n_draws, ds.n_records, problem.batch_size)[:, 0, :]
-        grads = objectives.per_record_gradients(problem, 2, theta)
+        grads = per_record_gradients(problem, 2, theta)
         draws = grads[idx].mean(axis=1)
         centered = draws - objectives.full_gradient(problem, 2, theta)
         empirical = centered.T @ centered / n_draws

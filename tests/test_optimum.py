@@ -90,7 +90,6 @@ class TestBuildCertificate:
         cert = optimum.build_certificate(logistic_problem, theta)
         assert cert.mu_is_local_estimate
         assert cert.third_deriv_bound > 0.0
-        assert cert.beta_is_estimate
 
     @pytest.mark.parametrize("loss", ["quadratic", "logistic"])
     def test_mu_and_l_bracket_hessian_spectra(self, loss):
@@ -114,29 +113,7 @@ class TestBuildCertificate:
         assert np.allclose(cert.sigma_eps_avg,
                            cert.sigma_eps_per_client.mean(axis=0))
 
-    def test_beta_proxy_nonnegative(self, logistic_problem):
-        theta = optimum.solve_optimum(logistic_problem)
-        cert = optimum.build_certificate(logistic_problem, theta)
-        assert cert.beta_proxy >= 0.0
-
-
-class TestCertificateReport:
-    def test_report_keys_and_roundtrip(self, quad_problem):
-        theta = optimum.solve_optimum(quad_problem)
-        cert = optimum.build_certificate(quad_problem, theta)
-        report = optimum.certificate_report(cert)
-        values = dict(line.split(" = ") for line in report.strip().splitlines())
-        for key in ("mu", "L", "Q", "zeta1", "zeta2", "sigma_star_sq",
-                    "grad_norm_at_star", "beta_proxy",
-                    "mu_is_local_estimate", "beta_is_estimate"):
-            assert key in values
-        assert float(values["mu"]) == cert.mu
-        assert float(values["sigma_star_sq"]) == cert.sigma_star_sq
-        assert values["mu_is_local_estimate"] == "false"
-
-
-class TestLazyBetaProxy:
-    def test_certificate_skips_probe_until_read(self, logistic_problem, monkeypatch):
+    def test_one_noise_covariance_pass(self, logistic_problem, monkeypatch):
         calls = []
         original = objectives.client_noise_covariances
 
@@ -145,29 +122,9 @@ class TestLazyBetaProxy:
             return original(*args)
 
         monkeypatch.setattr(objectives, "client_noise_covariances", counting)
-        cert = optimum.build_certificate(logistic_problem,
-                                         optimum.solve_optimum(logistic_problem))
-        # one table-wide noise covariance pass at theta_star, none for the probe
+        optimum.build_certificate(logistic_problem, optimum.solve_optimum(logistic_problem))
+        # one table-wide noise covariance pass at theta_star
         assert len(calls) == 1
-        first = cert.beta_proxy
-        assert len(calls) > 1
-        assert cert.beta_proxy == first
-        assert "problem" not in repr(cert)
-
-    def test_read_makes_the_probe_calls_only(self, logistic_problem, monkeypatch):
-        # the base trace at theta_star is sigma_star_sq, not a second pass
-        cert = optimum.build_certificate(logistic_problem,
-                                         optimum.solve_optimum(logistic_problem))
-        calls = []
-        original = objectives.client_noise_covariances
-
-        def counting(*args):
-            calls.append(args[1])
-            return original(*args)
-
-        monkeypatch.setattr(objectives, "client_noise_covariances", counting)
-        cert.beta_proxy
-        assert len(calls) == 20
 
 
 # Reference: the certificate constants as the per-client loops computed them.
@@ -197,24 +154,6 @@ def _reference_certificate(problem, theta_star):
     }
 
 
-def _reference_beta_proxy(problem, theta_star, n_probe=20, radius=1.0, seed=1234):
-    def worst_trace(theta):
-        return max(float(np.trace(_reference_noise_covariance(problem, c, theta)))
-                   for c in range(problem.n_clients))
-
-    rng = np.random.default_rng(seed)
-    base = worst_trace(theta_star)
-    xs, ys = [], []
-    for _ in range(n_probe):
-        direction = rng.standard_normal(problem.d)
-        direction /= np.linalg.norm(direction)
-        theta = theta_star + radius * rng.uniform(0.1, 1.0) * direction
-        xs.append(float(np.sum((theta - theta_star) ** 2)))
-        ys.append(worst_trace(theta) - base)
-    xs, ys = np.asarray(xs), np.asarray(ys)
-    return max(float(xs @ ys / (xs @ xs)), 0.0)
-
-
 class TestTableWideCertificate:
     @pytest.mark.parametrize("counts", [[25] * 5, [9, 25, 4, 9, 31]])
     @pytest.mark.parametrize("loss", ["quadratic", "logistic"])
@@ -225,7 +164,6 @@ class TestTableWideCertificate:
         for key, expected in _reference_certificate(problem, theta_star).items():
             got = getattr(cert, key)
             assert np.array_equal(got, expected), key
-        assert cert.beta_proxy == _reference_beta_proxy(problem, theta_star)
 
     @pytest.mark.parametrize("counts", [[25] * 5, [9, 25, 4, 9, 31]])
     @pytest.mark.parametrize("loss", ["quadratic", "logistic"])
