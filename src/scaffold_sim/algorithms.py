@@ -77,20 +77,25 @@ def _check_algorithm(config, algorithm, caller):
 
 
 def _flat_data(problems):
-    """The record tables of `problems`, concatenated, with row offsets.
+    """The distinct record tables of `problems`, concatenated, with row offsets.
 
     Returns (features (rows, d), targets (rows,), {id(problem): (first
-    rows, record counts, client ids)}), each problem's first rows offset
-    by the rows of the problems before it.  One problem's table is used
-    as it is, without a copy.
+    rows, record counts, client ids)}).  Problems that share a table (the
+    re-splits of one pool) share its rows, and each table's first rows are
+    offset by the rows of the distinct tables before it.  One distinct
+    table is used as it is, without a copy.
     """
-    offsets = np.cumsum([0] + [len(p.targets) for p in problems[:-1]])
-    clients = {id(p): (p.first_rows + offset, p.record_counts, p.client_ids)
-               for p, offset in zip(problems, offsets.tolist())}
-    if len(problems) == 1:
-        return problems[0].features, problems[0].targets, clients
-    features = np.concatenate([p.features for p in problems])
-    targets = np.concatenate([p.targets for p in problems])
+    tables = {}
+    for p in problems:
+        tables.setdefault((id(p.features), id(p.targets)), p)
+    owners = list(tables.values())
+    offsets = dict(zip(tables, np.cumsum([0] + [len(p.targets) for p in owners[:-1]]).tolist()))
+    clients = {id(p): (p.first_rows + offsets[id(p.features), id(p.targets)],
+                       p.record_counts, p.client_ids) for p in problems}
+    if len(owners) == 1:
+        return owners[0].features, owners[0].targets, clients
+    features = np.concatenate([p.features for p in owners])
+    targets = np.concatenate([p.targets for p in owners])
     return features, targets, clients
 
 
@@ -104,16 +109,17 @@ class ChainBlock:
 
     `chains` is a list of (problem, config) pairs.  Row r of the table is
     one client of one chain, and chain g owns the rows `slices[g]`.  Every
-    row carries its client's first row in the block's data (the record
-    tables of the block's problems, see `_flat_data`), its record count,
-    client id and seed, and its chain's step size, so chains with
-    different problems, client counts, step sizes and round indices share
-    each draw and one gather per local step.  A part that is the same on
-    every row stays a scalar, which mixes its RNG key once instead of per
-    row.  For exact gradients the block holds every record of every row in
-    `groups` of rows with equal record count (`record_groups`): views of
-    the table when the rows are one problem's equal-size clients in
-    order, else gathered once per block.
+    row carries its client's first row in the block's data (the distinct
+    record tables of the block's problems, each held once however many
+    problems share it, see `_flat_data`), its record count, client id and
+    seed, and its chain's step size, so chains with different problems,
+    client counts, step sizes and round indices share each draw and one
+    gather per local step.  A part that is the same on every row stays a
+    scalar, which mixes its RNG key once instead of per row.  For exact
+    gradients the block holds every record of every row in `groups` of
+    rows with equal record count (`record_groups`): views of the table
+    when the rows are one problem's equal-size clients in order, else
+    gathered once per block.
 
     The chains must share the loss, l2 weight, local steps, dimension and
     batch width (or all use exact gradients); a mismatch raises a

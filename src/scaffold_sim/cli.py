@@ -37,11 +37,12 @@ config file format (strict `key = value` lines under [section] headers):
   [run]                     all optional, defaults shown
   gamma = 0.05              or gamma_over_L = <x> to set gamma = x / L (not both)
   local_steps = 100
-  rounds = 100
+  rounds = 100              figure1 and coupling only
   batch_size = 10
-  n_clients = 10,100
-  seeds = 0,1,2
+  n_clients = 10,100        coupling, stationary, predict: the smallest only
+  seeds = 0,1,2             figure1, coupling: all; speedup, stationary: first
   algorithms = scaffold,fedavg
+                            figure1 only
   burn_in =                 stationary tasks; default ceil(16/(gamma*mu*H))
   n_samples = 1000          stationary tasks
   thinning = 1              stationary tasks

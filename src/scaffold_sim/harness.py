@@ -266,33 +266,41 @@ def format_config(config: ExperimentConfig) -> str:
     return "\n\n".join(sections) + "\n"
 
 
-def build_problem(config: ExperimentConfig, n_clients, source_records=None) -> Problem:
+def build_problem(config: ExperimentConfig, n_clients, pool=None) -> Problem:
     """Two-source heterogeneous problem for `n_clients` clients.
 
-    Each source holds `records_per_client * n_clients / 2` records unless
-    `source_records` overrides it (used when several client counts share
-    one data pool).
+    Each source holds `records_per_client * n_clients / 2` records.  With
+    `pool`, a problem built here, no records are generated: the pool's table
+    is re-split over `n_clients` (its first half of rows is source a, the
+    rest source b), and the new problem reads that table in place.
     """
-    size = source_records if source_records is not None else \
-        config.records_per_client * n_clients // 2
-    sources = []
-    for informative, seed in zip(config.informative, config.generator_seeds):
-        if config.loss == "quadratic":
-            x, y, _ = datagen.make_regression(
-                size, config.n_features, informative, config.noise_std, seed
-            )
-        else:
-            x, y = datagen.make_classification(
-                size, config.n_features, informative, config.class_sep, seed
-            )
-        sources.append((x, y))
+    if pool is not None:
+        x, y, half = pool.features, pool.targets, len(pool.targets) // 2
+        sources = [(x[:half], y[:half]), (x[half:], y[half:])]
+    else:
+        size = config.records_per_client * n_clients // 2
+        sources = []
+        for informative, seed in zip(config.informative, config.generator_seeds):
+            if config.loss == "quadratic":
+                x, y, _ = datagen.make_regression(
+                    size, config.n_features, informative, config.noise_std, seed
+                )
+            else:
+                x, y = datagen.make_classification(
+                    size, config.n_features, informative, config.class_sep, seed
+                )
+            sources.append((x, y))
     clients = datagen.split_two_blocks(sources[0], sources[1], n_clients)
     return Problem(clients, config.loss, config.l2_weight, config.batch_size)
 
 
-def _setup(config: ExperimentConfig, n_clients, source_records=None):
-    """(problem, certificate) for `n_clients` clients, as `build_problem`."""
-    problem = build_problem(config, n_clients, source_records)
+def _setup(config: ExperimentConfig, n_clients, pool=None):
+    """(problem, certificate) for `n_clients` clients, as `build_problem`.
+
+    Every task builds its problems here, through the module attribute
+    `build_problem`, so wrapping it times all data set-up.
+    """
+    problem = build_problem(config, n_clients, pool)
     return problem, build_certificate(problem, solve_optimum(problem))
 
 
@@ -358,15 +366,18 @@ def run_figure1(config: ExperimentConfig, threads=1):
 def run_speedup(config: ExperimentConfig):
     """Stationary parameter variance against the client count.
 
-    All client counts re-split one shared data pool (sized for the largest
-    N) so that the average noise level is common across rows; the step size
-    comes from the largest-N certificate and is shared too.  The chains of
-    all client counts run in lockstep as one block.
+    All client counts share one data pool, so that the average noise level
+    is common across rows: the largest N's problem is generated as usual,
+    and every other N re-splits its record table, which all problems and
+    the block then read in place.  The step size comes from the largest-N
+    certificate and is shared too.  The chains of all client counts run in
+    lockstep as one block.
     """
     n_list = sorted(set(config.n_clients))
     n_max = n_list[-1]
-    pool_records = config.records_per_client * n_max // 2
-    setups = {n: _setup(config, n, pool_records) for n in n_list}
+    setups = {n_max: _setup(config, n_max)}
+    for n in n_list[:-1]:
+        setups[n] = _setup(config, n, pool=setups[n_max][0])
     gamma = _resolve_gamma(config, setups[n_max][1])
 
     chains = [setups[n] + (_run_config(config, gamma, config.seeds[0]),)

@@ -44,11 +44,15 @@ _CHUNK_RECORDS = 8192
 class Problem:
     """A federated problem: per-client datasets, loss family, l2 weight.
 
-    Every client's records are concatenated once into one record table,
-    `features` (rows, d) and `targets` (rows,), and client c owns the rows
-    `first_rows[c]` to `first_rows[c] + record_counts[c]`; `client_ids`
-    holds its id as uint64.  `clients` holds copies of the given datasets
-    whose arrays are views of their rows, so the records are held once.
+    Every client's records are concatenated once into one read-only record
+    table, `features` (rows, d) and `targets` (rows,), and client c owns
+    the rows `first_rows[c]` to `first_rows[c] + record_counts[c]`;
+    `client_ids` holds its id as uint64.  `clients` holds copies of the
+    given datasets whose arrays are views of their rows, so the records are
+    held once.  Clients that are consecutive row blocks exactly covering
+    one read-only array (a re-split, see `harness.build_problem`) keep that
+    array as their table, uncopied; a writable array is always copied, so
+    no array a caller may still write to is aliased.
     """
 
     clients: list[ClientDataset]
@@ -76,8 +80,8 @@ class Problem:
         self.record_counts = np.array([c.n_records for c in self.clients])
         self.first_rows = np.cumsum(self.record_counts) - self.record_counts
         self.client_ids = np.array([c.client_id for c in self.clients], dtype=np.uint64)
-        self.features = np.concatenate([c.features for c in self.clients])
-        self.targets = np.concatenate([c.targets for c in self.clients])
+        self.features = _table([c.features for c in self.clients], self.first_rows)
+        self.targets = _table([c.targets for c in self.clients], self.first_rows)
         if self.loss == "logistic":
             bad = ~np.isin(self.targets, (-1.0, 1.0))
             if bad.any():
@@ -100,6 +104,26 @@ class Problem:
     @property
     def n_clients(self):
         return len(self.clients)
+
+
+def _table(parts, first_rows):
+    """`parts`, which start at `first_rows`, as one read-only record table.
+
+    Parts that are C-contiguous views of consecutive row blocks exactly
+    covering one read-only, C-contiguous array are read in place: that
+    array is the table.  Otherwise the table is their concatenation.
+    """
+    base = parts[0].base
+    if (isinstance(base, np.ndarray) and not base.flags.writeable
+            and base.flags.c_contiguous and base.dtype == parts[0].dtype
+            and base.shape == (int(first_rows[-1]) + len(parts[-1]),) + parts[0].shape[1:]
+            and all(p.base is base and p.flags.c_contiguous
+                    and p.ctypes.data == base.ctypes.data + f * base.strides[0]
+                    for p, f in zip(parts, first_rows.tolist()))):
+        return base
+    table = np.concatenate(parts)
+    table.flags.writeable = False
+    return table
 
 
 def _sigmoid(z):

@@ -685,6 +685,64 @@ class TestChainBlock:
         assert info.value.round_index == 17
 
 
+def _resplit(pool, n_clients):
+    # `pool`'s table in n_clients equal row blocks, as the speedup task
+    # re-splits its largest problem
+    x, y, half = pool.features, pool.targets, len(pool.targets) // 2
+    clients = datagen.split_two_blocks((x[:half], y[:half]), (x[half:], y[half:]), n_clients)
+    return objectives.Problem(clients, pool.loss, pool.l2_weight, pool.batch_size)
+
+
+class TestSharedTable:
+    def test_flat_data_returns_a_shared_table_uncopied(self):
+        pool = random_problem("quadratic", n_clients=8, n_records=6, d=3, batch_size=2)
+        problems = [_resplit(pool, 2), _resplit(pool, 4), pool]
+        assert all(p.features is pool.features for p in problems)
+        features, targets, clients = algorithms._flat_data(problems)
+        assert features is pool.features and targets is pool.targets
+        for p in problems:
+            first, counts, ids = clients[id(p)]
+            assert np.array_equal(first, p.first_rows)
+            assert np.array_equal(counts, p.record_counts)
+            assert np.array_equal(ids, p.client_ids)
+
+    def test_unrelated_problem_is_offset_past_the_shared_table(self):
+        pool = random_problem("quadratic", n_clients=4, n_records=6, d=3, batch_size=2)
+        other = random_problem("quadratic", n_clients=3, n_records=5, d=3, batch_size=2,
+                               seed=1)
+        split = _resplit(pool, 2)
+        features, targets, clients = algorithms._flat_data([split, other, pool])
+        rows = len(pool.targets)
+        assert features.shape == (rows + len(other.targets), 3)
+        assert np.array_equal(features[:rows], pool.features)
+        assert np.array_equal(features[rows:], other.features)
+        assert np.array_equal(targets, np.concatenate([pool.targets, other.targets]))
+        assert np.array_equal(clients[id(split)][0], split.first_rows)
+        assert np.array_equal(clients[id(pool)][0], pool.first_rows)
+        assert np.array_equal(clients[id(other)][0], other.first_rows + rows)
+
+    def test_block_rounds_over_resplits_equal_separate_rounds(self):
+        pool = random_problem("quadratic", n_clients=8, n_records=6, d=3, batch_size=3)
+        problems = [_resplit(pool, 2), _resplit(pool, 4), pool]
+        configs = [make_config(p, gamma=g, local_steps=4, seed=s)
+                   for p, g, s in zip(problems, (0.05, 0.02, 0.01), (3, 3, 8))]
+        block = algorithms.ChainBlock(list(zip(problems, configs)))
+        assert block.flat_x is pool.features
+        rng = np.random.default_rng(9)
+        thetas = rng.standard_normal((2, 3, 3))
+        xis = rng.standard_normal((2, block.n_rows, 3))
+        xis[1] = 0.0
+        got = list(algorithms.block_rounds(block, 1, thetas, xis, range(5)))
+        for g, (problem, config) in enumerate(zip(problems, configs)):
+            rows = block.slices[g]
+            alone = algorithms.ChainBlock([(problem, config)])
+            expected = algorithms.block_rounds(alone, 1, thetas[:, g:g + 1], xis[:, rows],
+                                               range(5))
+            for (got_theta, got_xis), (theta, xi) in zip(got, expected, strict=True):
+                assert np.array_equal(got_theta[:, g:g + 1], theta)
+                assert np.array_equal(got_xis[:, rows], xi)
+
+
 def _chunk(block):
     # rounds drawn by one RNG call of `block_rounds`
     return algorithms._CHUNK_WORDS // (block.local_steps * block.n_rows * block.batch)

@@ -360,12 +360,17 @@ class TestBuildProblem:
         assert not np.array_equal(problem.clients[0].features,
                                   problem.clients[2].features)
 
-    def test_source_records_override(self):
+    def test_pool_resplit(self, monkeypatch):
         config = ExperimentConfig(task="figure1", loss="quadratic",
                                   n_features=4, records_per_client=10,
                                   informative=[2, 4])
-        problem = harness.build_problem(config, 2, source_records=30)
+        pool = harness.build_problem(config, 6)
+        monkeypatch.delattr(harness.datagen, "make_regression")
+        problem = harness.build_problem(config, 2, pool=pool)
         assert all(c.n_records == 30 for c in problem.clients)
+        # source a's rows, then source b's, read in place
+        assert problem.features is pool.features and problem.targets is pool.targets
+        assert problem.first_rows.tolist() == [0, 30]
 
 
 def small_config(**kwargs):
@@ -427,6 +432,39 @@ class TestRunners:
         for line in lines[1:]:
             _, emp, pred = line.split(",")
             assert float(emp) > 0 and float(pred) > 0
+
+    def test_speedup_generates_one_pool(self, monkeypatch):
+        # the sources are generated once; every problem is built through the
+        # module attribute `build_problem` (set-up timers wrap it) and reads
+        # the largest N's table
+        generated, built, swept = [], [], []
+        make_regression, build_problem = harness.datagen.make_regression, harness.build_problem
+        sweep = harness.stationary.estimate_stationary_sweep
+
+        def counted_make_regression(*args):
+            generated.append(args[0])
+            return make_regression(*args)
+
+        def counted_build_problem(*args, **kwargs):
+            built.append(build_problem(*args, **kwargs))
+            return built[-1]
+
+        def recorded_sweep(chains, **kwargs):
+            swept.extend(problem for problem, _, _ in chains)
+            return sweep(chains, **kwargs)
+
+        monkeypatch.setattr(harness.datagen, "make_regression", counted_make_regression)
+        monkeypatch.setattr(harness, "build_problem", counted_build_problem)
+        monkeypatch.setattr(harness.stationary, "estimate_stationary_sweep", recorded_sweep)
+        config = small_config(task="speedup", n_clients=[2, 8, 4], n_samples=100)
+        harness.run_speedup(config)
+        assert generated == [20 * 8 // 2] * 2
+        assert sorted(p.n_clients for p in built) == [2, 4, 8]
+        largest = max(built, key=lambda p: p.n_clients)
+        assert [p.n_clients for p in swept] == [2, 4, 8]
+        assert all(any(p is b for b in built) for p in swept)
+        assert all(p.features is largest.features and p.targets is largest.targets
+                   for p in swept)
 
     def test_stationary_report(self):
         config = small_config(task="stationary", n_samples=100)

@@ -271,6 +271,55 @@ class TestRecordTable:
         assert all(np.shares_memory(c.features, problem.features) for c in problem.clients)
         assert not np.shares_memory(other.features, problem.features)
 
+    @staticmethod
+    def _read_only_base(rows=12, d=3, seed=6):
+        rng = np.random.default_rng(seed)
+        x, y = rng.standard_normal((rows, d)), rng.standard_normal(rows)
+        x.flags.writeable = y.flags.writeable = False
+        return x, y
+
+    @staticmethod
+    def _problem(x, y, blocks):
+        return objectives.Problem([datagen.ClientDataset(x[rows], y[rows], client_id=i)
+                                   for i, rows in enumerate(blocks)])
+
+    def test_consecutive_blocks_of_a_read_only_array_are_adopted(self):
+        x, y = self._read_only_base()
+        problem = self._problem(x, y, [slice(0, 5), slice(5, 6), slice(6, 12)])
+        assert problem.features is x and problem.targets is y
+        assert problem.first_rows.tolist() == [0, 5, 6]
+        for c, rows in zip(problem.clients, [slice(0, 5), slice(5, 6), slice(6, 12)]):
+            assert np.array_equal(c.features, x[rows]) and np.array_equal(c.targets, y[rows])
+        # a problem re-split from another's table shares it too
+        again = self._problem(problem.features, problem.targets, [slice(0, 6), slice(6, 12)])
+        assert again.features is x and again.targets is y
+
+    @pytest.mark.parametrize("layout", ["writable", "reversed", "gap", "strided", "partial"])
+    def test_other_layouts_are_copied(self, layout):
+        x, y = self._read_only_base()
+        blocks = [slice(0, 6), slice(6, 12)]
+        if layout == "writable":
+            x, y = x.copy(), y.copy()
+        elif layout == "reversed":
+            blocks = blocks[::-1]
+        elif layout == "gap":
+            blocks = [slice(0, 5), slice(6, 12)]
+        elif layout == "strided":
+            blocks = [slice(0, 12, 2), slice(1, 12, 2)]
+        elif layout == "partial":
+            blocks = [slice(0, 6), slice(6, 10)]
+        problem = self._problem(x, y, blocks)
+        assert not np.shares_memory(problem.features, x)
+        assert not np.shares_memory(problem.targets, y)
+        assert np.array_equal(problem.features, np.concatenate([x[b] for b in blocks]))
+        assert np.array_equal(problem.targets, np.concatenate([y[b] for b in blocks]))
+
+    def test_table_is_read_only(self, quad_problem):
+        for table in (quad_problem.features, quad_problem.targets,
+                      quad_problem.clients[0].features, quad_problem.clients[0].targets):
+            with pytest.raises(ValueError):
+                table[0] = 1.0
+
     def test_table_fields_are_derived(self, quad_problem):
         table = {"features", "targets", "first_rows", "record_counts", "client_ids"}
         for f in dataclasses.fields(objectives.Problem):

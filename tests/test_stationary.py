@@ -292,10 +292,10 @@ def _speedup_chains(n_list=(2, 8, 32), seed=1, **run):
     config = harness.ExperimentConfig(task="speedup", loss="quadratic", l2_weight=0.5,
                                       n_features=3, records_per_client=4,
                                       informative=[2, 3], noise_std=2.0, batch_size=2)
-    pool = config.records_per_client * max(n_list) // 2
+    pool = harness.build_problem(config, max(n_list))
     setups = []
     for n in n_list:
-        problem = harness.build_problem(config, n, source_records=pool)
+        problem = harness.build_problem(config, n, pool=pool)
         setups.append((problem, certificate_for(problem)))
     gamma = 0.125 / setups[-1][1].big_l
     defaults = dict(gamma=gamma, local_steps=3, rounds=1, seed=seed)
