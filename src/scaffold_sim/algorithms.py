@@ -126,7 +126,7 @@ class ChainBlock:
     ValueError naming the key.
     """
 
-    def __init__(self, chains, data=None):
+    def __init__(self, chains):
         problem, config = chains[0]
         shared = _block_keys(problem, config)
         for p, c in chains:
@@ -150,8 +150,8 @@ class ChainBlock:
         if self.gamma is None:
             self.gamma = np.repeat(gammas, sizes)[:, None]
         self.gamma_h = [c.gamma * c.local_steps for _, c in chains]
-        self._data = data or _flat_data(list({id(p): p for p, _ in chains}.values()))
-        self.flat_x, self.flat_y, clients = self._data
+        self.flat_x, self.flat_y, clients = _flat_data(
+            list({id(p): p for p, _ in chains}.values()))
         rows = [clients[id(p)] for p, _ in chains]
         first, n_records, self.ids = (
             np.concatenate(part) if len(rows) > 1 else part[0] for part in zip(*rows))
@@ -169,10 +169,6 @@ class ChainBlock:
         self.seed = _uniform(seeds)
         if self.seed is None:
             self.seed = np.repeat(np.array(seeds, dtype=np.uint64), sizes)
-
-    def prefix(self, n_chains):
-        """The block of the first `n_chains` chains, on the same data."""
-        return ChainBlock(self.chains[:n_chains], self._data)
 
 
 def _endpoints(block, thetas, corrections, idx):
@@ -272,16 +268,12 @@ def block_rounds(block, n_scaffold, thetas, xis, rounds):
 
     The minibatches of consecutive rounds are drawn by one RNG call, in
     chunks of at most _CHUNK_WORDS words; a larger round is drawn alone.
+    Exact-gradient rounds draw nothing and take None rows.
     """
     rounds = iter(rounds)
-    if block.batch is None:
-        for r in rounds:
-            thetas, xis = _advance(block, n_scaffold, thetas, xis, None, r)
-            yield thetas, xis
-        return
-    chunk = max(1, _CHUNK_WORDS // (block.local_steps * block.n_rows * block.batch))
+    chunk = max(1, _CHUNK_WORDS // (block.local_steps * block.n_rows * (block.batch or 1)))
     while part := list(islice(rounds, chunk)):
-        idx = _draw(block, part)
+        idx = [None] * len(part) if block.batch is None else _draw(block, part)
         for r, drawn in zip(part, idx):
             thetas, xis = _advance(block, n_scaffold, thetas, xis, drawn, r)
             yield thetas, xis
@@ -352,10 +344,8 @@ def run_sweep(problem: Problem, certificate, config: RunConfig, algorithms, seed
     theta_star = certificate.theta_star
     # ChainState checks that theta0 is a finite length-d vector
     theta = ChainState(np.zeros(d) if theta0 is None else theta0, np.zeros((n, d))).theta
-    # one algorithm keeps no leading axis of one
-    lead = (n_algos,) if n_algos > 1 else ()
-    thetas = np.tile(theta, lead + (n_seeds, 1))
-    xis = np.zeros(lead + (n_seeds * n, d))
+    thetas = np.tile(theta, (n_algos, n_seeds, 1))
+    xis = np.zeros((n_algos, n_seeds * n, d))
     target = ChainState(theta_star, certificate.xi_star)
     cells = [(k, s) for k in range(n_scaffold) for s in range(n_seeds)]
 

@@ -2,16 +2,18 @@
 
 Configs are line-oriented ``key = value`` files with ``[section]`` headers
 (sections: experiment, problem, run).  Parsing is strict: unknown sections
-or keys, bad types, and invalid values are each rejected with a distinct
-error naming the offender.  All outputs are CSV with 17-significant-digit
-floats and deterministically ordered rows, so identical configs produce
-byte-identical files at any thread count.
+or keys, repeated keys, bad types, empty list entries and invalid values
+are each rejected with a distinct error naming the offender.  All outputs
+are CSV with 17-significant-digit floats and deterministically ordered
+rows, so identical configs produce byte-identical files at any thread
+count.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -58,72 +60,85 @@ def _parse_float(key, value):
         raise ConfigError(f"key `{key}`: expected number, got {value!r}") from None
 
 
+def _entries(key, value):
+    entries = value.split(",")
+    if any(v.strip() == "" for v in entries):
+        raise ConfigError(f"key `{key}`: empty list entry in {value!r}")
+    return entries
+
+
 def _parse_int_list(key, value):
-    return [_parse_int(key, v) for v in value.split(",") if v.strip() != ""]
+    return [_parse_int(key, v) for v in _entries(key, value)]
 
 
 def _parse_str_list(key, value):
-    return [v.strip() for v in value.split(",") if v.strip() != ""]
+    return [v.strip() for v in _entries(key, value)]
+
+
+def _key(section, default, parse, name=None, low=None, positive=False):
+    """A field that owns its config key: [section], parser, default and bound.
+
+    `name` is the key in the file where it differs from the attribute.  The
+    bound is `value >= low` or, with `positive`, `value > 0`; None values
+    (an unset optional key) are not checked.
+    """
+    metadata = dict(section=section, key=name, parse=parse, low=low, positive=positive)
+    if isinstance(default, list):
+        return field(default_factory=lambda: list(default), metadata=metadata)
+    return field(default=default, metadata=metadata)
 
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment description (one task plus its parameters)."""
+    """Validated experiment description (one task plus its parameters).
 
-    task: str
-    output_path: str | None = None
-    # problem block
-    loss: str = "logistic"
-    l2_weight: float = 0.1
-    n_features: int = 20
-    records_per_client: int = 200
-    informative: list = field(default_factory=lambda: [2, 10])
-    generator_seeds: list = field(default_factory=lambda: [123, 456])
-    noise_std: float = 10.0
-    class_sep: float = 1.0
-    # run block
-    gamma: float | None = 0.05
-    gamma_over_l: float | None = None
-    local_steps: int = 100
-    rounds: int = 100
-    batch_size: int = 10
-    n_clients: list = field(default_factory=lambda: [10, 100])
-    seeds: list = field(default_factory=lambda: [0, 1, 2])
-    algorithms: list = field(default_factory=lambda: ["scaffold", "fedavg"])
-    burn_in: int | None = None
-    n_samples: int = 1000
-    thinning: int = 1
-    epsilon: float | None = None
+    Each field owns one config key (`_key`); `_SCHEMA` and the single-key
+    bounds of `validate` are read from the fields.
+    """
+
+    task: str = _key("experiment", MISSING, str)
+    output_path: str | None = _key("experiment", None, str, name="output")
+    loss: str = _key("problem", "logistic", str)
+    l2_weight: float = _key("problem", 0.1, _parse_float, low=0)
+    n_features: int = _key("problem", 20, _parse_int, low=1)
+    records_per_client: int = _key("problem", 200, _parse_int, low=1)
+    informative: list = _key("problem", [2, 10], _parse_int_list)
+    generator_seeds: list = _key("problem", [123, 456], _parse_int_list)
+    noise_std: float = _key("problem", 10.0, _parse_float, low=0)
+    class_sep: float = _key("problem", 1.0, _parse_float, low=0)
+    gamma: float | None = _key("run", 0.05, _parse_float, positive=True)
+    gamma_over_l: float | None = _key("run", None, _parse_float, name="gamma_over_L",
+                                      positive=True)
+    local_steps: int = _key("run", 100, _parse_int, low=1)
+    rounds: int = _key("run", 100, _parse_int, low=0)
+    batch_size: int = _key("run", 10, _parse_int, low=1)
+    n_clients: list = _key("run", [10, 100], _parse_int_list)
+    seeds: list = _key("run", [0, 1, 2], _parse_int_list)
+    algorithms: list = _key("run", ["scaffold", "fedavg"], _parse_str_list)
+    burn_in: int | None = _key("run", None, _parse_int, low=0)
+    n_samples: int = _key("run", 1000, _parse_int, low=100)
+    thinning: int = _key("run", 1, _parse_int, low=1)
+    epsilon: float | None = _key("run", None, _parse_float, positive=True)
 
     def validate(self):
         if self.task not in TASKS:
             raise ConfigError(f"key `task`: must be one of {TASKS}, got {self.task!r}")
         if self.loss not in ("quadratic", "logistic"):
             raise ConfigError(f"key `loss`: must be quadratic or logistic, got {self.loss!r}")
-        for section in _SCHEMA.values():
-            for key, (attr, conv) in section.items():
-                value = getattr(self, attr)
-                if conv is _parse_float and value is not None and not np.isfinite(value):
-                    raise ConfigError(f"key `{key}`: must be finite, got {value}")
-        for key in ("l2_weight", "noise_std", "class_sep"):
-            if getattr(self, key) < 0:
-                raise ConfigError(f"key `{key}`: must be >= 0, got {getattr(self, key)}")
-        if self.records_per_client < 1:
-            raise ConfigError(
-                f"key `records_per_client`: must be >= 1, got {self.records_per_client}")
-        if self.gamma is not None and self.gamma <= 0:
-            raise ConfigError(f"key `gamma`: must be positive, got {self.gamma}")
-        if self.gamma_over_l is not None and self.gamma_over_l <= 0:
-            raise ConfigError(f"key `gamma_over_L`: must be positive, got {self.gamma_over_l}")
+        for f in fields(self):
+            value, meta = getattr(self, f.name), f.metadata
+            if value is None:
+                continue
+            key, low = meta["key"] or f.name, meta["low"]
+            if meta["parse"] is _parse_float and not math.isfinite(value):
+                raise ConfigError(f"key `{key}`: must be finite, got {value}")
+            if low is not None and value < low:
+                raise ConfigError(f"key `{key}`: must be >= {low}, got {value}")
+            if meta["positive"] and value <= 0:
+                raise ConfigError(f"key `{key}`: must be positive, got {value}")
         if (self.gamma is None) == (self.gamma_over_l is None):
             raise ConfigError("exactly one of `gamma` or `gamma_over_L` is required, got "
                               f"gamma = {self.gamma}, gamma_over_L = {self.gamma_over_l}")
-        if self.local_steps < 1:
-            raise ConfigError(f"key `local_steps`: must be >= 1, got {self.local_steps}")
-        if self.rounds < 0:
-            raise ConfigError(f"key `rounds`: must be >= 0, got {self.rounds}")
-        if self.batch_size < 1:
-            raise ConfigError(f"key `batch_size`: must be >= 1, got {self.batch_size}")
         if not self.n_clients:
             raise ConfigError("key `n_clients`: list must be nonempty")
         if any(n < 2 or n % 2 for n in self.n_clients):
@@ -160,49 +175,21 @@ class ExperimentConfig:
         if any(s < 0 for s in self.generator_seeds):
             raise ConfigError(
                 f"key `generator_seeds`: seeds must be >= 0, got {self.generator_seeds}")
-        if self.burn_in is not None and self.burn_in < 0:
-            raise ConfigError(f"key `burn_in`: must be >= 0, got {self.burn_in}")
-        if self.n_samples < 100:
-            raise ConfigError(f"key `n_samples`: must be >= 100, got {self.n_samples}")
-        if self.thinning < 1:
-            raise ConfigError(f"key `thinning`: must be >= 1, got {self.thinning}")
         if self.task == "complexity" and self.epsilon is None:
             raise ConfigError("key `epsilon`: required for the complexity task")
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ConfigError(f"key `epsilon`: must be positive, got {self.epsilon}")
         return self
 
 
-_SCHEMA = {
-    "experiment": {
-        "task": ("task", str),
-        "output": ("output_path", str),
-    },
-    "problem": {
-        "loss": ("loss", str),
-        "l2_weight": ("l2_weight", _parse_float),
-        "n_features": ("n_features", _parse_int),
-        "records_per_client": ("records_per_client", _parse_int),
-        "informative": ("informative", _parse_int_list),
-        "generator_seeds": ("generator_seeds", _parse_int_list),
-        "noise_std": ("noise_std", _parse_float),
-        "class_sep": ("class_sep", _parse_float),
-    },
-    "run": {
-        "gamma": ("gamma", _parse_float),
-        "gamma_over_L": ("gamma_over_l", _parse_float),
-        "local_steps": ("local_steps", _parse_int),
-        "rounds": ("rounds", _parse_int),
-        "batch_size": ("batch_size", _parse_int),
-        "n_clients": ("n_clients", _parse_int_list),
-        "seeds": ("seeds", _parse_int_list),
-        "algorithms": ("algorithms", _parse_str_list),
-        "burn_in": ("burn_in", _parse_int),
-        "n_samples": ("n_samples", _parse_int),
-        "thinning": ("thinning", _parse_int),
-        "epsilon": ("epsilon", _parse_float),
-    },
-}
+def _schema():
+    # {section: {key: (attr, parser)}}, in field order
+    schema = {}
+    for f in fields(ExperimentConfig):
+        schema.setdefault(f.metadata["section"], {})[f.metadata["key"] or f.name] = (
+            f.name, f.metadata["parse"])
+    return schema
+
+
+_SCHEMA = _schema()
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -213,7 +200,7 @@ def parse_config(path) -> ExperimentConfig:
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
 
-    values = {}
+    values, lines_of = {}, {}
     section = None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -234,6 +221,9 @@ def parse_config(path) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: unknown key `{key}` in section [{section}]")
         if value == "":
             raise ConfigError(f"line {lineno}: empty value for key `{key}`")
+        if key in lines_of:
+            raise ConfigError(f"key `{key}`: given twice, on lines {lines_of[key]} and {lineno}")
+        lines_of[key] = lineno
         attr, conv = _SCHEMA[section][key]
         values[attr] = value if conv is str else conv(key, value)
 

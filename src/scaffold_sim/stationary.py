@@ -193,7 +193,7 @@ def estimate_stationary_sweep(chains, burn_in=None, n_samples=1000, thinning=1, 
     # diverges; that is reported once, below, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi in zip(bounds, bounds[1:]):
-            active = block.prefix(bisect.bisect_right(starts, lo))
+            active = ChainBlock(block.chains[:bisect.bisect_right(starts, lo)])
             thetas = np.concatenate([thetas, np.zeros((len(active.chains) - len(thetas), d))])
             xis = np.concatenate([xis, np.zeros((active.n_rows - len(xis), d))])
             if lo == 0:
@@ -244,16 +244,11 @@ def estimate_stationary_sweep(chains, burn_in=None, n_samples=1000, thinning=1, 
 
 @dataclass
 class FirstOrderPrediction:
-    """Leading-order stationary covariances and bias.
-
-    `resolvent_noise` is A applied to the average noise covariance at the
-    optimum; the parameter covariance prediction is (gamma/N) times it.
-    """
+    """Leading-order stationary covariances and bias."""
 
     gamma: float
     local_steps: int
     n_clients: int
-    resolvent_noise: np.ndarray
     cov_theta: np.ndarray
     cov_theta_xi: np.ndarray  # (N, d, d)
     bias_theta: np.ndarray
@@ -296,7 +291,6 @@ def predict_first_order(problem, certificate: OptimumCertificate,
         gamma=gamma,
         local_steps=local_steps,
         n_clients=n,
-        resolvent_noise=a_sigma,
         cov_theta=cov_theta,
         cov_theta_xi=cov_theta_xi,
         bias_theta=bias,

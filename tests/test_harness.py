@@ -321,12 +321,58 @@ class TestConfigRanges:
         ("run", "gamma_over_L = inf", "gamma_over_L"),
         ("run", "epsilon = nan", "epsilon"),
         ("problem", "l2_weight = inf", "l2_weight"),
+        ("problem", "n_features = 0", "n_features"),
+        ("problem", "n_features = -3", "n_features"),
+        ("run", "gamma = -1", "gamma"),
+        ("run", "n_clients = 2,,4", "n_clients"),
+        ("run", "seeds = 0,1,", "seeds"),
+        ("problem", "informative = 2,,4", "informative"),
+        ("run", "algorithms = scaffold,,fedavg", "algorithms"),
     ])
     def test_out_of_range_value_names_the_key(self, tmp_path, section, line, key):
         path = tmp_path / "c.txt"
         path.write_text(f"[experiment]\ntask = stationary\n[{section}]\n{line}\n")
         with pytest.raises(ConfigError, match=f"key `{key}`"):
             parse_config(path)
+
+    @pytest.mark.parametrize("section, line, message", [
+        ("problem", "l2_weight = -1", "key `l2_weight`: must be >= 0, got -1.0"),
+        ("problem", "n_features = 0", "key `n_features`: must be >= 1, got 0"),
+        ("problem", "class_sep = inf", "key `class_sep`: must be finite, got inf"),
+        ("run", "n_samples = 99", "key `n_samples`: must be >= 100, got 99"),
+        ("run", "gamma_over_L = 0", "key `gamma_over_L`: must be positive, got 0.0"),
+        ("run", "seeds = 0, ,1", "key `seeds`: empty list entry in '0, ,1'"),
+        ("run", "n_clients = ,4", "key `n_clients`: empty list entry in ',4'"),
+    ])
+    def test_message(self, tmp_path, section, line, message):
+        # the single-key bounds are read from the fields, in one format
+        path = tmp_path / "c.txt"
+        path.write_text(f"[experiment]\ntask = stationary\n[{section}]\n{line}\n")
+        with pytest.raises(ConfigError) as info:
+            parse_config(path)
+        assert str(info.value) == message
+
+    def test_bounds_checked_on_a_built_config(self):
+        with pytest.raises(ConfigError, match="key `n_features`: must be >= 1, got 0"):
+            ExperimentConfig(task="stationary", n_features=0).validate()
+        with pytest.raises(ConfigError, match="key `burn_in`: must be >= 0, got -1"):
+            ExperimentConfig(task="stationary", burn_in=-1).validate()
+
+    @pytest.mark.parametrize("text, key, lines", [
+        ("[run]\nrounds = 2\nrounds = 3\n", "rounds", "4 and 5"),
+        # a second header of the same section opens no new scope
+        ("[run]\nrounds = 2\n[problem]\nloss = quadratic\n[run]\nrounds = 2\n", "rounds",
+         "4 and 8"),
+        ("task = predict\n", "task", "2 and 3"),
+    ], ids=["same-header", "second-header", "experiment"])
+    def test_repeated_key_rejected(self, tmp_path, capsys, text, key, lines):
+        path = tmp_path / "c.txt"
+        path.write_text("[experiment]\ntask = stationary\n" + text)
+        message = f"key `{key}`: given twice, on lines {lines}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(path)
+        assert cli_main(["print-config", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"ConfigError: {message}\n"
 
     def test_boundary_values_accepted(self, tmp_path):
         path = tmp_path / "c.txt"
@@ -558,8 +604,10 @@ class TestCli:
         assert out.read_text() == format_config(parse_config(path))
 
     def test_figure1_writes_output(self, tmp_path):
-        path = write_config(tmp_path, "figure1",
-                            extra_run="rounds = 2\nseeds = 0\n")
+        path = tmp_path / "config.txt"
+        path.write_text("[experiment]\ntask = figure1\n" + SMALL_PROBLEM
+                        + SMALL_RUN.replace("rounds = 20", "rounds = 2")
+                        .replace("seeds = 0,1", "seeds = 0"))
         out = tmp_path / "out.csv"
         assert cli_main(["figure1", "--config", str(path),
                          "--out", str(out)]) == 0
