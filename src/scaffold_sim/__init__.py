@@ -8,7 +8,6 @@ parameter variance, and the first-order bias and covariance formulas.
 
 from .algorithms import (
     DivergenceError,
-    Trajectory,
     coupled_run,
     fedavg_round,
     run,
@@ -49,7 +48,6 @@ __all__ = [
     "RunConfig",
     "SolverError",
     "StationaryEstimate",
-    "Trajectory",
     "build_certificate",
     "complexity_recipe",
     "coupled_run",

@@ -14,7 +14,7 @@ results do not depend on scheduling or on which chains share a block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from itertools import chain, islice
 
 import numpy as np
@@ -23,7 +23,7 @@ from .core import ChainState, RunConfig, batch_uniform_indices, lambda_norm_sq
 from .objectives import Problem, record_groups, stacked_minibatch_gradient
 
 __all__ = [
-    "Trajectory",
+    "ALGORITHMS",
     "DivergenceError",
     "scaffold_round",
     "fedavg_round",
@@ -34,6 +34,9 @@ __all__ = [
     "block_round",
     "block_rounds",
 ]
+
+# The algorithms `run_sweep` runs, and the config's `algorithms` key accepts.
+ALGORITHMS = ("scaffold", "fedavg")
 
 # Words of one RNG call in `block_rounds`: 512 KB of minibatch indices.
 _CHUNK_WORDS = 2 ** 16
@@ -50,15 +53,6 @@ class DivergenceError(RuntimeError):
         self.round_index = round_index
 
 
-@dataclass
-class Trajectory:
-    """Per-round distances to the optimum."""
-
-    rounds: np.ndarray
-    mse: np.ndarray
-    lambda_dist: np.ndarray | None = None
-
-
 def _block_keys(problem, config):
     # what every chain of one block must share
     return {
@@ -68,12 +62,6 @@ def _block_keys(problem, config):
         "batch_size": None if config.deterministic else problem.batch_size,
         "d": problem.d,
     }
-
-
-def _check_algorithm(config, algorithm, caller):
-    if config.algorithm != algorithm:
-        raise ValueError(
-            f"algorithm must be {algorithm} for {caller}, got {config.algorithm!r}")
 
 
 def _flat_data(problems):
@@ -297,10 +285,8 @@ def scaffold_round(state: ChainState, problem: Problem, config: RunConfig,
 
     The control variates move by (endpoint - average) / (gamma * H) and are
     re-centered so their sum stays exactly on the zero subspace.  Raises
-    DivergenceError if any entry of the new state is not finite, and a
-    ValueError if the config's algorithm is not Scaffold.
+    DivergenceError if any entry of the new state is not finite.
     """
-    _check_algorithm(config, "scaffold", "scaffold_round")
     thetas, xis = block_round(ChainBlock([(problem, config)]), 1, state.theta[None],
                               state.xis, round_index)
     return ChainState.unchecked(thetas[0], xis)
@@ -309,10 +295,8 @@ def scaffold_round(state: ChainState, problem: Problem, config: RunConfig,
 def fedavg_round(theta, problem: Problem, config: RunConfig, round_index: int):
     """One FedAvg round: plain local steps, then average the endpoints.
 
-    Raises DivergenceError if the average is not finite, and a ValueError
-    if the config's algorithm is not FedAvg.
+    Raises DivergenceError if the average is not finite.
     """
-    _check_algorithm(config, "fedavg", "fedavg_round")
     theta = np.asarray(theta, dtype=np.float64)
     corrections = np.zeros((problem.n_clients, theta.shape[0]))
     thetas, _ = block_round(ChainBlock([(problem, config)]), 0, theta[None],
@@ -320,71 +304,49 @@ def fedavg_round(theta, problem: Problem, config: RunConfig, round_index: int):
     return thetas[0]
 
 
-def run_sweep(problem: Problem, certificate, config: RunConfig, algorithms, seeds,
-              theta0=None):
+def run_sweep(problem: Problem, certificate, config: RunConfig, algorithms, seeds):
     """Run every (algorithm, seed) chain for config.rounds rounds as one block.
 
-    Each chain takes its algorithm and seed from `algorithms` and `seeds`;
-    `config` supplies the rest.  All chains start from theta0 (default
-    zero) with zero control variates, and advance through one round
-    kernel, so the chains of one seed share every minibatch draw and
-    gather.  Each trajectory equals that of a separate `run` bit for bit.
-    Returns {(algorithm, seed): Trajectory}.
+    Each chain takes its algorithm (a name in ALGORITHMS) and seed from
+    `algorithms` and `seeds`; `config` supplies the rest.  All chains start
+    from zero, and advance through one round kernel, so the chains of one
+    seed share every minibatch draw and gather.  Each result equals that of
+    a separate `run` bit for bit.  Returns {(algorithm, seed): mse}, where
+    mse[t] is the squared distance of theta to the optimum after round t,
+    length T+1.
     """
     for algorithm in algorithms:
-        for seed in seeds:
-            replace(config, algorithm=algorithm, seed=seed)  # validates the chain's config
+        if algorithm not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
     # Scaffold rows first: the round kernel takes their count
     algorithms = sorted(algorithms, key=lambda a: a != "scaffold")
     n_scaffold = algorithms.count("scaffold")
     block = ChainBlock([(problem, replace(config, seed=seed)) for seed in seeds])
-    n_algos, n_seeds = len(algorithms), len(seeds)
-    d = problem.d
-    n = problem.n_clients
-    theta_star = certificate.theta_star
-    # ChainState checks that theta0 is a finite length-d vector
-    theta = ChainState(np.zeros(d) if theta0 is None else theta0, np.zeros((n, d))).theta
-    thetas = np.tile(theta, (n_algos, n_seeds, 1))
-    xis = np.zeros((n_algos, n_seeds * n, d))
-    target = ChainState(theta_star, certificate.xi_star)
-    cells = [(k, s) for k in range(n_scaffold) for s in range(n_seeds)]
+    n_algos, n_seeds, d = len(algorithms), len(seeds), problem.d
+    thetas = np.zeros((n_algos, n_seeds, d))
+    xis = np.zeros((n_algos, n_seeds * problem.n_clients, d))
 
     mse = np.empty((config.rounds + 1, n_algos, n_seeds))
-    lam_dist = np.empty_like(mse)
     states = chain([(thetas, xis)],
                    block_rounds(block, n_scaffold, thetas, xis, range(config.rounds)))
-    for t, (thetas, xis) in enumerate(states):
-        cell_thetas = thetas.reshape(n_algos, n_seeds, d)
-        cell_xis = xis.reshape(n_algos, n_seeds, n, d)
+    for t, (thetas, _) in enumerate(states):
         with np.errstate(over="ignore"):
-            mse[t] = np.sum((cell_thetas - theta_star) ** 2, axis=-1)
-        for k, s in cells:
-            lam_dist[t, k, s] = lambda_norm_sq(
-                ChainState.unchecked(cell_thetas[k, s], cell_xis[k, s]), target,
-                config.gamma, config.local_steps,
-            )
-
-    rounds = np.arange(config.rounds + 1)
+            mse[t] = np.sum((thetas - certificate.theta_star) ** 2, axis=-1)
     return {
-        (algorithm, seed): Trajectory(
-            rounds, mse[:, k, s].copy(),
-            lam_dist[:, k, s].copy() if k < n_scaffold else None,
-        )
+        (algorithm, seed): mse[:, k, s].copy()
         for k, algorithm in enumerate(algorithms)
         for s, seed in enumerate(seeds)
     }
 
 
-def run(problem: Problem, certificate, config: RunConfig, theta0=None) -> Trajectory:
-    """Run T rounds from theta0 (default zero) with zero control variates.
+def run(problem: Problem, certificate, config: RunConfig, algorithm="scaffold"):
+    """Run one `algorithm` chain for T rounds from zero, as `run_sweep`.
 
-    Records the squared distance to the optimum after every round; for
-    Scaffold also the squared weighted distance of the full state to the
-    fixed point (theta_star, xi_star).
+    Returns the squared distance of theta to the optimum after every round,
+    length T+1.
     """
-    sweep = run_sweep(problem, certificate, config, [config.algorithm],
-                      [config.seed], theta0)
-    return sweep[config.algorithm, config.seed]
+    sweep = run_sweep(problem, certificate, config, [algorithm], [config.seed])
+    return sweep[algorithm, config.seed]
 
 
 def coupled_run(problem: Problem, config: RunConfig,
@@ -397,7 +359,6 @@ def coupled_run(problem: Problem, config: RunConfig,
     one seed realizes the synchronous coupling: each round draws and
     gathers one minibatch per client and step for both.
     """
-    _check_algorithm(config, "scaffold", "coupled_run")
     gamma, local_steps = config.gamma, config.local_steps
     block = ChainBlock([(problem, config)])
     dist = np.empty(config.rounds + 1)

@@ -161,19 +161,15 @@ def lambda_norm_sq(a: ChainState, b: ChainState, gamma: float, local_steps: int)
         return float(dtheta @ dtheta + weight * np.sum(dxi * dxi))
 
 
-_ALGORITHMS = ("scaffold", "fedavg")
-
-
 @dataclass
 class RunConfig:
-    """Hyper-parameters of one simulated run."""
+    """Hyper-parameters of one simulated chain; the caller picks the algorithm."""
 
     gamma: float
     local_steps: int
     rounds: int
     deterministic: bool = False  # exact gradients instead of the problem's minibatches
     seed: int = 0
-    algorithm: str = "scaffold"
 
     def __post_init__(self):
         if not self.gamma > 0:  # NaN fails too
@@ -184,10 +180,6 @@ class RunConfig:
             raise ValueError(f"rounds must be >= 0, got {self.rounds}")
         if not (0 <= int(self.seed) < 2 ** 64):
             raise ValueError("seed must fit in 64 unsigned bits")
-        if self.algorithm not in _ALGORITHMS:
-            raise ValueError(
-                f"algorithm must be one of {_ALGORITHMS}, got {self.algorithm!r}"
-            )
 
     def stepsize_diagnostics(self, mu, big_l):
         """Check the contraction-regime conditions against (mu, L).

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import datagen, stationary
 # `run` stays importable here: perfbench/spans.py wraps `harness.run`
-from .algorithms import coupled_run, run, run_sweep  # noqa: F401
+from .algorithms import ALGORITHMS, coupled_run, run, run_sweep  # noqa: F401
 from .core import ChainState, RunConfig
 from .objectives import Problem
 from .optimum import build_certificate, solve_optimum
@@ -161,7 +161,7 @@ class ExperimentConfig:
         if not self.algorithms:
             raise ConfigError("key `algorithms`: list must be nonempty")
         for a in self.algorithms:
-            if a not in ("scaffold", "fedavg"):
+            if a not in ALGORITHMS:
                 raise ConfigError(f"key `algorithms`: unknown algorithm {a!r}")
         if len(self.informative) != 2:
             raise ConfigError(f"key `informative`: need exactly 2 counts, got {self.informative}")
@@ -325,7 +325,7 @@ def run_figure1(config: ExperimentConfig, threads=1):
         problem, cert = _setup(config, n)
         rc = _run_config(config, _resolve_gamma(config, cert), seeds[0], config.rounds)
         sweep = run_sweep(problem, cert, rc, algorithms, seeds)
-        return {(algo, n, seed): traj for (algo, seed), traj in sweep.items()}
+        return {(algo, n, seed): mse for (algo, seed), mse in sweep.items()}
 
     results = {}
     if threads > 1:
@@ -338,14 +338,13 @@ def run_figure1(config: ExperimentConfig, threads=1):
 
     rows = ["algorithm,N,seed,t,mse"]
     for algo, n, seed in sorted(results):
-        traj = results[(algo, n, seed)]
-        for t, mse in zip(traj.rounds, traj.mse):
+        for t, mse in enumerate(results[(algo, n, seed)]):
             rows.append(f"{algo},{n},{seed},{t},{mse:.17g}")
 
     agg = ["algorithm,N,t,mean_mse,std_mse"]
     for algo in sorted(algorithms):
         for n in n_list:
-            stack = np.stack([results[(algo, n, s)].mse for s in seeds])
+            stack = np.stack([results[(algo, n, s)] for s in seeds])
             mean = stack.mean(axis=0)
             std = stack.std(axis=0)
             for t in range(stack.shape[1]):

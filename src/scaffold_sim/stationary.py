@@ -130,8 +130,8 @@ def estimate_stationary_sweep(chains, burn_in=None, n_samples=1000, thinning=1, 
     its round 0 at iteration max(b) - b_g, so every chain samples at the
     same iterations, and each moment sum is one array for all chains.
     Each estimate equals a separate `estimate_stationary` call bit for
-    bit.  The chains must run Scaffold and share the loss, l2 weight,
-    local steps and batch width.  Returns one StationaryEstimate per
+    bit.  Every chain runs Scaffold; the chains must share the loss, l2
+    weight, local steps and batch width.  Returns one StationaryEstimate per
     chain, in order.  With `xi_moments=False` only the theta moments are
     accumulated: `cov_theta_xi` and `cov_xi` are None, every other field
     is unchanged, and only a non-finite theta sum raises DivergenceError.
@@ -146,9 +146,6 @@ def estimate_stationary_sweep(chains, burn_in=None, n_samples=1000, thinning=1, 
         raise ValueError(f"thinning must be >= 1, got {thinning}")
     burn_ins = []
     for _, certificate, config in chains:
-        if config.algorithm != "scaffold":
-            raise ValueError(
-                f"algorithm must be scaffold for the estimator, got {config.algorithm!r}")
         burn_ins.append(default_burn_in(config.gamma, certificate.mu, config.local_steps)
                         if burn_in is None else burn_in)
         config.stepsize_diagnostics(certificate.mu, certificate.big_l)
@@ -318,8 +315,9 @@ def complexity_recipe(certificate: OptimumCertificate, epsilon, n_clients) -> Co
     Evaluates the speed-up recipe with unit proportionality constants:
     gamma ~ N mu eps^2 / sigma*^2, H ~ sigma*^2 min(1, mu/zeta2) /
     (N L mu eps^2) clamped to >= 1, T ~ (L/mu) max(1, zeta2/mu)
-    log(psi0/eps^2), and the client-count ceiling from the third-derivative
-    bound (infinite for quadratic problems).
+    max(0, log(psi0/eps^2)), and the client-count ceiling from the
+    third-derivative bound (infinite for quadratic problems).  With
+    eps^2 >= psi0 the bound holds at round 0, so T is 0.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -336,7 +334,7 @@ def complexity_recipe(certificate: OptimumCertificate, epsilon, n_clients) -> Co
     local_steps = max(
         1.0, sigma_sq * heter_clamp / (n_clients * big_l * mu * epsilon ** 2)
     )
-    rounds = big_l / mu * max(1.0, zeta2 / mu) * math.log(psi0 / epsilon ** 2)
+    rounds = big_l / mu * max(1.0, zeta2 / mu) * max(0.0, math.log(psi0 / epsilon ** 2))
 
     if q == 0:
         n_max = math.inf

@@ -14,7 +14,7 @@ from reference import derive_stream, on_state_space, stochastic_gradient
 
 
 def make_config(problem, **kwargs):
-    defaults = dict(gamma=0.05, local_steps=5, rounds=10, seed=0, algorithm="scaffold")
+    defaults = dict(gamma=0.05, local_steps=5, rounds=10, seed=0)
     defaults.update(kwargs)
     return RunConfig(**defaults)
 
@@ -48,13 +48,6 @@ class TestScaffoldRound:
         assert out.theta[0] == pytest.approx(0.81, abs=1e-12)
         assert out.xis[0, 0] == pytest.approx(0.95, abs=1e-12)
         assert out.xis[1, 0] == pytest.approx(-0.95, abs=1e-12)
-
-    def test_fedavg_config_rejected(self, quad_problem):
-        # the round runs Scaffold, so a FedAvg config would be run as Scaffold
-        config = make_config(quad_problem, algorithm="fedavg")
-        state = ChainState.zeros(quad_problem.d, quad_problem.n_clients)
-        with pytest.raises(ValueError, match="algorithm"):
-            algorithms.scaffold_round(state, quad_problem, config, 0)
 
     def test_matches_straight_line_oracle(self, quad_problem):
         # independent re-derivation: explicit per-client python loop
@@ -170,8 +163,7 @@ class TestScaffoldRound:
 
 class TestFedavgRound:
     def test_single_local_step_is_average_minibatch_step(self, quad_problem):
-        config = make_config(quad_problem, gamma=0.03, local_steps=1, seed=8,
-                             algorithm="fedavg")
+        config = make_config(quad_problem, gamma=0.03, local_steps=1, seed=8)
         theta = np.full(quad_problem.d, 0.2)
         grads = [
             stochastic_gradient(quad_problem, c, theta,
@@ -182,22 +174,14 @@ class TestFedavgRound:
         out = algorithms.fedavg_round(theta, quad_problem, config, 0)
         assert np.allclose(out, expected, atol=1e-15)
 
-    def test_scaffold_config_rejected(self, quad_problem):
-        # the round runs FedAvg, so a Scaffold config would be run as FedAvg
-        config = make_config(quad_problem, algorithm="scaffold")
-        with pytest.raises(ValueError, match="algorithm"):
-            algorithms.fedavg_round(np.zeros(quad_problem.d), quad_problem, config, 0)
-
     def test_symmetric_two_client_average_stays_put(self, two_client_1d):
-        config = make_config(two_client_1d, gamma=0.1, local_steps=3,
-                             deterministic=True, algorithm="fedavg")
+        config = make_config(two_client_1d, gamma=0.1, local_steps=3, deterministic=True)
         out = algorithms.fedavg_round(np.array([0.0]), two_client_1d, config, 0)
         assert out[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_asymmetric_hand_value(self, two_client_1d):
         # H=2, gamma=0.1 from theta=1: endpoints 1.0 and 0.62, average 0.81
-        config = make_config(two_client_1d, gamma=0.1, local_steps=2,
-                             deterministic=True, algorithm="fedavg")
+        config = make_config(two_client_1d, gamma=0.1, local_steps=2, deterministic=True)
         out = algorithms.fedavg_round(np.array([1.0]), two_client_1d, config, 0)
         assert out[0] == pytest.approx(0.81, abs=1e-12)
 
@@ -206,27 +190,27 @@ class TestRun:
     def test_zero_rounds_records_initial_point(self, quad_problem):
         cert = certificate_for(quad_problem)
         config = make_config(quad_problem, rounds=0)
-        traj = algorithms.run(quad_problem, cert, config)
-        assert traj.rounds.tolist() == [0]
-        assert traj.mse[0] == pytest.approx(np.sum(cert.theta_star ** 2))
-        assert traj.lambda_dist is not None and traj.lambda_dist.size == 1
+        mse = algorithms.run(quad_problem, cert, config)
+        assert mse.shape == (1,)
+        assert mse[0] == pytest.approx(np.sum(cert.theta_star ** 2))
 
     @pytest.mark.parametrize("algorithm", ["scaffold", "fedavg"])
     def test_deterministic_runs_decrease_monotonically(self, quad_problem, algorithm):
         cert = certificate_for(quad_problem)
         config = make_config(quad_problem, gamma=0.02, local_steps=3,
-                             rounds=150, deterministic=True, algorithm=algorithm)
-        traj = algorithms.run(quad_problem, cert, config)
-        assert np.all(np.diff(traj.mse) <= 1e-15)
-        assert traj.mse[-1] < 1e-3 * traj.mse[0]
+                             rounds=150, deterministic=True)
+        mse = algorithms.run(quad_problem, cert, config, algorithm)
+        assert np.all(np.diff(mse) <= 1e-15)
+        assert mse[-1] < 1e-3 * mse[0]
         if algorithm == "scaffold":
-            assert np.all(np.diff(traj.lambda_dist) <= 1e-15)
-
-    def test_fedavg_has_no_lambda_distance(self, quad_problem):
-        cert = certificate_for(quad_problem)
-        config = make_config(quad_problem, rounds=2, algorithm="fedavg")
-        traj = algorithms.run(quad_problem, cert, config)
-        assert traj.lambda_dist is None
+            # the weighted distance of the full state to (theta*, xi*)
+            target = ChainState(cert.theta_star, cert.xi_star)
+            state = ChainState.zeros(quad_problem.d, quad_problem.n_clients)
+            lam = [lambda_norm_sq(state, target, config.gamma, config.local_steps)]
+            for t in range(config.rounds):
+                state = algorithms.scaffold_round(state, quad_problem, config, t)
+                lam.append(lambda_norm_sq(state, target, config.gamma, config.local_steps))
+            assert np.all(np.diff(lam) <= 1e-15)
 
     def test_divergence_raises(self, quad_problem):
         cert = certificate_for(quad_problem)
@@ -240,17 +224,10 @@ class TestRun:
         config = make_config(logistic_problem, rounds=5, seed=33)
         a = algorithms.run(logistic_problem, cert, config)
         b = algorithms.run(logistic_problem, cert, config)
-        assert np.array_equal(a.mse, b.mse)
+        assert np.array_equal(a, b)
         other = algorithms.run(logistic_problem, cert,
                                make_config(logistic_problem, rounds=5, seed=34))
-        assert not np.array_equal(a.mse, other.mse)
-
-    def test_custom_start_point(self, quad_problem):
-        cert = certificate_for(quad_problem)
-        config = make_config(quad_problem, rounds=0)
-        theta0 = np.ones(quad_problem.d)
-        traj = algorithms.run(quad_problem, cert, config, theta0=theta0)
-        assert traj.mse[0] == pytest.approx(np.sum((theta0 - cert.theta_star) ** 2))
+        assert not np.array_equal(a, other)
 
 
 class TestCoupledRun:
@@ -281,15 +258,6 @@ class TestCoupledRun:
         theta_before = b.theta.copy()
         algorithms.coupled_run(quad_problem, config, a, b)
         assert np.array_equal(b.theta, theta_before)
-
-    def test_fedavg_config_rejected(self, quad_problem):
-        # the coupling runs Scaffold chains; a FedAvg config would get
-        # Scaffold distances under its name
-        config = make_config(quad_problem, rounds=3, algorithm="fedavg")
-        state = ChainState.zeros(quad_problem.d, quad_problem.n_clients)
-        with pytest.raises(ValueError, match="algorithm"):
-            algorithms.coupled_run(quad_problem, config, state,
-                                   ChainState(state.theta.copy(), state.xis.copy()))
 
 
 class TestRaggedClients:
@@ -404,15 +372,14 @@ def _reference_scaffold_round(theta, xis, problem, config, t):
     return theta_next, xis_next
 
 
-def _reference_run(problem, cert, config):
-    """Trajectory of one chain, round by round; raises DivergenceError."""
+def _reference_run(problem, cert, config, algorithm):
+    """Per-round MSE of one chain, round by round; raises DivergenceError."""
     d, n = problem.d, problem.n_clients
     theta, xis = np.zeros(d), np.zeros((n, d))
-    target = ChainState(cert.theta_star, cert.xi_star)
-    mse, lam = [], []
+    mse = []
     for t in range(config.rounds + 1):
         if t > 0:
-            if config.algorithm == "scaffold":
+            if algorithm == "scaffold":
                 theta, xis = _reference_scaffold_round(theta, xis, problem, config, t - 1)
             else:
                 theta = _reference_endpoints(problem, theta, np.zeros((n, d)), t - 1,
@@ -421,21 +388,16 @@ def _reference_run(problem, cert, config):
                     raise algorithms.DivergenceError(t - 1)
         with np.errstate(over="ignore"):
             mse.append(np.sum((theta - cert.theta_star) ** 2))
-        lam.append(lambda_norm_sq(ChainState.unchecked(theta, xis), target,
-                                  config.gamma, config.local_steps))
-    return np.array(mse), (np.array(lam) if config.algorithm == "scaffold" else None)
+    return np.array(mse)
 
 
 def _sweep_matches_reference(problem, cert, config, algos, seeds):
     sweep = algorithms.run_sweep(problem, cert, config, algos, seeds)
     assert set(sweep) == {(a, s) for a in algos for s in seeds}
-    for (algo, seed), traj in sweep.items():
-        mse, lam = _reference_run(problem, cert, replace(config, algorithm=algo, seed=seed))
-        assert np.array_equal(traj.mse, mse)
-        if lam is None:
-            assert traj.lambda_dist is None
-        else:
-            assert np.array_equal(traj.lambda_dist, lam)
+    for (algo, seed), mse in sweep.items():
+        assert mse.shape == (config.rounds + 1,)
+        assert np.array_equal(mse, _reference_run(problem, cert, replace(config, seed=seed),
+                                                  algo))
 
 
 class TestRoundKernel:
@@ -448,23 +410,18 @@ class TestRoundKernel:
 
     def test_run_is_the_one_chain_sweep(self, logistic_problem):
         cert = certificate_for(logistic_problem)
+        config = make_config(logistic_problem, rounds=6, seed=5)
         for algo in ("scaffold", "fedavg"):
-            config = make_config(logistic_problem, rounds=6, seed=5, algorithm=algo)
-            traj = algorithms.run(logistic_problem, cert, config)
-            mse, lam = _reference_run(logistic_problem, cert, config)
-            assert np.array_equal(traj.mse, mse)
-            assert (traj.lambda_dist is None) == (lam is None)
-            if lam is not None:
-                assert np.array_equal(traj.lambda_dist, lam)
+            assert np.array_equal(algorithms.run(logistic_problem, cert, config, algo),
+                                  _reference_run(logistic_problem, cert, config, algo))
 
     def test_deterministic_sweep_equals_separate_runs(self, quad_problem):
         cert = certificate_for(quad_problem)
         config = make_config(quad_problem, local_steps=3, rounds=5, deterministic=True)
         sweep = algorithms.run_sweep(quad_problem, cert, config, ["fedavg", "scaffold"], [0, 3])
-        for (algo, seed), traj in sweep.items():
-            alone = algorithms.run(quad_problem, cert,
-                                   replace(config, algorithm=algo, seed=seed))
-            assert np.array_equal(traj.mse, alone.mse)
+        for (algo, seed), mse in sweep.items():
+            alone = algorithms.run(quad_problem, cert, replace(config, seed=seed), algo)
+            assert np.array_equal(mse, alone)
 
     def test_ragged_sweep_equals_separate_rounds(self):
         rng = np.random.default_rng(29)
@@ -475,9 +432,9 @@ class TestRoundKernel:
         cert = certificate_for(problem)
         config = make_config(problem, local_steps=3, rounds=4)
         sweep = algorithms.run_sweep(problem, cert, config, ["scaffold", "fedavg"], [2, 9])
-        for (algo, seed), traj in sweep.items():
-            alone = algorithms.run(problem, cert, replace(config, algorithm=algo, seed=seed))
-            assert np.array_equal(traj.mse, alone.mse)
+        for (algo, seed), mse in sweep.items():
+            alone = algorithms.run(problem, cert, replace(config, seed=seed), algo)
+            assert np.array_equal(mse, alone)
 
     def test_coupled_run_equals_two_scaffold_rounds(self, logistic_problem):
         config = make_config(logistic_problem, rounds=8, seed=12)
@@ -501,7 +458,7 @@ class TestRoundKernel:
         for algo in algos:
             for seed in seeds:
                 with pytest.raises(algorithms.DivergenceError) as info:
-                    _reference_run(quad_problem, cert, replace(config, algorithm=algo, seed=seed))
+                    _reference_run(quad_problem, cert, replace(config, seed=seed), algo)
                 rounds[algo, seed] = info.value.round_index
         first, second = sorted(rounds.values())[:2]
         assert first < second
@@ -853,7 +810,7 @@ class TestBlockRounds:
         for algo in algos:
             for seed in seeds:
                 with pytest.raises(algorithms.DivergenceError) as info:
-                    _reference_run(problem, cert, replace(config, algorithm=algo, seed=seed))
+                    _reference_run(problem, cert, replace(config, seed=seed), algo)
                 rounds.append(info.value.round_index)
         first, second = sorted(rounds)[:2]
         chunk = algorithms._CHUNK_WORDS // (5 * len(seeds) * problem.n_clients * 100)
@@ -871,7 +828,7 @@ class TestBlockRounds:
         stable, unstable = (make_config(problem, gamma=g, local_steps=5, rounds=400)
                             for g in (0.3, 2.0))
         with pytest.raises(algorithms.DivergenceError) as info:
-            _reference_run(problem, cert, unstable)
+            _reference_run(problem, cert, unstable, "scaffold")
         expected = info.value.round_index
         burn_ins = [stationary.default_burn_in(c.gamma, cert.mu, 5) for c in (stable, unstable)]
         assert burn_ins[0] > burn_ins[1]
@@ -885,8 +842,7 @@ class TestBlockRounds:
 
 class TestConfigOwnership:
     def test_deterministic_means_exact_gradients(self, quad_problem):
-        config = make_config(quad_problem, deterministic=True, local_steps=1,
-                             algorithm="fedavg")
+        config = make_config(quad_problem, deterministic=True, local_steps=1)
         theta = np.full(quad_problem.d, 0.3)
         exact = np.mean([objectives.full_gradient(quad_problem, c, theta)
                          for c in range(quad_problem.n_clients)], axis=0)

@@ -255,8 +255,6 @@ class TestRunConfig:
             RunConfig(gamma=float("nan"), local_steps=1, rounds=1)
         with pytest.raises(ValueError, match="local_steps"):
             RunConfig(gamma=0.1, local_steps=0, rounds=1)
-        with pytest.raises(ValueError, match="algorithm"):
-            RunConfig(gamma=0.1, local_steps=1, rounds=1, algorithm="sgd")
 
     def test_stepsize_diagnostics_warns_not_raises(self):
         cfg = RunConfig(gamma=1.0, local_steps=10, rounds=1)

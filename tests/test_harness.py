@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scaffold_sim
-from scaffold_sim import cli, harness
+from scaffold_sim import algorithms, cli, harness, stationary
 from scaffold_sim.cli import main as cli_main
+from scaffold_sim.core import ChainState, RunConfig
 from scaffold_sim.harness import ConfigError, ExperimentConfig, format_config, parse_config
 
 
@@ -534,6 +535,33 @@ class TestRunners:
             assert fields[5] == "inf"  # quadratic: no client ceiling
             assert fields[6] == "true"
 
+    @pytest.mark.parametrize("logistic, epsilon", [(True, 100.0), (False, 1000.0)])
+    def test_complexity_rounds_never_negative(self, logistic, epsilon):
+        # with eps^2 >= psi0 the accuracy holds at round 0: the recipe asks
+        # for no rounds, not for a negative count from log(psi0 / eps^2) < 0
+        config = (ExperimentConfig(task="complexity", epsilon=epsilon).validate() if logistic
+                  else small_config(task="complexity", epsilon=epsilon))
+        lines = harness.run_complexity(config).splitlines()[1:]
+        assert len(lines) == len(config.n_clients)
+        for line in lines:
+            fields = line.split(",")
+            assert fields[3] == fields[4] == "0", line
+
+    @pytest.mark.parametrize("name", algorithms.ALGORITHMS + ("sgd",))
+    def test_algorithm_names_have_one_owner(self, name):
+        # the config key and the trajectory runner accept exactly ALGORITHMS
+        problem, cert = harness._setup(small_config(), 4)
+        config = RunConfig(gamma=0.02, local_steps=5, rounds=2)
+        if name in algorithms.ALGORITHMS:
+            assert small_config(algorithms=[name]).algorithms == [name]
+            mse = algorithms.run_sweep(problem, cert, config, [name], [0])[name, 0]
+            assert mse.shape == (3,)
+            return
+        with pytest.raises(ConfigError, match=f"key `algorithms`.*{name}"):
+            small_config(algorithms=["scaffold", name])
+        with pytest.raises(ValueError, match=name):
+            algorithms.run_sweep(problem, cert, config, ["scaffold", name], [0])
+
     def test_run_task_writes_files(self, tmp_path):
         out = tmp_path / "fig.csv"
         config = small_config(rounds=3, seeds=[0])
@@ -653,15 +681,45 @@ class TestCli:
         assert capsys.readouterr().out.startswith("N,gamma")
 
 
-def test_benchmark_lookup_sites_resolve():
-    # perfbench/spans.py wraps these attributes by name; one that is gone
-    # would crash every traced benchmark run
+def _benchmark_spans():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_benchmark_lookup_sites_resolve():
+    # perfbench/spans.py wraps these attributes by name; one that is gone
+    # would crash every traced benchmark run
+    spans = _benchmark_spans()
     for module, attr, _, _ in spans.FULL_SITES:
         assert callable(getattr(getattr(scaffold_sim, module), attr)), f"{module}.{attr}"
+
+
+def test_benchmark_work_functions_read_the_calls():
+    # the benchmark's work functions read the wrapped calls' arguments and
+    # results by position; a signature change would skew the counts or
+    # crash a traced run
+    spans = _benchmark_spans()
+    problem, cert = harness._setup(small_config(), 4)
+    config = RunConfig(gamma=0.02, local_steps=5, rounds=3, seed=1)
+    steps = problem.n_clients * config.local_steps
+    tracer = spans.Tracer(scaffold_sim, spans.FULL_SITES)
+    with tracer.installed():
+        harness.run(problem, cert, config)
+        harness.run(problem, cert, config, "fedavg")
+        algorithms.scaffold_round(ChainState.zeros(problem.d, problem.n_clients), problem,
+                                  config, 0)
+        algorithms.fedavg_round(np.zeros(problem.d), problem, config, 0)
+        stationary.estimate_stationary(problem, cert, config, burn_in=7, n_samples=100,
+                                       thinning=2)
+    work = {}
+    for span in tracer.spans:
+        work.setdefault(span[1], []).append(span[6])
+    assert work["algorithms.run"] == [(config.rounds * steps,)] * 2
+    assert work["algorithms.round"] == [(steps,)] * 2
+    assert work["stationary.estimate"] == [(100, 7, 7 + 100 * 2, (7 + 100 * 2) * steps)]
 
 
 def test_exports_resolve():

@@ -437,17 +437,6 @@ class TestEstimateStationarySweep:
         with pytest.raises(ValueError, match="thinning"):
             stationary.estimate_stationary_sweep(chains, n_samples=100, thinning=0)
 
-    def test_fedavg_chain_rejected(self):
-        # the estimator runs every chain as Scaffold, so a FedAvg chain
-        # would get a Scaffold estimate under its name
-        chains = _speedup_chains(n_list=(2, 4))
-        problem, cert, config = chains[1]
-        chains[1] = (problem, cert, replace(config, algorithm="fedavg"))
-        with pytest.raises(ValueError, match="algorithm"):
-            stationary.estimate_stationary_sweep(chains, n_samples=100)
-        with pytest.raises(ValueError, match="algorithm"):
-            stationary.estimate_stationary(*chains[1], n_samples=100)
-
     def test_step_size_diagnostics_for_every_chain(self):
         chains = _speedup_chains(n_list=(2, 4), gamma=10.0)
         with pytest.warns(RuntimeWarning, match="step-size conditions") as record:
