@@ -304,7 +304,7 @@ def fedavg_round(theta, problem: Problem, config: RunConfig, round_index: int):
     return thetas[0]
 
 
-def run_sweep(problem: Problem, certificate, config: RunConfig, algorithms, seeds):
+def run_sweep(problem: Problem, theta_star, config: RunConfig, algorithms, seeds):
     """Run every (algorithm, seed) chain for config.rounds rounds as one block.
 
     Each chain takes its algorithm (a name in ALGORITHMS) and seed from
@@ -312,7 +312,7 @@ def run_sweep(problem: Problem, certificate, config: RunConfig, algorithms, seed
     from zero, and advance through one round kernel, so the chains of one
     seed share every minibatch draw and gather.  Each result equals that of
     a separate `run` bit for bit.  Returns {(algorithm, seed): mse}, where
-    mse[t] is the squared distance of theta to the optimum after round t,
+    mse[t] is the squared distance of theta to `theta_star` after round t,
     length T+1.
     """
     for algorithm in algorithms:
@@ -331,7 +331,7 @@ def run_sweep(problem: Problem, certificate, config: RunConfig, algorithms, seed
                    block_rounds(block, n_scaffold, thetas, xis, range(config.rounds)))
     for t, (thetas, _) in enumerate(states):
         with np.errstate(over="ignore"):
-            mse[t] = np.sum((thetas - certificate.theta_star) ** 2, axis=-1)
+            mse[t] = np.sum((thetas - theta_star) ** 2, axis=-1)
     return {
         (algorithm, seed): mse[:, k, s].copy()
         for k, algorithm in enumerate(algorithms)
@@ -339,13 +339,13 @@ def run_sweep(problem: Problem, certificate, config: RunConfig, algorithms, seed
     }
 
 
-def run(problem: Problem, certificate, config: RunConfig, algorithm="scaffold"):
+def run(problem: Problem, theta_star, config: RunConfig, algorithm="scaffold"):
     """Run one `algorithm` chain for T rounds from zero, as `run_sweep`.
 
-    Returns the squared distance of theta to the optimum after every round,
+    Returns the squared distance of theta to `theta_star` after every round,
     length T+1.
     """
-    sweep = run_sweep(problem, certificate, config, [algorithm], [config.seed])
+    sweep = run_sweep(problem, theta_star, config, [algorithm], [config.seed])
     return sweep[algorithm, config.seed]
 
 

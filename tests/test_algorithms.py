@@ -190,7 +190,7 @@ class TestRun:
     def test_zero_rounds_records_initial_point(self, quad_problem):
         cert = certificate_for(quad_problem)
         config = make_config(quad_problem, rounds=0)
-        mse = algorithms.run(quad_problem, cert, config)
+        mse = algorithms.run(quad_problem, cert.theta_star, config)
         assert mse.shape == (1,)
         assert mse[0] == pytest.approx(np.sum(cert.theta_star ** 2))
 
@@ -199,7 +199,7 @@ class TestRun:
         cert = certificate_for(quad_problem)
         config = make_config(quad_problem, gamma=0.02, local_steps=3,
                              rounds=150, deterministic=True)
-        mse = algorithms.run(quad_problem, cert, config, algorithm)
+        mse = algorithms.run(quad_problem, cert.theta_star, config, algorithm)
         assert np.all(np.diff(mse) <= 1e-15)
         assert mse[-1] < 1e-3 * mse[0]
         if algorithm == "scaffold":
@@ -216,16 +216,16 @@ class TestRun:
         cert = certificate_for(quad_problem)
         config = make_config(quad_problem, gamma=50.0, local_steps=20, rounds=200)
         with pytest.raises(algorithms.DivergenceError) as info:
-            algorithms.run(quad_problem, cert, config)
+            algorithms.run(quad_problem, cert.theta_star, config)
         assert info.value.round_index >= 0
 
     def test_seed_reproducibility(self, logistic_problem):
         cert = certificate_for(logistic_problem)
         config = make_config(logistic_problem, rounds=5, seed=33)
-        a = algorithms.run(logistic_problem, cert, config)
-        b = algorithms.run(logistic_problem, cert, config)
+        a = algorithms.run(logistic_problem, cert.theta_star, config)
+        b = algorithms.run(logistic_problem, cert.theta_star, config)
         assert np.array_equal(a, b)
-        other = algorithms.run(logistic_problem, cert,
+        other = algorithms.run(logistic_problem, cert.theta_star,
                                make_config(logistic_problem, rounds=5, seed=34))
         assert not np.array_equal(a, other)
 
@@ -392,7 +392,7 @@ def _reference_run(problem, cert, config, algorithm):
 
 
 def _sweep_matches_reference(problem, cert, config, algos, seeds):
-    sweep = algorithms.run_sweep(problem, cert, config, algos, seeds)
+    sweep = algorithms.run_sweep(problem, cert.theta_star, config, algos, seeds)
     assert set(sweep) == {(a, s) for a in algos for s in seeds}
     for (algo, seed), mse in sweep.items():
         assert mse.shape == (config.rounds + 1,)
@@ -412,15 +412,16 @@ class TestRoundKernel:
         cert = certificate_for(logistic_problem)
         config = make_config(logistic_problem, rounds=6, seed=5)
         for algo in ("scaffold", "fedavg"):
-            assert np.array_equal(algorithms.run(logistic_problem, cert, config, algo),
+            assert np.array_equal(algorithms.run(logistic_problem, cert.theta_star, config, algo),
                                   _reference_run(logistic_problem, cert, config, algo))
 
     def test_deterministic_sweep_equals_separate_runs(self, quad_problem):
         cert = certificate_for(quad_problem)
         config = make_config(quad_problem, local_steps=3, rounds=5, deterministic=True)
-        sweep = algorithms.run_sweep(quad_problem, cert, config, ["fedavg", "scaffold"], [0, 3])
+        sweep = algorithms.run_sweep(quad_problem, cert.theta_star, config,
+                                     ["fedavg", "scaffold"], [0, 3])
         for (algo, seed), mse in sweep.items():
-            alone = algorithms.run(quad_problem, cert, replace(config, seed=seed), algo)
+            alone = algorithms.run(quad_problem, cert.theta_star, replace(config, seed=seed), algo)
             assert np.array_equal(mse, alone)
 
     def test_ragged_sweep_equals_separate_rounds(self):
@@ -431,9 +432,10 @@ class TestRoundKernel:
         problem = objectives.Problem(clients, "quadratic", 0.1, batch_size=3)
         cert = certificate_for(problem)
         config = make_config(problem, local_steps=3, rounds=4)
-        sweep = algorithms.run_sweep(problem, cert, config, ["scaffold", "fedavg"], [2, 9])
+        sweep = algorithms.run_sweep(problem, cert.theta_star, config,
+                                     ["scaffold", "fedavg"], [2, 9])
         for (algo, seed), mse in sweep.items():
-            alone = algorithms.run(problem, cert, replace(config, seed=seed), algo)
+            alone = algorithms.run(problem, cert.theta_star, replace(config, seed=seed), algo)
             assert np.array_equal(mse, alone)
 
     def test_coupled_run_equals_two_scaffold_rounds(self, logistic_problem):
@@ -464,7 +466,7 @@ class TestRoundKernel:
         assert first < second
         # stop before the second chain diverges: exactly one chain does
         with pytest.raises(algorithms.DivergenceError) as info:
-            algorithms.run_sweep(quad_problem, cert, replace(config, rounds=second),
+            algorithms.run_sweep(quad_problem, cert.theta_star, replace(config, rounds=second),
                                  algos, seeds)
         assert info.value.round_index == first
 
@@ -816,7 +818,8 @@ class TestBlockRounds:
         chunk = algorithms._CHUNK_WORDS // (5 * len(seeds) * problem.n_clients * 100)
         assert first < second and first > chunk and first % chunk
         with pytest.raises(algorithms.DivergenceError) as info:
-            algorithms.run_sweep(problem, cert, replace(config, rounds=second), algos, seeds)
+            algorithms.run_sweep(problem, cert.theta_star, replace(config, rounds=second),
+                                 algos, seeds)
         assert info.value.round_index == first
 
     @pytest.mark.filterwarnings("ignore:step-size conditions")

@@ -110,6 +110,18 @@ batch_size = 4
 n_clients = 6
 """
 
+# The figure1 path that derives gamma from L: the only figure1 set-up that
+# builds a certificate.
+FIGURE1_GAMMA_OVER_L = _PROBLEM_LOGISTIC + """\
+[run]
+gamma_over_L = 0.125
+local_steps = 5
+rounds = 6
+batch_size = 4
+n_clients = 2,6
+seeds = 0,1
+"""
+
 # SHA-256 of each output file, keyed by task and file name.
 DIGESTS = {
     "complexity": {
@@ -130,6 +142,10 @@ DIGESTS = {
 STAGGERED_SPEEDUP_DIGEST = "4e66e2de1f1a4825cf38ff3aadee5361da23aec5e8a404a5aca8d01836f6b8ff"
 # Recorded from the code that looped over clients for every derivative.
 QUADRATIC_PREDICT_DIGEST = "7a2a49f424c5f567e1812fcb3114fcfc25556d76cc508b4c1570d45f35c0796b"
+# Recorded from the code that built a certificate for every figure1 client count.
+FIGURE1_GAMMA_OVER_L_DIGESTS = {
+    "figure1.csv": "02ae62a3e60e6564efd6d84a50485d3dc18779d356c112847b07044cab1e14fb",
+    "figure1.agg.csv": "330da51eb24b9f3ab8c0dd56d5521d2e9dafd3ab42984749a26ae91770943b06"}
 
 
 def _outputs(task, directory, body=None):
@@ -159,6 +175,11 @@ def test_quadratic_predict_bytes_match_golden(tmp_path):
     assert got == {"predict.csv": QUADRATIC_PREDICT_DIGEST}
 
 
+def test_figure1_gamma_over_l_bytes_match_golden(tmp_path):
+    got = _outputs("figure1", tmp_path, FIGURE1_GAMMA_OVER_L)
+    assert got == FIGURE1_GAMMA_OVER_L_DIGESTS
+
+
 if __name__ == "__main__":
     import pathlib
     import pprint
@@ -168,3 +189,5 @@ if __name__ == "__main__":
         pprint.pprint({task: _outputs(task, pathlib.Path(tmp)) for task in sorted(CONFIGS)})
         print("staggered speedup:", _outputs("speedup", pathlib.Path(tmp), STAGGERED_SPEEDUP))
         print("quadratic predict:", _outputs("predict", pathlib.Path(tmp), QUADRATIC_PREDICT))
+        print("figure1 gamma_over_L:",
+              _outputs("figure1", pathlib.Path(tmp), FIGURE1_GAMMA_OVER_L))

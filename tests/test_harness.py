@@ -1,4 +1,5 @@
 import ast
+import collections
 import dataclasses
 import importlib
 import importlib.util
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_golden import CONFIGS, FIGURE1_GAMMA_OVER_L
 
 import scaffold_sim
 from scaffold_sim import algorithms, cli, harness, stationary
@@ -554,13 +556,13 @@ class TestRunners:
         config = RunConfig(gamma=0.02, local_steps=5, rounds=2)
         if name in algorithms.ALGORITHMS:
             assert small_config(algorithms=[name]).algorithms == [name]
-            mse = algorithms.run_sweep(problem, cert, config, [name], [0])[name, 0]
+            mse = algorithms.run_sweep(problem, cert.theta_star, config, [name], [0])[name, 0]
             assert mse.shape == (3,)
             return
         with pytest.raises(ConfigError, match=f"key `algorithms`.*{name}"):
             small_config(algorithms=["scaffold", name])
         with pytest.raises(ValueError, match=name):
-            algorithms.run_sweep(problem, cert, config, ["scaffold", name], [0])
+            algorithms.run_sweep(problem, cert.theta_star, config, ["scaffold", name], [0])
 
     def test_run_task_writes_files(self, tmp_path):
         out = tmp_path / "fig.csv"
@@ -707,8 +709,8 @@ def test_benchmark_work_functions_read_the_calls():
     steps = problem.n_clients * config.local_steps
     tracer = spans.Tracer(scaffold_sim, spans.FULL_SITES)
     with tracer.installed():
-        harness.run(problem, cert, config)
-        harness.run(problem, cert, config, "fedavg")
+        harness.run(problem, cert.theta_star, config)
+        harness.run(problem, cert.theta_star, config, "fedavg")
         algorithms.scaffold_round(ChainState.zeros(problem.d, problem.n_clients), problem,
                                   config, 0)
         algorithms.fedavg_round(np.zeros(problem.d), problem, config, 0)
@@ -720,6 +722,26 @@ def test_benchmark_work_functions_read_the_calls():
     assert work["algorithms.run"] == [(config.rounds * steps,)] * 2
     assert work["algorithms.round"] == [(steps,)] * 2
     assert work["stationary.estimate"] == [(100, 7, 7 + 100 * 2, (7 + 100 * 2) * steps)]
+
+
+@pytest.mark.parametrize("body, certificates", [(CONFIGS["figure1"], 0),
+                                                (FIGURE1_GAMMA_OVER_L, 2)],
+                         ids=["gamma", "gamma_over_L"])
+def test_figure1_setup_runs_through_the_benchmark_spans(tmp_path, body, certificates):
+    # figure1 reads theta* alone, so it builds a certificate only when gamma
+    # comes from L; its set-up calls must stay inside the spans that the
+    # benchmark's setup_s sums
+    spans = _benchmark_spans()
+    path = tmp_path / "figure1.txt"
+    path.write_text("[experiment]\ntask = figure1\n" + body)
+    config = parse_config(path)
+    assert config.n_clients == [2, 6]
+    tracer = spans.Tracer(scaffold_sim, spans.LIGHT_SITES)
+    with tracer.installed():
+        harness.run_figure1(config)
+    counts = collections.Counter(span[1] for span in tracer.spans)
+    assert counts["datagen.build_problem"] == counts["optimum.solve"] == 2
+    assert counts["optimum.certificate"] == certificates
 
 
 def test_exports_resolve():
