@@ -38,7 +38,8 @@ __all__ = [
 # The algorithms `run_sweep` runs, and the config's `algorithms` key accepts.
 ALGORITHMS = ("scaffold", "fedavg")
 
-# Words of one RNG call in `block_rounds`: 512 KB of minibatch indices.
+# Words of one RNG call in `block_rounds`: 512 KB of minibatch indices held
+# at once; a larger round is one call of its own.
 _CHUNK_WORDS = 2 ** 16
 
 
@@ -255,7 +256,8 @@ def block_rounds(block, n_scaffold, thetas, xis, rounds):
     single check covers the round.
 
     The minibatches of consecutive rounds are drawn by one RNG call, in
-    chunks of at most _CHUNK_WORDS words; a larger round is drawn alone.
+    chunks of at most _CHUNK_WORDS words; a larger round is one call of its
+    own, which generates its words in cache-sized blocks.
     Exact-gradient rounds draw nothing and take None rows.
     """
     rounds = iter(rounds)

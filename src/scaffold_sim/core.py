@@ -32,6 +32,10 @@ _SALT_ROUND = _U64(0xD1B54A32D192ED03)
 _SALT_CLIENT = _U64(0xAEF17502108EF2D9)
 _SALT_STEP = _U64(0x94D049BB133111EB)
 
+# Words per in-place pass of `batch_uniform_indices`: a 256 KB block and the
+# finalizer's temporaries stay in cache.
+_BLOCK_WORDS = 2 ** 15
+
 
 def _finalize(z):
     """splitmix64 finalizer, vectorized over uint64 arrays.
@@ -61,33 +65,37 @@ def _mix_key(root_seed, round_idx, client, step):
     return k
 
 
-def _raw_words(key, count, offset=0):
-    """Draws `count` uint64 words from the stream with the given key."""
-    key = np.asarray(key, dtype=_U64)
-    ctr = np.arange(offset + 1, offset + count + 1, dtype=_U64)
-    with np.errstate(over="ignore"):
-        ctr *= _GAMMA64
-        return _finalize(key[..., None] + ctr)
-
-
 def batch_uniform_indices(root_seed, round_idx, client_ids, n_steps, n_records, batch):
     """Minibatch indices for a whole round, shape (n_steps, n_clients, batch).
 
     Entry [h, i, :] is the first `batch` words of the (root_seed,
-    round_idx, client_ids[i], h) stream modulo n_records, computed in one
-    vectorized pass; `derive_stream` in tests/reference.py draws one such
-    entry.  `root_seed`, `round_idx` and `n_records` are each a
-    scalar or, like `client_ids`, one value per column, so clients of
-    several chains (seeds, rounds, data sizes) are drawn in one call.  A
-    `round_idx` of shape (B, 1, 1) or (B, 1, n_clients) draws B rounds at
-    once, shape (B, n_steps, n_clients, batch), each equal to its own call.
+    round_idx, client_ids[i], h) stream modulo n_records; `derive_stream`
+    in tests/reference.py draws one such entry.  `root_seed`, `round_idx`
+    and `n_records` are each a scalar or, like `client_ids`, one value per
+    column, so clients of several chains (seeds, rounds, data sizes) are
+    drawn in one call.  A `round_idx` of shape (B, 1, 1) or (B, 1,
+    n_clients) draws B rounds at once, shape (B, n_steps, n_clients,
+    batch), each equal to its own call.  The keys are mixed in one pass;
+    the words are generated and reduced in place, in blocks of whole steps
+    of about _BLOCK_WORDS words, so each pass stays in cache.  `raw_words`
+    in tests/reference.py generates one key's words in one piece.
     """
     client_ids = np.asarray(client_ids, dtype=_U64)
     steps = np.arange(n_steps, dtype=_U64)
     keys = _mix_key(root_seed, round_idx, client_ids[None, :], steps[:, None])
-    words = _raw_words(keys, batch)
-    # every value ends below n_records, so the int64 view is exact
-    words %= np.asarray(n_records, dtype=_U64)[..., None]
+    words = np.empty(keys.shape + (batch,), dtype=_U64)
+    n_cols = keys.shape[-1]
+    keys, blocks = keys.reshape(-1, n_cols, 1), words.reshape(-1, n_cols, batch)
+    divisor = np.asarray(n_records, dtype=_U64)[..., None]
+    step = max(1, _BLOCK_WORDS // (n_cols * batch))
+    # word j of a stream is finalize(key + (j + 1) * gamma)
+    ctr = np.arange(1, batch + 1, dtype=_U64)
+    with np.errstate(over="ignore"):
+        ctr *= _GAMMA64
+        for lo in range(0, len(keys), step):
+            block = _finalize(np.add(keys[lo:lo + step], ctr, out=blocks[lo:lo + step]))
+            # every value ends below n_records, so the int64 view is exact
+            block %= divisor
     return words.view(np.int64)
 
 

@@ -147,14 +147,28 @@ def stacked_minibatch_gradient(features, targets, thetas, loss, l2_weight):
     features: (N, m, d), targets: (N, m), thetas: (..., N, d); returns
     (..., N, d).  Leading axes of `thetas` are chains that share the
     gathered stack; each of their rows equals the one-chain result bit for
-    bit.  The round simulator and the exact client gradients share this
-    kernel; `stochastic_gradient` in tests/reference.py is its one-client
-    minibatch case, which a one-client simulation reproduces bit for bit.
+    bit.  The two contractions run as one 2-D einsum per chain (a 2-D
+    `thetas` is one call each), which sums each entry as the one-chain call
+    does and skips numpy's slow broadcast over a leading axis; the loss
+    weights and the tail are one pass over the whole stack.  The round simulator and the exact client gradients
+    share this kernel; `stochastic_gradient` in tests/reference.py is its
+    one-client minibatch case, which a one-client simulation reproduces
+    bit for bit.
     """
-    margin = np.einsum("nmd,...nd->...nm", features, thetas)
-    weights = _loss_weights(margin, targets, loss)
-    grads = np.einsum("...nm,nmd->...nd", weights, features) / features.shape[1]
-    return grads + l2_weight * thetas
+    if thetas.ndim == 2:
+        margin = np.einsum("nmd,nd->nm", features, thetas)
+        grads = np.einsum("nm,nmd->nd", _loss_weights(margin, targets, loss), features)
+    else:
+        chains = thetas.reshape(-1, *thetas.shape[-2:])
+        margin = np.empty(chains.shape[:-1] + targets.shape[-1:])
+        for theta, out in zip(chains, margin):
+            np.einsum("nmd,nd->nm", features, theta, out=out)
+        weights = _loss_weights(margin, targets, loss)
+        grads = np.empty(chains.shape)
+        for w, out in zip(weights, grads):
+            np.einsum("nm,nmd->nd", w, features, out=out)
+        grads = grads.reshape(thetas.shape)
+    return grads / features.shape[1] + l2_weight * thetas
 
 
 def record_groups(features, targets, first_rows, record_counts):

@@ -1,9 +1,11 @@
 """Scalar and one-client references that tests compare the simulator against.
 
 The simulator computes these in vectorized form: the counter-based stream
-of one (seed, round, client, step) tuple, one client's minibatch gradient,
-loss and per-record gradients, and the sum-zero check of a chain state.
-Tests import this module the way they import `conftest`.
+of one (seed, round, client, step) tuple and its words, one client's
+minibatch gradient, loss and per-record gradients, and the sum-zero check
+of a chain state.  `broadcast_minibatch_gradient` is the gradient kernel's
+earlier form over a leading chain axis.  Tests import this module the way
+they import `conftest`.
 """
 
 from __future__ import annotations
@@ -12,8 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from scaffold_sim.core import _U64, SUM_ZERO_TOL, _mix_key, _raw_words
-from scaffold_sim.objectives import _record_gradient_stack, stacked_minibatch_gradient
+from scaffold_sim.core import _GAMMA64, _U64, SUM_ZERO_TOL, _finalize, _mix_key
+from scaffold_sim.objectives import (
+    _loss_weights,
+    _record_gradient_stack,
+    stacked_minibatch_gradient,
+)
 
 
 @dataclass(frozen=True)
@@ -37,16 +43,28 @@ class RngStream:
 
     def raw(self, count, offset=0):
         """First `count` 64-bit words of the stream (after `offset` words)."""
-        return _raw_words(self._key, count, offset)
+        return raw_words(self._key, count, offset)
 
     def uniform_indices(self, n, count):
         """`count` i.i.d. uniform draws from {0, ..., n-1}."""
         if n <= 0:
             raise ValueError(f"need n >= 1, got {n}")
-        words = _raw_words(self._key, count)
+        words = raw_words(self._key, count)
         # modulo map; bias is ~n/2^64, negligible for in-memory datasets
         words %= _U64(n)
         return words.view(np.int64)
+
+
+def raw_words(key, count, offset=0):
+    """`count` uint64 words of the stream of each key, after `offset` words.
+
+    `batch_uniform_indices` generates the same words in place, in blocks.
+    """
+    key = np.asarray(key, dtype=_U64)
+    ctr = np.arange(offset + 1, offset + count + 1, dtype=_U64)
+    with np.errstate(over="ignore"):
+        ctr *= _GAMMA64
+        return _finalize(key[..., None] + ctr)
 
 
 def derive_stream(root_seed, round_idx, client, step):
@@ -83,6 +101,18 @@ def stochastic_gradient(problem, client, theta, stream: RngStream):
         ds.features[idx][None], ds.targets[idx][None], theta[None],
         problem.loss, problem.l2_weight,
     )[0]
+
+
+def broadcast_minibatch_gradient(features, targets, thetas, loss, l2_weight):
+    """`stacked_minibatch_gradient` as one einsum broadcast over leading axes.
+
+    The kernel's earlier form; the per-chain 2-D einsums that replaced it
+    must give the same bits.
+    """
+    margin = np.einsum("nmd,...nd->...nm", features, thetas)
+    weights = _loss_weights(margin, targets, loss)
+    grads = np.einsum("...nm,nmd->...nd", weights, features) / features.shape[1]
+    return grads + l2_weight * thetas
 
 
 def per_record_gradients(problem, client, theta):

@@ -10,7 +10,12 @@ from scaffold_sim import algorithms, datagen, objectives, optimum, stationary
 from scaffold_sim.core import ChainState, RunConfig, lambda_norm_sq
 
 from conftest import random_problem
-from reference import derive_stream, on_state_space, stochastic_gradient
+from reference import (
+    broadcast_minibatch_gradient,
+    derive_stream,
+    on_state_space,
+    stochastic_gradient,
+)
 
 
 def make_config(problem, **kwargs):
@@ -555,6 +560,31 @@ class TestRaggedTable:
                     assert np.array_equal(got_xis[k, s], xi - xi.mean(axis=0, keepdims=True))
                 else:
                     assert np.array_equal(got_xis[k, s], np.zeros((4, 3)))
+
+    @pytest.mark.parametrize("loss", ["quadratic", "logistic"])
+    def test_exact_groups_with_a_leading_axis(self, loss, monkeypatch):
+        # exact gradients of ragged clients: each record-count group is one
+        # kernel call over the K chains of a leading axis, which must give
+        # the bits of K one-chain rounds and of the broadcast kernel
+        rng = np.random.default_rng(41)
+        clients = [datagen.ClientDataset(rng.standard_normal((n, 20)),
+                                         np.sign(rng.standard_normal(n)), client_id=i)
+                   for i, n in enumerate([7, 12, 7, 30, 12])]
+        problem = objectives.Problem(clients, loss, 0.1, batch_size=3)
+        config = make_config(problem, gamma=0.05, local_steps=4, deterministic=True)
+        block = algorithms.ChainBlock([(problem, config), (problem, replace(config, seed=3))])
+        assert len(block.groups) == 3
+        thetas = rng.standard_normal((3, 2, 20))
+        xis = rng.standard_normal((3, block.n_rows, 20))
+        xis[2] = 0.0
+        got = algorithms.block_round(block, 2, thetas, xis, 0)
+        for k in range(3):
+            theta, xi = algorithms.block_round(block, int(k < 2), thetas[k], xis[k], 0)
+            assert np.array_equal(got[0][k], theta) and np.array_equal(got[1][k], xi)
+        monkeypatch.setattr(algorithms, "stacked_minibatch_gradient",
+                            broadcast_minibatch_gradient)
+        broadcast = algorithms.block_round(block, 2, thetas, xis, 0)
+        assert np.array_equal(got[0], broadcast[0]) and np.array_equal(got[1], broadcast[1])
 
 
 class TestChainBlock:

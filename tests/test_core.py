@@ -14,7 +14,7 @@ from scaffold_sim.core import (
     lambda_norm_sq,
 )
 
-from reference import derive_stream
+from reference import derive_stream, raw_words
 
 
 def state(theta, xis):
@@ -84,10 +84,10 @@ class TestDeriveStream:
         clients = rng.integers(0, 2 ** 16, size=n, dtype=np.uint64)
         steps = rng.integers(0, 2 ** 16, size=n, dtype=np.uint64)
         tuples = np.unique(np.stack([seeds, rounds, clients, steps], axis=1), axis=0)
-        from scaffold_sim.core import _mix_key, _raw_words
+        from scaffold_sim.core import _mix_key
 
         keys = _mix_key(tuples[:, 0], tuples[:, 1], tuples[:, 2], tuples[:, 3])
-        prefixes = _raw_words(keys, 2)
+        prefixes = raw_words(keys, 2)
         assert len(np.unique(prefixes, axis=0)) == len(tuples)
 
     def test_thread_count_invariance(self):
@@ -133,6 +133,7 @@ class TestDeriveStream:
     @pytest.mark.parametrize("seed, round_idx, n_clients, n_steps, n_records, batch", [
         (5, 7, 2, 10, 3200, 10),
         (np.repeat(np.array([9, 10, 11], dtype=np.uint64), 100), 0, 300, 100, 200, 10),
+        (np.arange(7, dtype=np.uint64), 3, 7, 1300, 97, 9),  # ends inside an RNG block
         (2 ** 64 - 1, 2 ** 63, 3, 1, 1, 1),
     ])
     def test_in_place_words_equal_allocating_reference(self, seed, round_idx, n_clients,
@@ -235,6 +236,36 @@ class TestDeriveStream:
     def test_distinct_tuples_have_distinct_prefixes_property(self, tuples):
         prefixes = {tuple(derive_stream(*t).raw(2).tolist()) for t in tuples}
         assert len(prefixes) == len(tuples)
+
+
+class TestBlockedDraws:
+    # batch_uniform_indices passes over its words in blocks of whole steps
+    # of about core._BLOCK_WORDS words; these draws end inside a block
+    @pytest.mark.parametrize("n_cols, batch, n_steps, rounds_shape", [
+        (7, 9, 1300, (7,)),
+        (7, 9, 400, (3, 1, 1)),
+        (7, 9, 400, (3, 1, 7)),
+        (3000, 11, 3, (3000,)),  # a step longer than a block is a block of its own
+    ])
+    def test_per_column_parts_across_blocks_equal_reference(self, n_cols, batch, n_steps,
+                                                            rounds_shape):
+        step_words = n_cols * batch
+        block = max(1, core._BLOCK_WORDS // step_words) * step_words
+        total = n_steps * step_words * (rounds_shape[0] if len(rounds_shape) == 3 else 1)
+        assert total > 2 * block and (total % block != 0 or block == step_words)
+        rng = np.random.default_rng(n_steps)
+        seeds, ids = (rng.integers(0, 2 ** 64 - 1, n_cols, dtype=np.uint64, endpoint=True)
+                      for _ in range(2))
+        rounds = rng.integers(0, 2 ** 64 - 1, rounds_shape, dtype=np.uint64, endpoint=True)
+        sizes = rng.integers(1, 2 ** 32, n_cols, dtype=np.uint64)
+        before = [a.copy() for a in (seeds, rounds, ids, sizes)]
+        got = batch_uniform_indices(seeds, rounds, ids, n_steps, sizes, batch)
+        assert got.dtype == np.int64 and got.flags.c_contiguous
+        assert got.shape == rounds_shape[:-2] + (n_steps, n_cols, batch)
+        expected = _reference_batch_indices(seeds, rounds, ids, n_steps, sizes[:, None], batch)
+        assert np.array_equal(got, expected)
+        for after, kept in zip((seeds, rounds, ids, sizes), before):
+            assert np.array_equal(after, kept)
 
 
 class TestChainState:

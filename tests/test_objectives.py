@@ -9,7 +9,13 @@ from scaffold_sim import datagen, objectives
 from scaffold_sim.core import batch_uniform_indices
 
 from conftest import random_problem
-from reference import derive_stream, loss_value, per_record_gradients, stochastic_gradient
+from reference import (
+    broadcast_minibatch_gradient,
+    derive_stream,
+    loss_value,
+    per_record_gradients,
+    stochastic_gradient,
+)
 
 
 def fd_gradient(problem, client, theta, eps=1e-6):
@@ -511,6 +517,48 @@ class TestTableKernels:
         with pytest.raises(ValueError, match="square"):
             objectives.client_third_derivatives(logistic_problem, np.zeros(logistic_problem.d),
                                                 np.zeros((2, 3)))
+
+
+def _stack(loss, rows, batch, d, seed):
+    rng = np.random.default_rng(seed)
+    features = rng.standard_normal((rows, batch, d))
+    if loss == "quadratic":
+        targets = rng.standard_normal((rows, batch))
+    else:
+        targets = np.where(rng.random((rows, batch)) < 0.5, 1.0, -1.0)
+    return features, targets
+
+
+class TestStackedGradient:
+    # figure1's stacks: K algorithms over R = N x seeds rows, b = 10, d = 20
+    @pytest.mark.parametrize("loss", ["quadratic", "logistic"])
+    @pytest.mark.parametrize("rows", [30, 300])
+    @pytest.mark.parametrize("chains", [1, 2, 3])
+    def test_leading_axis_equals_one_chain_calls_and_broadcast_form(self, loss, rows, chains):
+        features, targets = _stack(loss, rows, 10, 20, seed=rows + chains)
+        thetas = 3.0 * np.random.default_rng(chains).standard_normal((chains, rows, 20))
+        got = objectives.stacked_minibatch_gradient(features, targets, thetas, loss, 0.1)
+        assert got.shape == thetas.shape
+        alone = np.stack([objectives.stacked_minibatch_gradient(features, targets, theta,
+                                                                loss, 0.1)
+                          for theta in thetas])
+        assert np.array_equal(got, alone)
+        assert np.array_equal(got, broadcast_minibatch_gradient(features, targets, thetas,
+                                                                loss, 0.1))
+        assert np.array_equal(alone[0], broadcast_minibatch_gradient(features, targets,
+                                                                     thetas[0], loss, 0.1))
+
+    @pytest.mark.parametrize("loss", ["quadratic", "logistic"])
+    def test_several_leading_axes_and_strided_thetas(self, loss):
+        features, targets = _stack(loss, 30, 10, 20, seed=4)
+        base = np.random.default_rng(5).standard_normal((30, 2, 3, 20))
+        thetas = base.transpose(1, 2, 0, 3)  # (2, 3, R, d), not contiguous
+        got = objectives.stacked_minibatch_gradient(features, targets, thetas, loss, 0.1)
+        assert got.shape == (2, 3, 30, 20)
+        assert np.array_equal(got, broadcast_minibatch_gradient(features, targets, thetas,
+                                                                loss, 0.1))
+        assert np.array_equal(got[1, 2], objectives.stacked_minibatch_gradient(
+            features, targets, np.ascontiguousarray(thetas[1, 2]), loss, 0.1))
 
 
 class TestRecordGroups:
