@@ -6,23 +6,10 @@ contraction under synchronous coupling, 1/N speed-up of the stationary
 parameter variance, and the first-order bias and covariance formulas.
 """
 
-from .algorithms import (
-    DivergenceError,
-    coupled_run,
-    fedavg_round,
-    run,
-    run_sweep,
-    scaffold_round,
-)
+from .algorithms import DivergenceError, coupled_run, run_sweep, scaffold_round
 from .core import ChainState, RunConfig, lambda_norm_sq
 from .datagen import ClientDataset, make_classification, make_regression, split_two_blocks
-from .objectives import (
-    Problem,
-    full_gradient,
-    hessian,
-    noise_covariance_at,
-    third_derivative_apply,
-)
+from .objectives import Problem
 from .optimum import OptimumCertificate, SolverError, build_certificate, solve_optimum
 from .stationary import (
     ComplexityRecipe,
@@ -53,19 +40,13 @@ __all__ = [
     "coupled_run",
     "estimate_stationary",
     "estimate_stationary_sweep",
-    "fedavg_round",
-    "full_gradient",
-    "hessian",
     "lambda_norm_sq",
     "make_classification",
     "make_regression",
-    "noise_covariance_at",
     "predict_first_order",
-    "run",
     "run_sweep",
     "scaffold_round",
     "solve_optimum",
     "split_two_blocks",
     "sylvester_solve",
-    "third_derivative_apply",
 ]

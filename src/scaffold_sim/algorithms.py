@@ -6,7 +6,8 @@ updates the control variates from the endpoint spread.  One round kernel,
 `block_rounds`, advances a block of chains laid out as a flat client table
 (`ChainBlock`) through a sequence of rounds, vectorized across chains and
 clients, with one RNG call for the minibatches of many rounds; the chains
-may differ in problem, client count, step size, seed and round index.
+read one record table, and may differ in its partition into clients,
+client count, step size, seed and round index.
 Randomness comes from the per (seed, round, client, step) counter
 streams, so chains with the same key see the same minibatches, and
 results do not depend on scheduling or on which chains share a block.
@@ -65,29 +66,6 @@ def _block_keys(problem, config):
     }
 
 
-def _flat_data(problems):
-    """The distinct record tables of `problems`, concatenated, with row offsets.
-
-    Returns (features (rows, d), targets (rows,), {id(problem): (first
-    rows, record counts, client ids)}).  Problems that share a table (the
-    re-splits of one pool) share its rows, and each table's first rows are
-    offset by the rows of the distinct tables before it.  One distinct
-    table is used as it is, without a copy.
-    """
-    tables = {}
-    for p in problems:
-        tables.setdefault((id(p.features), id(p.targets)), p)
-    owners = list(tables.values())
-    offsets = dict(zip(tables, np.cumsum([0] + [len(p.targets) for p in owners[:-1]]).tolist()))
-    clients = {id(p): (p.first_rows + offsets[id(p.features), id(p.targets)],
-                       p.record_counts, p.client_ids) for p in problems}
-    if len(owners) == 1:
-        return owners[0].features, owners[0].targets, clients
-    features = np.concatenate([p.features for p in owners])
-    targets = np.concatenate([p.targets for p in owners])
-    return features, targets, clients
-
-
 def _uniform(values):
     """The common value of `values`, or None if they differ."""
     return values[0] if all(v == values[0] for v in values) else None
@@ -98,21 +76,22 @@ class ChainBlock:
 
     `chains` is a list of (problem, config) pairs.  Row r of the table is
     one client of one chain, and chain g owns the rows `slices[g]`.  Every
-    row carries its client's first row in the block's data (the distinct
-    record tables of the block's problems, each held once however many
-    problems share it, see `_flat_data`), its record count, client id and
-    seed, and its chain's step size, so chains with different problems,
-    client counts, step sizes and round indices share each draw and one
-    gather per local step.  A part that is the same on every row stays a
-    scalar, which mixes its RNG key once instead of per row.  For exact
-    gradients the block holds every record of every row in `groups` of
-    rows with equal record count (`record_groups`): views of the table
-    when the rows are one problem's equal-size clients in order, else
-    gathered once per block.
+    row carries its client's first row in the block's record table, its
+    record count, client id and seed, and its chain's step size, so chains
+    with different partitions, client counts, step sizes and round indices
+    share each draw and one gather per local step.  A part that is the
+    same on every row stays a scalar, which mixes its RNG key once instead
+    of per row.  For exact gradients the block holds every record of every
+    row in `groups` of rows with equal record count (`record_groups`):
+    views of the table when the rows are one problem's equal-size clients
+    in order, else gathered once per block.
 
     The chains must share the loss, l2 weight, local steps, dimension and
     batch width (or all use exact gradients); a mismatch raises a
-    ValueError naming the key.
+    ValueError naming the key.  Their problems must read one record table,
+    `features` and `targets`: one problem, or re-splits of one pool
+    (`harness.build_problem(config, n, pool=pool)`); a second table raises
+    a ValueError.
     """
 
     def __init__(self, chains):
@@ -125,6 +104,12 @@ class ChainBlock:
                         f"chains in one block must share {key}: "
                         f"got {shared[key]!r} and {value!r}"
                     )
+        self.flat_x, self.flat_y = problem.features, problem.targets
+        if any(p.features is not self.flat_x or p.targets is not self.flat_y for p, _ in chains):
+            raise ValueError(
+                "chains in one block must read one record table: use one problem, "
+                "or re-splits of one pool (harness.build_problem(..., pool=pool))"
+            )
         self.chains = chains
         self.loss, self.l2_weight = problem.loss, problem.l2_weight
         self.local_steps, self.batch, self.d = (
@@ -139,9 +124,7 @@ class ChainBlock:
         if self.gamma is None:
             self.gamma = np.repeat(gammas, sizes)[:, None]
         self.gamma_h = [c.gamma * c.local_steps for _, c in chains]
-        self.flat_x, self.flat_y, clients = _flat_data(
-            list({id(p): p for p, _ in chains}.values()))
-        rows = [clients[id(p)] for p, _ in chains]
+        rows = [(p.first_rows, p.record_counts, p.client_ids) for p, _ in chains]
         first, n_records, self.ids = (
             np.concatenate(part) if len(rows) > 1 else part[0] for part in zip(*rows))
         if self.batch is None:
@@ -166,37 +149,33 @@ def _endpoints(block, thetas, corrections, idx):
     thetas (..., G, d) holds one parameter per chain and corrections
     (..., R, d) one control variate per row.  A leading axis holds chains
     that share the block's rows, and with them each gathered batch.  `idx`
-    (H, R, b) holds the round's minibatch rows in the block's data, or is
-    None for exact gradients.  The endpoints have the shape of
-    `corrections`.
+    (H, R, b) holds the round's minibatch rows in the block's record
+    table, or is None for exact gradients, which run on the block's
+    `groups`.  The endpoints have the shape of `corrections`.
     """
     thetas = np.repeat(thetas, block.counts, axis=-2)
     gamma, loss, l2_weight = block.gamma, block.loss, block.l2_weight
-    if block.batch is None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(block.local_steps):
+    flat_x, flat_y = block.flat_x, block.flat_y
+    with np.errstate(over="ignore", invalid="ignore"):
+        for h in range(block.local_steps):
+            if idx is None:
                 grads = np.empty_like(thetas)
                 for rows, features, targets in block.groups:
                     grads[..., rows, :] = stacked_minibatch_gradient(
                         features, targets, thetas[..., rows, :], loss, l2_weight)
-                thetas = thetas - gamma * (grads + corrections)
-        return thetas
-
-    # each step gathers its (R, b) batch, shared by every chain of a
-    # leading axis, with a single take from the flat (rows, d) data
-    flat_x, flat_y = block.flat_x, block.flat_y
-    with np.errstate(over="ignore", invalid="ignore"):
-        for h in range(block.local_steps):
-            grads = stacked_minibatch_gradient(
-                flat_x.take(idx[h], axis=0), flat_y.take(idx[h]), thetas,
-                loss, l2_weight,
-            )
+            else:
+                # each step gathers its (R, b) batch, shared by every chain
+                # of a leading axis, with a single take from the table
+                grads = stacked_minibatch_gradient(
+                    flat_x.take(idx[h], axis=0), flat_y.take(idx[h]), thetas,
+                    loss, l2_weight,
+                )
             thetas = thetas - gamma * (grads + corrections)
     return thetas
 
 
 def _draw(block, rounds):
-    """Minibatch rows (C, H, R, b) in the block's data for C rounds.
+    """Minibatch rows (C, H, R, b) in the block's record table for C rounds.
 
     `rounds` holds C round indices, each one for all rows or one per row;
     one RNG call draws them all.
@@ -357,19 +336,19 @@ def coupled_run(problem: Problem, config: RunConfig,
 
     Returns the squared weighted distance between the chains after every
     round, length T+1.  Because streams are a pure function of
-    (seed, round, client, step), advancing both chains as one block with
-    one seed realizes the synchronous coupling: each round draws and
-    gathers one minibatch per client and step for both.
+    (seed, round, client, step), running the pair as two chains of one
+    block, with one seed and round index, realizes the synchronous
+    coupling: both draw the same minibatches at every client and step.
     """
-    gamma, local_steps = config.gamma, config.local_steps
-    block = ChainBlock([(problem, config)])
+    gamma, local_steps, n = config.gamma, config.local_steps, problem.n_clients
+    block = ChainBlock([(problem, config)] * 2)
     dist = np.empty(config.rounds + 1)
     dist[0] = lambda_norm_sq(state_a, state_b, gamma, local_steps)
-    thetas = np.stack([state_a.theta, state_b.theta])[:, None]
-    xis = np.stack([state_a.xis, state_b.xis])
-    states = block_rounds(block, 2, thetas, xis, range(config.rounds))
+    thetas = np.stack([state_a.theta, state_b.theta])
+    xis = np.concatenate([state_a.xis, state_b.xis])
+    states = block_rounds(block, 1, thetas, xis, range(config.rounds))
     for t, (thetas, xis) in enumerate(states, 1):
-        a = ChainState.unchecked(thetas[0, 0], xis[0])
-        b = ChainState.unchecked(thetas[1, 0], xis[1])
+        a = ChainState.unchecked(thetas[0], xis[:n])
+        b = ChainState.unchecked(thetas[1], xis[n:])
         dist[t] = lambda_norm_sq(a, b, gamma, local_steps)
     return dist

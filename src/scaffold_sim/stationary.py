@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,10 +130,12 @@ def estimate_stationary_sweep(chains, burn_in=None, n_samples=1000, thinning=1, 
     same iterations, and each moment sum is one array for all chains.
     Each estimate equals a separate `estimate_stationary` call bit for
     bit.  Every chain runs Scaffold; the chains must share the loss, l2
-    weight, local steps and batch width.  Returns one StationaryEstimate per
-    chain, in order.  With `xi_moments=False` only the theta moments are
-    accumulated: `cov_theta_xi` and `cov_xi` are None, every other field
-    is unchanged, and only a non-finite theta sum raises DivergenceError.
+    weight, local steps and batch width, and read one record table (one
+    problem, or re-splits of one pool, as `ChainBlock`).  Returns one
+    StationaryEstimate per chain, in order.  With `xi_moments=False` only
+    the theta moments are accumulated: `cov_theta_xi` and `cov_xi` are
+    None, every other field is unchanged, and only a non-finite theta sum
+    raises DivergenceError.
     """
     if not chains:
         raise ValueError("need at least one chain")

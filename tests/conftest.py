@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scaffold_sim import datagen, objectives
+from scaffold_sim import datagen, objectives, optimum
 
 
 @pytest.fixture
@@ -25,6 +25,10 @@ def random_problem(loss, n_clients=3, n_records=30, d=4, l2_weight=0.1,
         clients.append(datagen.ClientDataset(features, targets, client_id=c))
     return objectives.Problem(clients, loss=loss, l2_weight=l2_weight,
                               batch_size=batch_size)
+
+
+def certificate_for(problem):
+    return optimum.build_certificate(problem, optimum.solve_optimum(problem))
 
 
 @pytest.fixture

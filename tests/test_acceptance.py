@@ -22,11 +22,12 @@ import filecmp
 import numpy as np
 import pytest
 
-from scaffold_sim import algorithms, datagen, objectives, optimum, stationary
+from scaffold_sim import algorithms, datagen, objectives, stationary
 from scaffold_sim.cli import main as cli_main
 from scaffold_sim.core import ChainState, RunConfig
 from scaffold_sim.harness import ExperimentConfig, build_problem, run_speedup
 
+from conftest import certificate_for
 from reference import derive_stream, per_record_gradients, stochastic_gradient, sum_zero_violation
 from test_objectives import fd_third_apply
 
@@ -48,10 +49,6 @@ def quad_desk_config():
         records_per_client=200, informative=[2, 10], generator_seeds=[123, 456],
         noise_std=10.0, batch_size=10,
     )
-
-
-def certificate_for(problem):
-    return optimum.build_certificate(problem, optimum.solve_optimum(problem))
 
 
 @pytest.fixture(scope="module")

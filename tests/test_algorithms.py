@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scaffold_sim import algorithms, datagen, objectives, optimum, stationary
+from scaffold_sim import algorithms, datagen, objectives, stationary
 from scaffold_sim.core import ChainState, RunConfig, lambda_norm_sq
 
-from conftest import random_problem
+from conftest import certificate_for, random_problem
 from reference import (
     broadcast_minibatch_gradient,
     derive_stream,
@@ -33,11 +33,6 @@ def _cells_round(problem, config, n_scaffold, seeds, thetas, xis, round_index):
     thetas, xis = algorithms.block_round(block, n_scaffold, thetas.reshape(lead + (n_seeds, d)),
                                          xis.reshape(lead + (n_seeds * n, d)), round_index)
     return thetas.reshape(n_algos, n_seeds, d), xis.reshape(n_algos, n_seeds, n, d)
-
-
-def certificate_for(problem):
-    theta = optimum.solve_optimum(problem)
-    return optimum.build_certificate(problem, theta)
 
 
 class TestScaffoldRound:
@@ -457,6 +452,28 @@ class TestRoundKernel:
             expected.append(lambda_norm_sq(a, b, config.gamma, config.local_steps))
         assert np.array_equal(dist, expected)
 
+    def test_exact_coupled_run_over_ragged_clients_equals_two_scaffold_rounds(self):
+        # exact gradients over clients of 7, 12 and 3 records: the pair's
+        # block fills its gradients group by group
+        rng = np.random.default_rng(6)
+        clients = [datagen.ClientDataset(rng.standard_normal((n, 3)),
+                                         rng.standard_normal(n), client_id=i)
+                   for i, n in enumerate([7, 12, 3])]
+        problem = objectives.Problem(clients, "quadratic", 0.1, batch_size=3)
+        config = make_config(problem, gamma=0.05, local_steps=3, rounds=6,
+                             deterministic=True)
+        xis = rng.standard_normal((problem.n_clients, problem.d))
+        a = ChainState.zeros(problem.d, problem.n_clients)
+        b = ChainState(rng.standard_normal(problem.d), xis - xis.mean(axis=0))
+        dist = algorithms.coupled_run(problem, config, a, b)
+        expected = [lambda_norm_sq(a, b, config.gamma, config.local_steps)]
+        for t in range(config.rounds):
+            a = algorithms.scaffold_round(a, problem, config, t)
+            b = algorithms.scaffold_round(b, problem, config, t)
+            expected.append(lambda_norm_sq(a, b, config.gamma, config.local_steps))
+        assert np.array_equal(dist, expected)
+        assert np.all(np.diff(dist) < 0.0)
+
     def test_one_diverging_chain_raises_at_its_round(self, quad_problem):
         cert = certificate_for(quad_problem)
         config = make_config(quad_problem, gamma=2.0, local_steps=5, rounds=300)
@@ -590,15 +607,13 @@ class TestRaggedTable:
 class TestChainBlock:
     @pytest.mark.parametrize("batch_size", [4, None])
     def test_chains_of_different_problems_equal_separate_rounds(self, batch_size):
-        # a block of four problems, one of them ragged, with different
-        # client counts, record counts, step sizes, seeds and round indices
-        problems = [random_problem("logistic", n_clients=n, n_records=r, d=3, batch_size=4,
-                                   seed=n) for n, r in ((2, 9), (5, 30), (1, 4))]
+        # a block of four partitions of one table, one of them ragged, with
+        # different client counts, record counts, step sizes, seeds and
+        # round indices
+        pool = random_problem("logistic", n_clients=1, n_records=40, d=3, batch_size=4, seed=3)
+        problems = [_resplit(pool, n) for n in (2, 5, 1)]
+        problems.append(_resplit(pool, [8, 30, 2], client_ids=[0, 3, 6]))
         rng = np.random.default_rng(3)
-        clients = [datagen.ClientDataset(rng.standard_normal((n, 3)),
-                                         np.sign(rng.standard_normal(n)), client_id=3 * i)
-                   for i, n in enumerate([6, 30, 2])]
-        problems.append(objectives.Problem(clients, "logistic", 0.1, batch_size=4))
         configs = [make_config(p, gamma=g, local_steps=3, seed=s,
                                deterministic=batch_size is None)
                    for p, g, s in zip(problems, (0.1, 0.05, 0.2, 0.07), (4, 4, 2 ** 64 - 1, 9))]
@@ -640,11 +655,15 @@ class TestChainBlock:
         # the sum-zero invariant after one round of a random block, from
         # control variates that start anywhere
         rng = np.random.default_rng(state_seed)
+        pool = random_problem(loss, n_clients=1, n_records=data.draw(st.integers(1, 40)), d=3,
+                              batch_size=3, seed=state_seed)
+        rows = len(pool.targets)
         chains = []
-        for g in range(n_chains):
-            problem = random_problem(loss, n_clients=data.draw(st.integers(1, 6)),
-                                     n_records=data.draw(st.integers(1, 15)), d=3,
-                                     batch_size=3, seed=state_seed + g)
+        for _ in range(n_chains):
+            # a partition of the table into 1 to 6 clients
+            cuts = sorted(data.draw(st.sets(st.integers(1, max(1, rows - 1)),
+                                            max_size=min(5, rows - 1))))
+            problem = _resplit(pool, np.diff([0, *cuts, rows]).tolist())
             chains.append((problem, make_config(
                 problem, gamma=float(rng.uniform(0.01, 0.2)), local_steps=3,
                 deterministic=batch is None, seed=data.draw(st.integers(0, 2 ** 64 - 1)))))
@@ -674,41 +693,40 @@ class TestChainBlock:
         assert info.value.round_index == 17
 
 
-def _resplit(pool, n_clients):
-    # `pool`'s table in n_clients equal row blocks, as the speedup task
-    # re-splits its largest problem
-    x, y, half = pool.features, pool.targets, len(pool.targets) // 2
-    clients = datagen.split_two_blocks((x[:half], y[:half]), (x[half:], y[half:]), n_clients)
-    return objectives.Problem(clients, pool.loss, pool.l2_weight, pool.batch_size)
+def _resplit(pool, record_counts, client_ids=None):
+    # `pool`'s table as consecutive row blocks of `record_counts` rows (an
+    # int: that many equal blocks), as the speedup task re-splits its
+    # largest problem; they cover the read-only table exactly, so the new
+    # problem reads it uncopied.  Client ids default to 0..N-1.
+    rows = len(pool.targets)
+    if isinstance(record_counts, int):
+        record_counts = [rows // record_counts] * record_counts
+    assert sum(record_counts) == rows
+    stops = np.cumsum(record_counts)
+    if client_ids is None:
+        client_ids = range(len(record_counts))
+    clients = [datagen.ClientDataset(pool.features[stop - n:stop], pool.targets[stop - n:stop],
+                                     client_id=c)
+               for n, stop, c in zip(record_counts, stops, client_ids)]
+    problem = objectives.Problem(clients, pool.loss, pool.l2_weight, pool.batch_size)
+    assert problem.features is pool.features and problem.targets is pool.targets
+    return problem
 
 
 class TestSharedTable:
-    def test_flat_data_returns_a_shared_table_uncopied(self):
-        pool = random_problem("quadratic", n_clients=8, n_records=6, d=3, batch_size=2)
-        problems = [_resplit(pool, 2), _resplit(pool, 4), pool]
-        assert all(p.features is pool.features for p in problems)
-        features, targets, clients = algorithms._flat_data(problems)
-        assert features is pool.features and targets is pool.targets
-        for p in problems:
-            first, counts, ids = clients[id(p)]
-            assert np.array_equal(first, p.first_rows)
-            assert np.array_equal(counts, p.record_counts)
-            assert np.array_equal(ids, p.client_ids)
-
-    def test_unrelated_problem_is_offset_past_the_shared_table(self):
+    def test_second_record_table_raises(self):
+        # two separately built problems read two tables: the block and the
+        # estimator reject them instead of concatenating the tables
         pool = random_problem("quadratic", n_clients=4, n_records=6, d=3, batch_size=2)
         other = random_problem("quadratic", n_clients=3, n_records=5, d=3, batch_size=2,
                                seed=1)
-        split = _resplit(pool, 2)
-        features, targets, clients = algorithms._flat_data([split, other, pool])
-        rows = len(pool.targets)
-        assert features.shape == (rows + len(other.targets), 3)
-        assert np.array_equal(features[:rows], pool.features)
-        assert np.array_equal(features[rows:], other.features)
-        assert np.array_equal(targets, np.concatenate([pool.targets, other.targets]))
-        assert np.array_equal(clients[id(split)][0], split.first_rows)
-        assert np.array_equal(clients[id(pool)][0], pool.first_rows)
-        assert np.array_equal(clients[id(other)][0], other.first_rows + rows)
+        config = make_config(pool, local_steps=2)
+        for problems in ([pool, other], [_resplit(pool, 2), pool, other]):
+            with pytest.raises(ValueError, match="record table"):
+                algorithms.ChainBlock([(p, config) for p in problems])
+        chains = [(p, certificate_for(p), config) for p in (pool, other)]
+        with pytest.raises(ValueError, match="record table"):
+            stationary.estimate_stationary_sweep(chains, n_samples=100)
 
     def test_block_rounds_over_resplits_equal_separate_rounds(self):
         pool = random_problem("quadratic", n_clients=8, n_records=6, d=3, batch_size=3)
@@ -771,11 +789,8 @@ class TestBlockRounds:
 
     def test_ragged_chains_with_rounds_per_row_over_chunks(self):
         rng = np.random.default_rng(5)
-        clients = [datagen.ClientDataset(rng.standard_normal((n, 3)), rng.standard_normal(n),
-                                         client_id=2 * i + 1)
-                   for i, n in enumerate([4, 11, 1])]
-        problems = [random_problem("quadratic", n_clients=2, n_records=9, d=3, batch_size=500),
-                    objectives.Problem(clients, "quadratic", 0.1, batch_size=500)]
+        pool = random_problem("quadratic", n_clients=2, n_records=8, d=3, batch_size=500)
+        problems = [pool, _resplit(pool, [4, 11, 1], client_ids=[1, 3, 5])]
         configs = [make_config(p, gamma=g, local_steps=4, seed=s)
                    for p, g, s in zip(problems, (0.05, 0.02), (3, 2 ** 64 - 1))]
         block = algorithms.ChainBlock(list(zip(problems, configs)))
@@ -797,8 +812,8 @@ class TestBlockRounds:
 
     def test_one_rng_call_per_chunk(self, monkeypatch):
         # a speedup-like block: N = 2, 8, 32 in lockstep, H = 10, b = 10
-        problems = [random_problem("quadratic", n_clients=n, n_records=20, d=5, batch_size=10,
-                                   seed=n) for n in (2, 8, 32)]
+        pool = random_problem("quadratic", n_clients=32, n_records=20, d=5, batch_size=10)
+        problems = [_resplit(pool, n) for n in (2, 8, 32)]
         block = algorithms.ChainBlock([(p, make_config(p, gamma=0.01, local_steps=10))
                                        for p in problems])
         calls = []

@@ -9,13 +9,9 @@ from scaffold_sim import datagen, harness, objectives, optimum, stationary
 from scaffold_sim.algorithms import DivergenceError, scaffold_round
 from scaffold_sim.core import ChainState, RunConfig
 
-from conftest import random_problem
+from conftest import certificate_for, random_problem
+from test_algorithms import _resplit
 from test_objectives import _reference_hessian, _reference_third, ragged_problem
-
-
-def certificate_for(problem):
-    theta = optimum.solve_optimum(problem)
-    return optimum.build_certificate(problem, theta)
 
 
 class TestSylvesterSolve:
@@ -453,10 +449,11 @@ class TestEstimateStationarySweep:
            thinning=st.integers(1, 2), shared_problem=st.booleans())
     def test_sweep_equals_separate_calls(self, chain_specs, loss, burn_in, thinning,
                                          shared_problem):
+        # partitions of one table: 12 rows split over 1 to 4 clients
+        pool = random_problem(loss, n_clients=1, n_records=12, d=2, batch_size=3)
         chains = []
-        for i, (n_clients, gamma, seed) in enumerate(chain_specs):
-            problem = random_problem(loss, n_clients=n_clients, n_records=6 + n_clients, d=2,
-                                     batch_size=3, seed=0 if shared_problem else i)
+        for n_clients, gamma, seed in chain_specs:
+            problem = _resplit(pool, n_clients)
             if shared_problem and chains:
                 problem = chains[0][0]
             chains.append((problem, certificate_for(problem),
