@@ -32,7 +32,6 @@ __all__ = [
     "run_sweep",
     "coupled_run",
     "ChainBlock",
-    "block_round",
     "block_rounds",
 ]
 
@@ -110,7 +109,6 @@ class ChainBlock:
                 "chains in one block must read one record table: use one problem, "
                 "or re-splits of one pool (harness.build_problem(..., pool=pool))"
             )
-        self.chains = chains
         self.loss, self.l2_weight = problem.loss, problem.l2_weight
         self.local_steps, self.batch, self.d = (
             config.local_steps, shared["batch_size"], problem.d)
@@ -250,16 +248,6 @@ def block_rounds(block, n_scaffold, thetas, xis, rounds):
         del idx, drawn
 
 
-def block_round(block, n_scaffold, thetas, xis, rounds):
-    """Advance every chain of a ChainBlock one round; returns (thetas, xis).
-
-    The one-round case of `block_rounds`; `rounds` is the round index, one
-    for all rows or one per row.
-    """
-    (state,) = block_rounds(block, n_scaffold, thetas, xis, [rounds])
-    return state
-
-
 def scaffold_round(state: ChainState, problem: Problem, config: RunConfig,
                    round_index: int) -> ChainState:
     """One Scaffold round: corrected local steps, average, control update.
@@ -268,8 +256,8 @@ def scaffold_round(state: ChainState, problem: Problem, config: RunConfig,
     re-centered so their sum stays exactly on the zero subspace.  Raises
     DivergenceError if any entry of the new state is not finite.
     """
-    thetas, xis = block_round(ChainBlock([(problem, config)]), 1, state.theta[None],
-                              state.xis, round_index)
+    [(thetas, xis)] = block_rounds(ChainBlock([(problem, config)]), 1, state.theta[None],
+                                   state.xis, [round_index])
     return ChainState.unchecked(thetas[0], xis)
 
 
@@ -280,8 +268,8 @@ def fedavg_round(theta, problem: Problem, config: RunConfig, round_index: int):
     """
     theta = np.asarray(theta, dtype=np.float64)
     corrections = np.zeros((problem.n_clients, theta.shape[0]))
-    thetas, _ = block_round(ChainBlock([(problem, config)]), 0, theta[None],
-                            corrections, round_index)
+    [(thetas, _)] = block_rounds(ChainBlock([(problem, config)]), 0, theta[None],
+                                 corrections, [round_index])
     return thetas[0]
 
 

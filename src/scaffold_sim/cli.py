@@ -63,7 +63,7 @@ def _build_parser():
         p.add_argument("--config", required=True, help="path to the config file")
         p.add_argument("--out", default=None, help="output file (overrides config)")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads (figure1: one client count each)")
+                       help="worker threads (figure1 only: one client count each)")
         p.add_argument("--seed-override", type=int, default=None,
                        help="replace the config's seed list with one seed")
     return parser
@@ -74,6 +74,8 @@ def main(argv=None):
     try:
         if args.threads < 1:
             raise ValueError(f"--threads must be >= 1, got {args.threads}")
+        if args.threads > 1 and args.command != "figure1":
+            raise ValueError(f"--threads {args.threads}: only figure1 runs in parallel")
         config = parse_config(args.config)
         if args.seed_override is not None:
             config.seeds = [args.seed_override]

@@ -102,10 +102,6 @@ class OptimumCertificate:
     def n_clients(self):
         return self.xi_star.shape[0]
 
-    @property
-    def d(self):
-        return self.theta_star.shape[0]
-
 
 def build_certificate(problem: Problem, theta_star) -> OptimumCertificate:
     """Evaluate all problem constants at the solved optimum."""

@@ -156,9 +156,14 @@ def estimate_stationary_sweep(chains, burn_in=None, n_samples=1000, thinning=1, 
     order = sorted(range(len(chains)), key=lambda g: -burn_ins[g])
     chains = [chains[g] for g in order]
     burn_ins = [burn_ins[g] for g in order]
-    block = ChainBlock([(problem, config) for problem, _, config in chains])
     sampling = burn_ins[0]
     starts = [sampling - b for b in burn_ins]
+    # one segment of iterations per distinct start, run by the block of the
+    # chains started by then, from zero; the last block is the full layout
+    bounds = sorted(set(starts)) + [sampling + n_samples * thinning]
+    blocks = [ChainBlock([(p, c) for p, _, c in chains[:bisect.bisect_right(starts, lo)]])
+              for lo in bounds[:-1]]
+    block = blocks[-1]
     sizes = [problem.n_clients for problem, _, _ in chains]
     row_starts = np.repeat(starts, sizes)  # iteration of each row's round 0
     d = block.d
@@ -184,15 +189,11 @@ def estimate_stationary_sweep(chains, burn_in=None, n_samples=1000, thinning=1, 
 
     thetas = np.zeros((0, d))
     xis = np.zeros((0, d))
-    # one segment of iterations per distinct start: the block grows at its
-    # first iteration by the chains that start there, from zero
-    bounds = sorted(set(starts)) + [sampling + n_samples * thinning]
     # a finite but huge state overflows the sums before the chain itself
     # diverges; that is reported once, below, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi in zip(bounds, bounds[1:]):
-            active = ChainBlock(block.chains[:bisect.bisect_right(starts, lo)])
-            thetas = np.concatenate([thetas, np.zeros((len(active.chains) - len(thetas), d))])
+        for lo, hi, active in zip(bounds, bounds[1:], blocks):
+            thetas = np.concatenate([thetas, np.zeros((len(active.slices) - len(thetas), d))])
             xis = np.concatenate([xis, np.zeros((active.n_rows - len(xis), d))])
             if lo == 0:
                 rounds = range(hi)  # every row starts at 0: one index for all rows
@@ -216,18 +217,17 @@ def estimate_stationary_sweep(chains, burn_in=None, n_samples=1000, thinning=1, 
     # trailing samples beyond 20*batch_size fold into the last batch
     counts = np.full(N_SE_BATCHES, batch_size, dtype=float)
     counts[-1] += n_samples - N_SE_BATCHES * batch_size
-    for g in np.argsort(order):  # input order
+    estimates = []
+    for g in np.argsort(order):  # input order: the first diverged chain raises
         rows = block.slices[g]
         sums = (sum_dtheta[g], sum_outer_theta[g], sum_theta_xi[rows], sum_xi[pair_rows[g]],
                 batch_means[g])
         if not all(np.isfinite(x).all() for x in sums):
             raise DivergenceError(burn_ins[g] + n_samples * thinning - 1)
-    estimates = [None] * len(chains)
-    for g, rows in enumerate(block.slices):
         means = batch_means[g] / counts[:, None]
         cov_theta = sum_outer_theta[g] / n_samples
         cov_theta = 0.5 * (cov_theta + cov_theta.T)
-        estimates[order[g]] = StationaryEstimate(
+        estimates.append(StationaryEstimate(
             burn_in_rounds=burn_ins[g],
             n_samples=n_samples,
             thinning=thinning,
@@ -236,7 +236,7 @@ def estimate_stationary_sweep(chains, burn_in=None, n_samples=1000, thinning=1, 
             cov_theta_xi=sum_theta_xi[rows] / n_samples if xi_moments else None,
             cov_xi=dict(zip(pairs[g], sum_xi[pair_rows[g]] / n_samples)) if xi_moments else None,
             se_bias=means.std(axis=0, ddof=1) / np.sqrt(N_SE_BATCHES),
-        )
+        ))
     return estimates
 
 

@@ -30,8 +30,9 @@ def _cells_round(problem, config, n_scaffold, seeds, thetas, xis, round_index):
     block = algorithms.ChainBlock([(problem, replace(config, seed=seed)) for seed in seeds])
     n_algos, n_seeds, n, d = xis.shape
     lead = (n_algos,) if n_algos > 1 else ()
-    thetas, xis = algorithms.block_round(block, n_scaffold, thetas.reshape(lead + (n_seeds, d)),
-                                         xis.reshape(lead + (n_seeds * n, d)), round_index)
+    thetas, xis = next(algorithms.block_rounds(
+        block, n_scaffold, thetas.reshape(lead + (n_seeds, d)),
+        xis.reshape(lead + (n_seeds * n, d)), [round_index]))
     return thetas.reshape(n_algos, n_seeds, d), xis.reshape(n_algos, n_seeds, n, d)
 
 
@@ -594,13 +595,13 @@ class TestRaggedTable:
         thetas = rng.standard_normal((3, 2, 20))
         xis = rng.standard_normal((3, block.n_rows, 20))
         xis[2] = 0.0
-        got = algorithms.block_round(block, 2, thetas, xis, 0)
+        got = next(algorithms.block_rounds(block, 2, thetas, xis, [0]))
         for k in range(3):
-            theta, xi = algorithms.block_round(block, int(k < 2), thetas[k], xis[k], 0)
+            theta, xi = next(algorithms.block_rounds(block, int(k < 2), thetas[k], xis[k], [0]))
             assert np.array_equal(got[0][k], theta) and np.array_equal(got[1][k], xi)
         monkeypatch.setattr(algorithms, "stacked_minibatch_gradient",
                             broadcast_minibatch_gradient)
-        broadcast = algorithms.block_round(block, 2, thetas, xis, 0)
+        broadcast = next(algorithms.block_rounds(block, 2, thetas, xis, [0]))
         assert np.array_equal(got[0], broadcast[0]) and np.array_equal(got[1], broadcast[1])
 
 
@@ -621,7 +622,7 @@ class TestChainBlock:
         thetas = rng.standard_normal((4, 3))
         xis = rng.standard_normal((block.n_rows, 3))
         rounds = np.repeat([7, 0, 123, 5], [2, 5, 1, 3])
-        got_theta, got_xis = algorithms.block_round(block, 1, thetas, xis, rounds)
+        got_theta, got_xis = next(algorithms.block_rounds(block, 1, thetas, xis, [rounds]))
         for g, (problem, config) in enumerate(zip(problems, configs)):
             rows = block.slices[g]
             ends = _reference_ragged_endpoints(problem, thetas[g], xis[rows],
@@ -673,7 +674,8 @@ class TestChainBlock:
         thetas = rng.standard_normal(lead + (n_chains, 3))
         xis = 10.0 * rng.standard_normal(lead + (block.n_rows, 3))
         rounds = np.repeat(rng.integers(0, 2 ** 20, n_chains), [p.n_clients for p, _ in chains])
-        got_theta, got_xis = algorithms.block_round(block, n_scaffold, thetas, xis, rounds)
+        got_theta, got_xis = next(algorithms.block_rounds(block, n_scaffold, thetas, xis,
+                                                          [rounds]))
         got_theta = got_theta.reshape(-1, n_chains, 3)
         got_xis = got_xis.reshape(-1, block.n_rows, 3)
         for k in range(n_scaffold):
@@ -689,7 +691,7 @@ class TestChainBlock:
         xis = np.zeros((block.n_rows, quad_problem.d))
         rounds = np.repeat([40, 17, 3], quad_problem.n_clients)
         with pytest.raises(algorithms.DivergenceError) as info:
-            algorithms.block_round(block, 1, thetas, xis, rounds)
+            next(algorithms.block_rounds(block, 1, thetas, xis, [rounds]))
         assert info.value.round_index == 17
 
 
@@ -758,7 +760,7 @@ def _chunk(block):
 def _one_round_calls(block, n_scaffold, thetas, xis, rounds):
     states = []
     for r in rounds:
-        thetas, xis = algorithms.block_round(block, n_scaffold, thetas, xis, r)
+        thetas, xis = next(algorithms.block_rounds(block, n_scaffold, thetas, xis, [r]))
         states.append((thetas, xis))
     return states
 

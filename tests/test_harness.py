@@ -626,6 +626,15 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("ValueError: --threads must be >= 1")
 
+    @pytest.mark.parametrize("command", ["speedup", "predict", "print-config"])
+    def test_threads_above_one_only_for_figure1(self, tmp_path, capsys, command):
+        # nothing but figure1 runs in parallel: a count above 1 is an error
+        path = write_config(tmp_path, "predict" if command == "print-config" else command,
+                            extra_run="n_samples = 100\n")
+        assert cli_main([command, "--config", str(path), "--threads", "2"]) == 2
+        assert capsys.readouterr().err.startswith("ValueError: --threads 2")
+        assert cli_main([command, "--config", str(path), "--threads", "1"]) == 0
+
     def test_print_config_out_writes_file(self, tmp_path, capsys):
         path = write_config(tmp_path, "figure1")
         out = tmp_path / "echo.txt"

@@ -366,6 +366,24 @@ class TestEstimateStationarySweep:
         for chain, est in zip(chains, estimates):
             _assert_estimates_equal(est, _reference_estimate(*chain, est.burn_in_rounds, 100))
 
+    def test_one_block_per_segment(self, monkeypatch):
+        # the block grows at each distinct start; one chain is one block
+        built = []
+
+        class CountingBlock(stationary.ChainBlock):
+            def __init__(self, chains):
+                built.append(len(chains))
+                super().__init__(chains)
+
+        monkeypatch.setattr(stationary, "ChainBlock", CountingBlock)
+        chains = _speedup_chains()
+        estimates = stationary.estimate_stationary_sweep(chains, n_samples=100)
+        assert len({est.burn_in_rounds for est in estimates}) == 3
+        assert built == [1, 2, 3]
+        built.clear()
+        stationary.estimate_stationary(*chains[0], n_samples=100)
+        assert built == [1]
+
     def test_explicit_burn_in(self):
         _sweep_matches_separate_calls(_speedup_chains(seed=4), burn_in=5, n_samples=110)
 
