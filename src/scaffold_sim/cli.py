@@ -22,7 +22,6 @@ config file format (strict `key = value` lines under [section] headers):
   [experiment]
   task = figure1            one of: figure1 speedup coupling stationary
                             predict complexity
-  output = out.csv          optional; --out overrides
 
   [problem]                 all optional, defaults shown
   loss = logistic           quadratic | logistic
@@ -61,11 +60,9 @@ def _build_parser():
     for task in TASKS + ("print-config",):
         p = sub.add_parser(task)
         p.add_argument("--config", required=True, help="path to the config file")
-        p.add_argument("--out", default=None, help="output file (overrides config)")
+        p.add_argument("--out", default=None, help="output file (default: stdout)")
         p.add_argument("--threads", type=int, default=1,
                        help="worker threads (figure1 only: one client count each)")
-        p.add_argument("--seed-override", type=int, default=None,
-                       help="replace the config's seed list with one seed")
     return parser
 
 
@@ -77,26 +74,19 @@ def main(argv=None):
         if args.threads > 1 and args.command != "figure1":
             raise ValueError(f"--threads {args.threads}: only figure1 runs in parallel")
         config = parse_config(args.config)
-        if args.seed_override is not None:
-            config.seeds = [args.seed_override]
-            config.validate()
-
         if args.command == "print-config":
             text = format_config(config)
             if args.out:
                 with open(args.out, "w") as fh:
                     fh.write(text)
-            else:
-                sys.stdout.write(text)
-            return 0
-
-        if args.command != config.task:
+        elif args.command != config.task:
             raise ConfigError(
                 f"key `task`: config says {config.task!r} but the "
                 f"`{args.command}` subcommand was invoked"
             )
-        text = run_task(config, out_path=args.out, threads=args.threads)
-        if args.out is None and config.output_path is None:
+        else:
+            text = run_task(config, out_path=args.out, threads=args.threads)
+        if not args.out:
             sys.stdout.write(text)
         return 0
     except (ConfigError, SolverError, DivergenceError, OSError, ValueError) as exc:

@@ -2,11 +2,11 @@
 
 Configs are line-oriented ``key = value`` files with ``[section]`` headers
 (sections: experiment, problem, run).  Parsing is strict: unknown sections
-or keys, repeated keys, bad types, empty list entries and invalid values
-are each rejected with a distinct error naming the offender.  All outputs
-are CSV with 17-significant-digit floats and deterministically ordered
-rows, so identical configs produce byte-identical files at any thread
-count.
+or keys, repeated keys, bad types, empty list entries, repeated grid
+entries and invalid values are each rejected with a distinct error naming
+the offender.  All outputs are CSV with 17-significant-digit floats and
+deterministically ordered rows, so identical configs produce
+byte-identical files at any thread count.
 """
 
 from __future__ import annotations
@@ -75,14 +75,19 @@ def _parse_str_list(key, value):
     return [v.strip() for v in _entries(key, value)]
 
 
-def _key(section, default, parse, name=None, low=None, positive=False):
-    """A field that owns its config key: [section], parser, default and bound.
+def _key(section, default, parse, name=None, low=None, below=None, positive=False,
+         choices=None, length=None, distinct=False):
+    """A field that owns its config key: [section], parser, default and rules.
 
     `name` is the key in the file where it differs from the attribute.  The
-    bound is `value >= low` or, with `positive`, `value > 0`; None values
-    (an unset optional key) are not checked.
+    rules hold for a scalar or for every entry of a list: `value >= low`,
+    `value < below`, `value > 0` with `positive`, `value in choices`, and a
+    float is finite.  A list is nonempty, has `length` entries if given
+    and, with `distinct`, no repeated entry.  None values (an unset
+    optional key) are not checked.
     """
-    metadata = dict(section=section, key=name, parse=parse, low=low, positive=positive)
+    metadata = dict(section=section, key=name, parse=parse, low=low, below=below,
+                    positive=positive, choices=choices, length=length, distinct=distinct)
     if isinstance(default, list):
         return field(default_factory=lambda: list(default), metadata=metadata)
     return field(default=default, metadata=metadata)
@@ -93,17 +98,16 @@ class ExperimentConfig:
     """Validated experiment description (one task plus its parameters).
 
     Each field owns one config key (`_key`); `_SCHEMA` and the single-key
-    bounds of `validate` are read from the fields.
+    rules of `validate` are read from the fields.
     """
 
-    task: str = _key("experiment", MISSING, str)
-    output_path: str | None = _key("experiment", None, str, name="output")
-    loss: str = _key("problem", "logistic", str)
+    task: str = _key("experiment", MISSING, str, choices=TASKS)
+    loss: str = _key("problem", "logistic", str, choices=("quadratic", "logistic"))
     l2_weight: float = _key("problem", 0.1, _parse_float, low=0)
     n_features: int = _key("problem", 20, _parse_int, low=1)
     records_per_client: int = _key("problem", 200, _parse_int, low=1)
-    informative: list = _key("problem", [2, 10], _parse_int_list)
-    generator_seeds: list = _key("problem", [123, 456], _parse_int_list)
+    informative: list = _key("problem", [2, 10], _parse_int_list, low=1, length=2)
+    generator_seeds: list = _key("problem", [123, 456], _parse_int_list, low=0, length=2)
     noise_std: float = _key("problem", 10.0, _parse_float, low=0)
     class_sep: float = _key("problem", 1.0, _parse_float, low=0)
     gamma: float | None = _key("run", 0.05, _parse_float, positive=True)
@@ -112,37 +116,45 @@ class ExperimentConfig:
     local_steps: int = _key("run", 100, _parse_int, low=1)
     rounds: int = _key("run", 100, _parse_int, low=0)
     batch_size: int = _key("run", 10, _parse_int, low=1)
-    n_clients: list = _key("run", [10, 100], _parse_int_list)
-    seeds: list = _key("run", [0, 1, 2], _parse_int_list)
-    algorithms: list = _key("run", ["scaffold", "fedavg"], _parse_str_list)
+    n_clients: list = _key("run", [10, 100], _parse_int_list, low=2, distinct=True)
+    seeds: list = _key("run", [0, 1, 2], _parse_int_list, low=0, below=2 ** 64,
+                       distinct=True)
+    algorithms: list = _key("run", ["scaffold", "fedavg"], _parse_str_list,
+                            choices=ALGORITHMS, distinct=True)
     burn_in: int | None = _key("run", None, _parse_int, low=0)
     n_samples: int = _key("run", 1000, _parse_int, low=100)
     thinning: int = _key("run", 1, _parse_int, low=1)
     epsilon: float | None = _key("run", None, _parse_float, positive=True)
 
     def validate(self):
-        if self.task not in TASKS:
-            raise ConfigError(f"key `task`: must be one of {TASKS}, got {self.task!r}")
-        if self.loss not in ("quadratic", "logistic"):
-            raise ConfigError(f"key `loss`: must be quadratic or logistic, got {self.loss!r}")
         for f in fields(self):
             value, meta = getattr(self, f.name), f.metadata
             if value is None:
                 continue
-            key, low = meta["key"] or f.name, meta["low"]
-            if meta["parse"] is _parse_float and not math.isfinite(value):
-                raise ConfigError(f"key `{key}`: must be finite, got {value}")
-            if low is not None and value < low:
-                raise ConfigError(f"key `{key}`: must be >= {low}, got {value}")
-            if meta["positive"] and value <= 0:
-                raise ConfigError(f"key `{key}`: must be positive, got {value}")
+            key, length = meta["key"] or f.name, meta["length"]
+            entries = value if isinstance(value, list) else [value]
+            if not entries:
+                raise ConfigError(f"key `{key}`: list must be nonempty")
+            if length is not None and len(entries) != length:
+                raise ConfigError(f"key `{key}`: need exactly {length} entries, got {value}")
+            if meta["distinct"] and len(set(entries)) < len(entries):
+                raise ConfigError(f"key `{key}`: repeated entry in {value}")
+            for v in entries:
+                if meta["parse"] is _parse_float and not math.isfinite(v):
+                    raise ConfigError(f"key `{key}`: must be finite, got {v}")
+                if meta["low"] is not None and v < meta["low"]:
+                    raise ConfigError(f"key `{key}`: must be >= {meta['low']}, got {v}")
+                if meta["below"] is not None and v >= meta["below"]:
+                    raise ConfigError(f"key `{key}`: must be < {meta['below']}, got {v}")
+                if meta["positive"] and v <= 0:
+                    raise ConfigError(f"key `{key}`: must be positive, got {v}")
+                if meta["choices"] is not None and v not in meta["choices"]:
+                    raise ConfigError(f"key `{key}`: must be one of {meta['choices']}, got {v!r}")
         if (self.gamma is None) == (self.gamma_over_l is None):
             raise ConfigError("exactly one of `gamma` or `gamma_over_L` is required, got "
                               f"gamma = {self.gamma}, gamma_over_L = {self.gamma_over_l}")
-        if not self.n_clients:
-            raise ConfigError("key `n_clients`: list must be nonempty")
-        if any(n < 2 or n % 2 for n in self.n_clients):
-            raise ConfigError(f"key `n_clients`: entries must be even and >= 2, got {self.n_clients}")
+        if any(n % 2 for n in self.n_clients):
+            raise ConfigError(f"key `n_clients`: entries must be even, got {self.n_clients}")
         if self.task == "speedup":
             # every N re-splits one pool of records_per_client * max(N) / 2
             # records per source into N/2 equal shards
@@ -154,27 +166,11 @@ class ExperimentConfig:
                     f"(records_per_client * max(n_clients) / 2) over n/2 clients, "
                     f"which is not even for n in {uneven}"
                 )
-        if not self.seeds:
-            raise ConfigError("key `seeds`: list must be nonempty")
-        if any(not 0 <= s < 2 ** 64 for s in self.seeds):
-            raise ConfigError(f"key `seeds`: seeds must be in [0, 2**64), got {self.seeds}")
-        if not self.algorithms:
-            raise ConfigError("key `algorithms`: list must be nonempty")
-        for a in self.algorithms:
-            if a not in ALGORITHMS:
-                raise ConfigError(f"key `algorithms`: unknown algorithm {a!r}")
-        if len(self.informative) != 2:
-            raise ConfigError(f"key `informative`: need exactly 2 counts, got {self.informative}")
-        if any(not 1 <= k <= self.n_features for k in self.informative):
+        if max(self.informative) > self.n_features:
             raise ConfigError(
-                f"key `informative`: counts must be in [1, n_features={self.n_features}], "
+                f"key `informative`: counts must be <= n_features={self.n_features}, "
                 f"got {self.informative}"
             )
-        if len(self.generator_seeds) != 2:
-            raise ConfigError(f"key `generator_seeds`: need exactly 2 seeds, got {self.generator_seeds}")
-        if any(s < 0 for s in self.generator_seeds):
-            raise ConfigError(
-                f"key `generator_seeds`: seeds must be >= 0, got {self.generator_seeds}")
         if self.task == "complexity" and self.epsilon is None:
             raise ConfigError("key `epsilon`: required for the complexity task")
         return self
@@ -317,9 +313,7 @@ def run_figure1(config: ExperimentConfig, threads=1):
     run as one block of chains; client counts run in parallel.  Rows are
     sorted before writing, so the bytes do not depend on the thread count.
     """
-    n_list = sorted(set(config.n_clients))
-    algorithms = list(dict.fromkeys(config.algorithms))
-    seeds = list(dict.fromkeys(config.seeds))
+    n_list = sorted(config.n_clients)
 
     def run_group(n):
         problem = build_problem(config, n)
@@ -328,8 +322,8 @@ def run_figure1(config: ExperimentConfig, threads=1):
         gamma = config.gamma
         if gamma is None:
             gamma = _resolve_gamma(config, build_certificate(problem, theta_star))
-        rc = _run_config(config, gamma, seeds[0], config.rounds)
-        sweep = run_sweep(problem, theta_star, rc, algorithms, seeds)
+        rc = _run_config(config, gamma, config.seeds[0], config.rounds)
+        sweep = run_sweep(problem, theta_star, rc, config.algorithms, config.seeds)
         return {(algo, n, seed): mse for (algo, seed), mse in sweep.items()}
 
     results = {}
@@ -347,9 +341,9 @@ def run_figure1(config: ExperimentConfig, threads=1):
             rows.append(f"{algo},{n},{seed},{t},{mse:.17g}")
 
     agg = ["algorithm,N,t,mean_mse,std_mse"]
-    for algo in sorted(algorithms):
+    for algo in sorted(config.algorithms):
         for n in n_list:
-            stack = np.stack([results[(algo, n, s)] for s in seeds])
+            stack = np.stack([results[(algo, n, s)] for s in config.seeds])
             mean = stack.mean(axis=0)
             std = stack.std(axis=0)
             for t in range(stack.shape[1]):
@@ -367,7 +361,7 @@ def run_speedup(config: ExperimentConfig):
     certificate and is shared too.  The chains of all client counts run in
     lockstep as one block.
     """
-    n_list = sorted(set(config.n_clients))
+    n_list = sorted(config.n_clients)
     n_max = n_list[-1]
     setups = {n_max: _setup(config, n_max)}
     for n in n_list[:-1]:
@@ -393,15 +387,12 @@ def run_speedup(config: ExperimentConfig):
 
 
 def run_coupling(config: ExperimentConfig):
-    """Mean coupled squared distance per round against the geometric bound.
-
-    The mean is over the distinct seeds, each counted once.
-    """
+    """Mean coupled squared distance per round (over the seeds) against the bound."""
     problem, cert, gamma = _first_setup(config)
     n, d = problem.n_clients, problem.d
 
     dists = []
-    for seed in dict.fromkeys(config.seeds):
+    for seed in config.seeds:
         rc = _run_config(config, gamma, seed, config.rounds)
         rng = np.random.default_rng(1_000_000 + seed)
         state_a = ChainState.zeros(d, n)
@@ -441,7 +432,7 @@ def run_complexity(config: ExperimentConfig):
     _, cert, _ = _first_setup(config)
 
     rows = ["N,gamma,local_steps,rounds,grads_per_client,n_max,n_clients_ok"]
-    for n in sorted(set(config.n_clients)):
+    for n in sorted(config.n_clients):
         recipe = stationary.complexity_recipe(cert, config.epsilon, n)
         rows.append(
             f"{n},{recipe.gamma:.17g},{recipe.local_steps:.17g},"
@@ -469,7 +460,7 @@ _RUNNERS = {
 
 
 def run_task(config: ExperimentConfig, out_path=None, threads=1):
-    """Run the configured task and write its output file(s).
+    """Run the configured task and, given `out_path`, write its output file(s).
 
     Returns the main output text.  figure1 additionally writes the
     aggregate CSV next to the main file.
@@ -478,9 +469,8 @@ def run_task(config: ExperimentConfig, out_path=None, threads=1):
         text, agg = run_figure1(config, threads=threads)
     else:
         text, agg = _RUNNERS[config.task](config), None
-    out = out_path or config.output_path
-    if out is not None:
-        for path, content in ((out, text), (aggregate_path(out), agg)):
+    if out_path:
+        for path, content in ((out_path, text), (aggregate_path(out_path), agg)):
             if content is not None:
                 with open(path, "w") as fh:
                     fh.write(content)

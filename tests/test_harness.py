@@ -55,7 +55,8 @@ def _valid_configs(draw):
     """Random configs that pass `validate`, built valid rather than filtered."""
     task = draw(st.sampled_from(harness.TASKS))
     n_features = draw(st.integers(1, 50))
-    n_clients = draw(st.lists(st.integers(1, 100).map(lambda k: 2 * k), min_size=1, max_size=5))
+    n_clients = draw(st.lists(st.integers(1, 100).map(lambda k: 2 * k), min_size=1, max_size=5,
+                              unique=True))
     records = draw(st.integers(1, 500))
     if task == "speedup":
         # the pool of records_per_client * max(N) / 2 must split over every N / 2
@@ -65,7 +66,6 @@ def _valid_configs(draw):
     positive = st.floats(1e-300, 1e3)
     return ExperimentConfig(
         task=task,
-        output_path=draw(st.none() | st.text("abc/._-019", min_size=1, max_size=12)),
         loss=draw(st.sampled_from(["quadratic", "logistic"])),
         l2_weight=draw(st.floats(0.0, 1e3)),
         n_features=n_features,
@@ -80,9 +80,9 @@ def _valid_configs(draw):
         rounds=draw(st.integers(0, 10 ** 6)),
         batch_size=draw(st.integers(1, 1000)),
         n_clients=n_clients,
-        seeds=draw(st.lists(st.integers(0, 2 ** 63), min_size=1, max_size=5)),
+        seeds=draw(st.lists(st.integers(0, 2 ** 63), min_size=1, max_size=5, unique=True)),
         algorithms=draw(st.lists(st.sampled_from(["scaffold", "fedavg"]),
-                                 min_size=1, max_size=3)),
+                                 min_size=1, max_size=2, unique=True)),
         burn_in=draw(st.none() | st.integers(0, 10 ** 6)),
         n_samples=draw(st.integers(100, 10 ** 6)),
         thinning=draw(st.integers(1, 100)),
@@ -95,10 +95,9 @@ def _reference_format_config(config):
     def join(xs):
         return ",".join(str(x) for x in xs)
 
-    lines = ["[experiment]", f"task = {config.task}"]
-    if config.output_path is not None:
-        lines.append(f"output = {config.output_path}")
-    lines += [
+    lines = [
+        "[experiment]",
+        f"task = {config.task}",
         "",
         "[problem]",
         f"loss = {config.loss}",
@@ -174,6 +173,13 @@ class TestParseConfig:
         path = tmp_path / "c.txt"
         path.write_text("[experiment]\ntask = figure1\n[run]\nrounds =\n")
         with pytest.raises(ConfigError, match="line 4: empty value for key `rounds`"):
+            parse_config(path)
+
+    def test_output_key_rejected(self, tmp_path):
+        # --out is the one owner of the output path
+        path = tmp_path / "c.txt"
+        path.write_text("[experiment]\ntask = figure1\noutput = x.csv\n")
+        with pytest.raises(ConfigError, match="line 3: unknown key `output`"):
             parse_config(path)
 
     def test_key_outside_section(self, tmp_path):
@@ -277,7 +283,7 @@ class TestParseConfig:
     @settings(max_examples=60, deadline=None)
     @given(config=_valid_configs())
     def test_round_trip_property(self, config):
-        # gamma_over_L without gamma, optional burn_in / epsilon / output,
+        # gamma_over_L without gamma, optional burn_in / epsilon,
         # list-valued keys and 17-digit floats all survive the round trip
         config.validate()
         with tempfile.TemporaryDirectory() as tmp:
@@ -376,6 +382,15 @@ class TestConfigRanges:
             parse_config(path)
         assert cli_main(["print-config", "--config", str(path)]) == 2
         assert capsys.readouterr().err == f"ConfigError: {message}\n"
+
+    @pytest.mark.parametrize("key, value", [("seeds", [0, 0, 1]), ("n_clients", [4, 2, 4]),
+                                            ("algorithms", ["fedavg", "scaffold", "fedavg"])])
+    def test_repeated_grid_entry_rejected(self, key, value):
+        # a repeated seed, client count or algorithm is an error, not one
+        # chain that the runners would silently count once
+        message = f"key `{key}`: repeated entry in {value}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            small_config(**{key: value})
 
     def test_boundary_values_accepted(self, tmp_path):
         path = tmp_path / "c.txt"
@@ -572,14 +587,6 @@ class TestRunners:
         agg = tmp_path / "fig.agg.csv"
         assert agg.exists()
 
-    def test_repeated_seeds_count_once(self):
-        # a repeated seed is one chain: it gets one per-seed row set and one
-        # weight in the figure1 aggregate and the coupling mean
-        for task, runner in (("figure1", harness.run_figure1),
-                             ("coupling", harness.run_coupling)):
-            assert runner(small_config(task=task, seeds=[0, 0, 1])) == \
-                runner(small_config(task=task, seeds=[0, 1])), task
-
     def test_aggregate_path(self):
         assert harness.aggregate_path("a/b.csv") == "a/b.agg.csv"
         assert harness.aggregate_path("plain") == "plain.agg"
@@ -604,19 +611,13 @@ class TestCli:
         assert cli_main(["coupling", "--config", str(path)]) == 2
         assert "ConfigError" in capsys.readouterr().err
 
-    def test_seed_override(self, tmp_path, capsys):
+    def test_removed_seed_flag_exits_2(self, tmp_path, capsys):
+        # the config's `seeds` is the one owner of the seed list
         path = write_config(tmp_path, "figure1")
-        assert cli_main(["print-config", "--config", str(path),
-                         "--seed-override", "7"]) == 0
-        assert "seeds = 7\n" in capsys.readouterr().out
-
-    def test_seed_override_is_validated(self, tmp_path, capsys):
-        path = write_config(tmp_path, "figure1")
-        assert cli_main(["print-config", "--config", str(path),
-                         "--seed-override", "-3"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("ConfigError: key `seeds`")
+        with pytest.raises(SystemExit) as info:
+            cli_main(["print-config", "--config", str(path), "--seed-override", "7"])
+        assert info.value.code == 2
+        assert "--seed-override" in capsys.readouterr().err
 
     @pytest.mark.parametrize("threads", ["0", "-5"])
     def test_threads_below_one_rejected(self, tmp_path, capsys, threads):
@@ -663,6 +664,25 @@ class TestCli:
             for key in keys:
                 assert re.search(rf"\b{key} =", cli._EPILOG), key
 
+    def test_help_and_schema_name_the_same_keys(self):
+        # every `key =` line of `scaffold-sim --help` is a config key, and
+        # every config key is shown, with its default where it has one
+        epilog = cli._build_parser().epilog
+        keys = {key for section in harness._SCHEMA.values() for key in section}
+        for line in epilog.splitlines():
+            entry = re.match(r"  (\w+) =", line)
+            assert entry is None or entry[1] in keys, line
+        for f in dataclasses.fields(ExperimentConfig):
+            default = (f.default if f.default_factory is dataclasses.MISSING
+                       else ",".join(str(x) for x in f.default_factory()))
+            if default in (None, dataclasses.MISSING):
+                shown = ""
+            else:
+                shown = " " + re.escape(f"{default:g}" if isinstance(default, float)
+                                        else str(default)) + r"\s"
+            key = f.metadata["key"] or f.name
+            assert re.search(rf"\b{key} ={shown}", epilog), key
+
     def test_epilog_defaults_parse_to_config_defaults(self):
         # `key = value` under a [section] the epilog marks "defaults shown";
         # an empty value stands for a default of None
@@ -685,7 +705,7 @@ class TestCli:
         assert shown == (set(harness._SCHEMA["problem"]) | set(harness._SCHEMA["run"])) \
             - {"gamma_over_L"}
 
-    def test_stdout_when_no_output_path(self, tmp_path, capsys):
+    def test_stdout_without_out(self, tmp_path, capsys):
         path = write_config(tmp_path, "complexity",
                             extra_run="epsilon = 0.1\n")
         assert cli_main(["complexity", "--config", str(path)]) == 0
