@@ -35,14 +35,14 @@ def main():
     cert = build_certificate(problem, solve_optimum(problem))
     gamma = 1.0 / (4.0 * cert.big_l)
     local_steps, rounds = 10, 60
-    config = RunConfig(gamma=gamma, local_steps=local_steps, rounds=rounds, seed=7)
+    config = RunConfig(gamma=gamma, local_steps=local_steps, rounds=rounds)
 
     rng = np.random.default_rng(1)
     state_a = ChainState.zeros(problem.d, problem.n_clients)
     state_b = ChainState(5.0 * rng.standard_normal(problem.d),
                          np.zeros((problem.n_clients, problem.d)))
 
-    dist = coupled_run(problem, config, state_a, state_b)
+    [dist] = coupled_run(problem, config, [7], [(state_a, state_b)])
     rate = (1.0 - gamma * cert.mu / 4.0) ** local_steps
     bound = dist[0] * rate ** np.arange(rounds + 1)
 

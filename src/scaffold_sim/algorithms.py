@@ -318,25 +318,30 @@ def run(problem: Problem, theta_star, config: RunConfig, algorithm="scaffold"):
     return sweep[algorithm, config.seed]
 
 
-def coupled_run(problem: Problem, config: RunConfig,
-                state_a: ChainState, state_b: ChainState):
-    """Drive two Scaffold chains with the SAME noise streams.
+def coupled_run(problem: Problem, config: RunConfig, seeds, starts):
+    """Drive one pair of Scaffold chains per seed, each pair on the SAME noise streams.
 
-    Returns the squared weighted distance between the chains after every
-    round, length T+1.  Because streams are a pure function of
-    (seed, round, client, step), running the pair as two chains of one
-    block, with one seed and round index, realizes the synchronous
-    coupling: both draw the same minibatches at every client and step.
+    starts[k] = (state_a, state_b) starts the pair of seeds[k].  All pairs
+    run as one block, each as two adjacent chains of one seed and round
+    index; streams are a pure function of (seed, round, client, step), so
+    both draw the same minibatches at every client and step (synchronous
+    coupling).  Returns dist (len(seeds), T+1), each pair's squared weighted
+    distance after every round; row k equals a one-seed call bit for bit.
+    Raises ValueError unless each seed has one start pair, of shapes (d,) and (N, d).
     """
-    gamma, local_steps, n = config.gamma, config.local_steps, problem.n_clients
-    block = ChainBlock([(problem, config)] * 2)
-    dist = np.empty(config.rounds + 1)
-    dist[0] = lambda_norm_sq(state_a, state_b, gamma, local_steps)
-    thetas = np.stack([state_a.theta, state_b.theta])
-    xis = np.concatenate([state_a.xis, state_b.xis])
-    states = block_rounds(block, 1, thetas, xis, range(config.rounds))
-    for t, (thetas, xis) in enumerate(states, 1):
-        a = ChainState.unchecked(thetas[0], xis[:n])
-        b = ChainState.unchecked(thetas[1], xis[n:])
-        dist[t] = lambda_norm_sq(a, b, gamma, local_steps)
+    n, d = problem.n_clients, problem.d
+    if len(starts) != len(seeds):
+        raise ValueError(f"need one start pair per seed: got {len(starts)} for {len(seeds)}")
+    initial = [state for a, b in starts for state in (a, b)]
+    if any(s.theta.shape != (d,) or s.xis.shape != (n, d) for s in initial):
+        raise ValueError(f"start states must have shapes ({d},) and ({n}, {d})")
+    block = ChainBlock([(problem, replace(config, seed=seed)) for seed in seeds for _ in range(2)])
+    thetas = np.stack([s.theta for s in initial])
+    xis = np.concatenate([s.xis for s in initial])
+    dist = np.empty((len(seeds), config.rounds + 1))
+    states = chain([(thetas, xis)], block_rounds(block, 1, thetas, xis, range(config.rounds)))
+    for t, (thetas, xis) in enumerate(states):
+        for k, pair in enumerate(zip(thetas.reshape(-1, 2, d), xis.reshape(-1, 2, n, d))):
+            a, b = map(ChainState.unchecked, *pair)
+            dist[k, t] = lambda_norm_sq(a, b, config.gamma, config.local_steps)
     return dist

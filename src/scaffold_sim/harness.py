@@ -389,16 +389,11 @@ def run_speedup(config: ExperimentConfig):
 def run_coupling(config: ExperimentConfig):
     """Mean coupled squared distance per round (over the seeds) against the bound."""
     problem, cert, gamma = _first_setup(config)
-    n, d = problem.n_clients, problem.d
-
-    dists = []
-    for seed in config.seeds:
-        rc = _run_config(config, gamma, seed, config.rounds)
-        rng = np.random.default_rng(1_000_000 + seed)
-        state_a = ChainState.zeros(d, n)
-        state_b = ChainState(rng.standard_normal(d), np.zeros((n, d)))
-        dists.append(coupled_run(problem, rc, state_a, state_b))
-    mean_d = np.mean(dists, axis=0)
+    zero = ChainState.zeros(problem.d, problem.n_clients)
+    rngs = [np.random.default_rng(1_000_000 + seed) for seed in config.seeds]
+    starts = [(zero, ChainState(rng.standard_normal(problem.d), zero.xis)) for rng in rngs]
+    rc = _run_config(config, gamma, config.seeds[0], config.rounds)
+    mean_d = np.mean(coupled_run(problem, rc, config.seeds, starts), axis=0)
     rate = (1.0 - gamma * cert.mu / 4.0) ** config.local_steps
     bound = mean_d[0] * rate ** np.arange(config.rounds + 1)
 

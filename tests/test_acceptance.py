@@ -31,7 +31,10 @@ from conftest import certificate_for
 from reference import derive_stream, per_record_gradients, stochastic_gradient, sum_zero_violation
 from test_objectives import fd_third_apply
 
-pytestmark = pytest.mark.filterwarnings("ignore:step-size conditions")
+# marks the checks whose estimator chains run where gamma*H*(L+mu) <= 1
+# fails, so the step-size warning fires; elsewhere it fails the suite,
+# like any other warning
+outside_regime = pytest.mark.filterwarnings("ignore:step-size conditions")
 
 
 @pytest.fixture
@@ -83,14 +86,12 @@ def test_contraction(report):
     assert cert.mu / cert.big_l == pytest.approx(0.1, rel=1e-6)
 
     gamma, local_steps, rounds = 1.0 / (4.0 * cert.big_l), 10, 200
-    dists = []
-    for seed in range(20):
-        config = RunConfig(gamma=gamma, local_steps=local_steps, rounds=rounds, seed=seed)
-        rng = np.random.default_rng(1000 + seed)
-        state_a = ChainState.zeros(d, n_clients)
-        state_b = ChainState(rng.standard_normal(d), np.zeros((n_clients, d)))
-        dists.append(algorithms.coupled_run(problem, config, state_a, state_b))
-    mean_d = np.mean(dists, axis=0)
+    config = RunConfig(gamma=gamma, local_steps=local_steps, rounds=rounds)
+    starts = [(ChainState.zeros(d, n_clients),
+               ChainState(np.random.default_rng(1000 + seed).standard_normal(d),
+                          np.zeros((n_clients, d))))
+              for seed in range(20)]
+    mean_d = np.mean(algorithms.coupled_run(problem, config, range(20), starts), axis=0)
     rate = (1.0 - gamma * cert.mu / 4.0) ** local_steps
     bound = mean_d[0] * rate ** np.arange(rounds + 1)
     # the ratio is 1 at t = 0 by construction, so the margin is over t >= 1;
@@ -103,6 +104,7 @@ def test_contraction(report):
     assert ok
 
 
+@outside_regime
 def test_invariants(report, n8_setup):
     problem, cert, gamma, _, _ = n8_setup
     config = RunConfig(gamma=gamma, local_steps=10, rounds=1, deterministic=True, seed=0)
@@ -122,6 +124,7 @@ def test_invariants(report, n8_setup):
     assert ok
 
 
+@outside_regime
 def test_variance_bound(report, n8_setup):
     _, cert, gamma, est, _ = n8_setup
     trace = float(np.trace(est.cov_theta))
@@ -131,6 +134,7 @@ def test_variance_bound(report, n8_setup):
     assert ok
 
 
+@outside_regime
 def test_linear_speedup(report):
     # the shipped speedup task: all client counts re-split one pool sized
     # for N=32 and share the step size 1/(8L) of the N=32 certificate, so
@@ -148,6 +152,7 @@ def test_linear_speedup(report):
     assert ok
 
 
+@outside_regime
 def test_covariance_formula(report, n8_setup):
     _, _, _, est, pred = n8_setup
     rel = float(np.linalg.norm(est.cov_theta - pred.cov_theta)
@@ -157,6 +162,7 @@ def test_covariance_formula(report, n8_setup):
     assert ok
 
 
+@outside_regime
 def test_bias_formula(report):
     # heterogeneous logistic problem in d=5 with N=4 clients, single-record
     # batches for a strong noise signal; 1e5 post-burn-in samples

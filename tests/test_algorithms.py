@@ -235,8 +235,8 @@ class TestCoupledRun:
     def test_identical_chains_stay_identical(self, quad_problem):
         config = make_config(quad_problem, rounds=6, seed=17)
         state = ChainState.zeros(quad_problem.d, quad_problem.n_clients)
-        dist = algorithms.coupled_run(quad_problem, config, state,
-                                      ChainState(state.theta.copy(), state.xis.copy()))
+        [dist] = algorithms.coupled_run(quad_problem, config, [config.seed],
+                                        [(state, ChainState(state.theta.copy(), state.xis.copy()))])
         assert dist.shape == (7,)
         assert np.all(dist == 0.0)
 
@@ -247,7 +247,7 @@ class TestCoupledRun:
         a = ChainState.zeros(quad_problem.d, quad_problem.n_clients)
         b = ChainState(rng.standard_normal(quad_problem.d),
                        np.zeros((quad_problem.n_clients, quad_problem.d)))
-        dist = algorithms.coupled_run(quad_problem, config, a, b)
+        [dist] = algorithms.coupled_run(quad_problem, config, [config.seed], [(a, b)])
         assert np.all(dist > 0.0)
         assert dist[-1] < 1e-6 * dist[0]
 
@@ -257,8 +257,24 @@ class TestCoupledRun:
         b = ChainState(np.ones(quad_problem.d),
                        np.zeros((quad_problem.n_clients, quad_problem.d)))
         theta_before = b.theta.copy()
-        algorithms.coupled_run(quad_problem, config, a, b)
+        algorithms.coupled_run(quad_problem, config, [config.seed], [(a, b)])
         assert np.array_equal(b.theta, theta_before)
+
+    def test_one_start_pair_per_seed(self, quad_problem):
+        config = make_config(quad_problem, rounds=2)
+        a = ChainState.zeros(quad_problem.d, quad_problem.n_clients)
+        with pytest.raises(ValueError, match="one start pair per seed"):
+            algorithms.coupled_run(quad_problem, config, [0, 1], [(a, a)])
+
+    @pytest.mark.parametrize("extra_d, extra_n", [(1, 0), (0, 1)])
+    def test_start_states_take_the_problem_shapes(self, quad_problem, extra_d, extra_n):
+        config = make_config(quad_problem, rounds=2)
+        d, n = quad_problem.d, quad_problem.n_clients
+        a = ChainState.zeros(d, n)
+        bad = ChainState.zeros(d + extra_d, n + extra_n)
+        for pair in ((a, bad), (bad, a)):
+            with pytest.raises(ValueError, match=rf"shapes \({d},\) and \({n}, {d}\)"):
+                algorithms.coupled_run(quad_problem, config, [0, 1], [(a, a), pair])
 
 
 class TestRaggedClients:
@@ -330,7 +346,44 @@ class TestDivergenceCheck:
         b = ChainState(np.ones(quad_problem.d), np.zeros((quad_problem.n_clients,
                                                           quad_problem.d)))
         with pytest.raises(algorithms.DivergenceError):
-            algorithms.coupled_run(quad_problem, config, a, b)
+            algorithms.coupled_run(quad_problem, config, [config.seed], [(a, b)])
+
+    def test_coupled_run_raises_at_the_earliest_seed_round(self, quad_problem):
+        # the pair from the larger start overflows first; the block reports
+        # the earliest round of the one-seed calls
+        config = make_config(quad_problem, gamma=50.0, local_steps=20, rounds=200)
+        d, n = quad_problem.d, quad_problem.n_clients
+        starts = [(ChainState.zeros(d, n), ChainState(scale * np.ones(d), np.zeros((n, d))))
+                  for scale in (1.0, 1e100)]
+        rounds = []
+        for seed, pair in zip([3, 4], starts):
+            with pytest.raises(algorithms.DivergenceError) as alone:
+                algorithms.coupled_run(quad_problem, config, [seed], [pair])
+            rounds.append(alone.value.round_index)
+        assert rounds[1] < rounds[0]
+        with pytest.raises(algorithms.DivergenceError) as info:
+            algorithms.coupled_run(quad_problem, config, [3, 4], starts)
+        assert info.value.round_index == rounds[1]
+
+
+def _coupled_starts(rng, problem, n_pairs):
+    # per pair: zero, and a random theta with random sum-zero control variates
+    starts = []
+    for _ in range(n_pairs):
+        xis = rng.standard_normal((problem.n_clients, problem.d))
+        starts.append((ChainState.zeros(problem.d, problem.n_clients),
+                       ChainState(rng.standard_normal(problem.d), xis - xis.mean(axis=0))))
+    return starts
+
+
+def _coupled_scaffold_rounds(problem, config, a, b):
+    # the coupled distance from two separate scaffold_round chains of one seed
+    expected = [lambda_norm_sq(a, b, config.gamma, config.local_steps)]
+    for t in range(config.rounds):
+        a = algorithms.scaffold_round(a, problem, config, t)
+        b = algorithms.scaffold_round(b, problem, config, t)
+        expected.append(lambda_norm_sq(a, b, config.gamma, config.local_steps))
+    return expected
 
 
 # Reference for the block round kernel: the per-chain loop it replaced, with
@@ -440,22 +493,20 @@ class TestRoundKernel:
             assert np.array_equal(mse, alone)
 
     def test_coupled_run_equals_two_scaffold_rounds(self, logistic_problem):
-        config = make_config(logistic_problem, rounds=8, seed=12)
+        # three seeds, each pair from its own start, as one block
+        config = make_config(logistic_problem, rounds=8)
         rng = np.random.default_rng(4)
-        xis = rng.standard_normal((logistic_problem.n_clients, logistic_problem.d))
-        a = ChainState.zeros(logistic_problem.d, logistic_problem.n_clients)
-        b = ChainState(rng.standard_normal(logistic_problem.d), xis - xis.mean(axis=0))
-        dist = algorithms.coupled_run(logistic_problem, config, a, b)
-        expected = [lambda_norm_sq(a, b, config.gamma, config.local_steps)]
-        for t in range(config.rounds):
-            a = algorithms.scaffold_round(a, logistic_problem, config, t)
-            b = algorithms.scaffold_round(b, logistic_problem, config, t)
-            expected.append(lambda_norm_sq(a, b, config.gamma, config.local_steps))
-        assert np.array_equal(dist, expected)
+        seeds = [12, 5, 30]
+        starts = _coupled_starts(rng, logistic_problem, len(seeds))
+        dist = algorithms.coupled_run(logistic_problem, config, seeds, starts)
+        assert dist.shape == (3, config.rounds + 1)
+        for seed, (a, b), row in zip(seeds, starts, dist):
+            expected = _coupled_scaffold_rounds(logistic_problem, replace(config, seed=seed), a, b)
+            assert np.array_equal(row, expected)
 
     def test_exact_coupled_run_over_ragged_clients_equals_two_scaffold_rounds(self):
-        # exact gradients over clients of 7, 12 and 3 records: the pair's
-        # block fills its gradients group by group
+        # exact gradients over clients of 7, 12 and 3 records: the block of
+        # three pairs fills its gradients group by group
         rng = np.random.default_rng(6)
         clients = [datagen.ClientDataset(rng.standard_normal((n, 3)),
                                          rng.standard_normal(n), client_id=i)
@@ -463,17 +514,13 @@ class TestRoundKernel:
         problem = objectives.Problem(clients, "quadratic", 0.1, batch_size=3)
         config = make_config(problem, gamma=0.05, local_steps=3, rounds=6,
                              deterministic=True)
-        xis = rng.standard_normal((problem.n_clients, problem.d))
-        a = ChainState.zeros(problem.d, problem.n_clients)
-        b = ChainState(rng.standard_normal(problem.d), xis - xis.mean(axis=0))
-        dist = algorithms.coupled_run(problem, config, a, b)
-        expected = [lambda_norm_sq(a, b, config.gamma, config.local_steps)]
-        for t in range(config.rounds):
-            a = algorithms.scaffold_round(a, problem, config, t)
-            b = algorithms.scaffold_round(b, problem, config, t)
-            expected.append(lambda_norm_sq(a, b, config.gamma, config.local_steps))
-        assert np.array_equal(dist, expected)
-        assert np.all(np.diff(dist) < 0.0)
+        seeds = [0, 1, 2]
+        starts = _coupled_starts(rng, problem, len(seeds))
+        dist = algorithms.coupled_run(problem, config, seeds, starts)
+        for seed, (a, b), row in zip(seeds, starts, dist):
+            expected = _coupled_scaffold_rounds(problem, replace(config, seed=seed), a, b)
+            assert np.array_equal(row, expected)
+        assert np.all(np.diff(dist, axis=1) < 0.0)
 
     def test_one_diverging_chain_raises_at_its_round(self, quad_problem):
         cert = certificate_for(quad_problem)
