@@ -81,19 +81,21 @@ class ChainBlock:
     share each draw and one gather per local step.  A part that is the
     same on every row stays a scalar, which mixes its RNG key once instead
     of per row.  For exact gradients the block holds every record of every
-    row in `groups` of rows with equal record count (`record_groups`):
-    views of the table when the rows are one problem's equal-size clients
-    in order, else gathered once per block.
+    row in `groups` of rows with equal record count (`record_groups`), each
+    with the index array of its rows: views of the table when the rows are
+    one problem's equal-size clients in order, else gathered once per block.
 
     The chains must share the loss, l2 weight, local steps, dimension and
     batch width (or all use exact gradients); a mismatch raises a
     ValueError naming the key.  Their problems must read one record table,
     `features` and `targets`: one problem, or re-splits of one pool
     (`harness.build_problem(config, n, pool=pool)`); a second table raises
-    a ValueError.
+    a ValueError, and so does an empty `chains`.
     """
 
     def __init__(self, chains):
+        if not chains:
+            raise ValueError("need at least one chain")
         problem, config = chains[0]
         shared = _block_keys(problem, config)
         for p, c in chains:
@@ -160,7 +162,7 @@ def _endpoints(block, thetas, corrections, idx):
                 grads = np.empty_like(thetas)
                 for rows, features, targets in block.groups:
                     grads[..., rows, :] = stacked_minibatch_gradient(
-                        features, targets, thetas[..., rows, :], loss, l2_weight)
+                        features, targets, thetas.take(rows, axis=-2), loss, l2_weight)
             else:
                 # each step gathers its (R, b) batch, shared by every chain
                 # of a leading axis, with a single take from the table
@@ -282,8 +284,10 @@ def run_sweep(problem: Problem, theta_star, config: RunConfig, algorithms, seeds
     seed share every minibatch draw and gather.  Each result equals that of
     a separate `run` bit for bit.  Returns {(algorithm, seed): mse}, where
     mse[t] is the squared distance of theta to `theta_star` after round t,
-    length T+1.
+    length T+1.  Raises ValueError for an empty `algorithms` or `seeds`.
     """
+    if not algorithms:
+        raise ValueError("need at least one algorithm")
     for algorithm in algorithms:
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")

@@ -302,7 +302,7 @@ def _first_setup(config: ExperimentConfig):
     return problem, cert, _resolve_gamma(config, cert)
 
 
-def _run_config(config: ExperimentConfig, gamma, seed, rounds=1):
+def _run_config(config: ExperimentConfig, gamma, rounds=1, seed=RunConfig.seed):
     return RunConfig(gamma=gamma, local_steps=config.local_steps, rounds=rounds, seed=seed)
 
 
@@ -322,7 +322,7 @@ def run_figure1(config: ExperimentConfig, threads=1):
         gamma = config.gamma
         if gamma is None:
             gamma = _resolve_gamma(config, build_certificate(problem, theta_star))
-        rc = _run_config(config, gamma, config.seeds[0], config.rounds)
+        rc = _run_config(config, gamma, config.rounds)
         sweep = run_sweep(problem, theta_star, rc, config.algorithms, config.seeds)
         return {(algo, n, seed): mse for (algo, seed), mse in sweep.items()}
 
@@ -368,7 +368,7 @@ def run_speedup(config: ExperimentConfig):
         setups[n] = _setup(config, n, pool=setups[n_max][0])
     gamma = _resolve_gamma(config, setups[n_max][1])
 
-    chains = [setups[n] + (_run_config(config, gamma, config.seeds[0]),)
+    chains = [setups[n] + (_run_config(config, gamma, seed=config.seeds[0]),)
               for n in n_list]
     estimates = stationary.estimate_stationary_sweep(
         chains, burn_in=config.burn_in, n_samples=config.n_samples,
@@ -392,7 +392,7 @@ def run_coupling(config: ExperimentConfig):
     zero = ChainState.zeros(problem.d, problem.n_clients)
     rngs = [np.random.default_rng(1_000_000 + seed) for seed in config.seeds]
     starts = [(zero, ChainState(rng.standard_normal(problem.d), zero.xis)) for rng in rngs]
-    rc = _run_config(config, gamma, config.seeds[0], config.rounds)
+    rc = _run_config(config, gamma, config.rounds)
     mean_d = np.mean(coupled_run(problem, rc, config.seeds, starts), axis=0)
     rate = (1.0 - gamma * cert.mu / 4.0) ** config.local_steps
     bound = mean_d[0] * rate ** np.arange(config.rounds + 1)
@@ -406,7 +406,7 @@ def run_coupling(config: ExperimentConfig):
 def run_stationary(config: ExperimentConfig):
     """Full stationary-moment report for the first client count."""
     problem, cert, gamma = _first_setup(config)
-    rc = _run_config(config, gamma, config.seeds[0])
+    rc = _run_config(config, gamma, seed=config.seeds[0])
     est = stationary.estimate_stationary(
         problem, cert, rc, burn_in=config.burn_in,
         n_samples=config.n_samples, thinning=config.thinning,

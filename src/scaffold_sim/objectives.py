@@ -177,23 +177,21 @@ def record_groups(features, targets, first_rows, record_counts):
     Client c owns the rows `first_rows[c]` to `first_rows[c] +
     record_counts[c]` of the (rows, d) `features` and (rows,) `targets`.
     Returns one (clients, features (G, n, d), targets (G, n)) per distinct
-    record count n, in increasing n.  Clients of equal size that own every
-    row in order are one group of reshape views of the table; otherwise
-    each group gathers its clients' records.  `clients` indexes the group's
-    clients, or is slice(None) when there is one group.
+    record count n, in increasing n, where `clients` is the index array of
+    the group's G clients.  Clients of equal size that own every row in
+    order are one group of reshape views of the table; otherwise each group
+    gathers its clients' records.
     """
     n, n_clients = int(record_counts[0]), len(record_counts)
     if (n_clients * n == len(targets) and (record_counts == n).all()
             and np.array_equal(first_rows, n * np.arange(n_clients))):
-        return [(slice(None), features.reshape(n_clients, n, -1),
+        return [(np.arange(n_clients), features.reshape(n_clients, n, -1),
                  targets.reshape(n_clients, n))]
     groups = []
     for n in np.unique(record_counts).tolist():
         clients = np.flatnonzero(record_counts == n)
         idx = first_rows[clients, None] + np.arange(n)
         groups.append((clients, features[idx], targets[idx]))
-    if len(groups) == 1:
-        groups[0] = (slice(None),) + groups[0][1:]
     return groups
 
 
@@ -204,23 +202,18 @@ def per_client(problem, kernel, *args):
     targets (G, n), to a (G, ...) result.  It runs on each record-count
     group of `record_groups` in chunks of whole clients of at most
     `_CHUNK_RECORDS` records, which caps the kernel's record-sized
-    temporaries; each client's result does not depend on the chunking.
+    temporaries, and each chunk's result is written to its clients' rows;
+    each client's result does not depend on the chunking.
     """
-    chunks = []
+    out = None
     for clients, x, y in record_groups(problem.features, problem.targets,
                                        problem.first_rows, problem.record_counts):
-        clients = np.arange(problem.n_clients)[clients]
         step = max(1, _CHUNK_RECORDS // x.shape[1])
-        chunks += [(clients[i:i + step], x[i:i + step], y[i:i + step])
-                   for i in range(0, len(x), step)]
-    if len(chunks) == 1:
-        return kernel(*chunks[0][1:], *args)
-    out = None
-    for clients, x, y in chunks:
-        part = kernel(x, y, *args)
-        if out is None:
-            out = np.empty((problem.n_clients,) + part.shape[1:])
-        out[clients] = part
+        for i in range(0, len(x), step):
+            part = kernel(x[i:i + step], y[i:i + step], *args)
+            if out is None:
+                out = np.empty((problem.n_clients,) + part.shape[1:])
+            out[clients[i:i + step]] = part
     return out
 
 

@@ -78,13 +78,13 @@ def solve_optimum(problem, tolerance=1e-12, max_iter=200):
 class OptimumCertificate:
     """Problem constants evaluated at the solution theta_star.
 
-    `mu_is_local_estimate` flags that for the logistic loss the strong
-    convexity constant is measured at theta_star only; the l2 weight is the
-    certified global lower bound.
+    `mu`, the strong convexity constant, is the smallest client-Hessian
+    eigenvalue at theta_star or the l2 weight, whichever is larger.  For
+    the logistic loss it is measured at theta_star only; the l2 weight is
+    the certified global lower bound.
     """
 
     theta_star: np.ndarray
-    grad_norm_at_star: float
     xi_star: np.ndarray  # (N, d), ideal control variates -grad f_c(theta_star)
     mu: float
     big_l: float
@@ -96,7 +96,6 @@ class OptimumCertificate:
     hessians: np.ndarray  # (N, d, d), client Hessians at theta_star
     sigma_eps_avg: np.ndarray  # (d, d)
     hessian_star: np.ndarray  # (d, d), average Hessian at theta_star
-    mu_is_local_estimate: bool = False
 
     @property
     def n_clients(self):
@@ -147,7 +146,6 @@ def build_certificate(problem: Problem, theta_star) -> OptimumCertificate:
 
     return OptimumCertificate(
         theta_star=theta_star,
-        grad_norm_at_star=float(np.linalg.norm(grad_avg)),
         xi_star=xi_star,
         mu=mu,
         big_l=big_l,
@@ -159,6 +157,5 @@ def build_certificate(problem: Problem, theta_star) -> OptimumCertificate:
         hessians=hessians,
         sigma_eps_avg=sigma_eps_avg,
         hessian_star=hess_avg,
-        mu_is_local_estimate=(problem.loss == "logistic"),
     )
 

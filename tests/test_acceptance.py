@@ -4,6 +4,7 @@ One test per advertised property of the simulator; each prints a single
 PASS/FAIL line (bypassing capture) so the suite doubles as a report:
 
 1. contraction          coupled chains shrink at the geometric rate
+   contraction-in-regime  the same inside gamma*H*(L+mu) <= 1
 2. invariants           fixed point is stationary; controls stay sum-zero
 3. variance-bound       stationary parameter variance under the crude bound
 4. linear-speedup       N * variance constant across client counts
@@ -100,6 +101,43 @@ def test_contraction(report):
     fitted_rate = float(np.exp(np.polyfit(np.arange(rounds + 1), np.log(mean_d), 1)[0]))
     ok = bool(np.all(mean_d <= bound * (1.0 + 1e-12)))
     report("contraction", ok, f"max D/bound ratio over t >= 1 {max_ratio:.4f}, "
+           f"fitted rate per round {fitted_rate:.4f} vs bound {rate:.4f}")
+    assert ok
+
+
+def test_contraction_in_regime(report):
+    # test_contraction's problem, step size, seeds, rounds and threshold at
+    # H = 3, where gamma*H*(L+mu) = 0.825: inside the regime in which the
+    # contraction guarantee holds, which the step-size check confirms
+    d, n_clients, n_records = 10, 4, 50
+    scales = np.geomspace(1.0, 0.22, d)
+    clients = []
+    for c in range(n_clients):
+        rng = np.random.default_rng(11 * (c + 1))
+        x = rng.standard_normal((n_records, d)) * scales
+        y = x @ rng.standard_normal(d) + rng.standard_normal(n_records)
+        clients.append(datagen.ClientDataset(x, y, client_id=c))
+    grams = [c.features.T @ c.features / n_records for c in clients]
+    gmin = min(np.linalg.eigvalsh(g)[0] for g in grams)
+    gmax = max(np.linalg.eigvalsh(g)[-1] for g in grams)
+    lam = max((0.1 * gmax - gmin) / 0.9, 1e-4)
+    problem = objectives.Problem(clients, "quadratic", lam, batch_size=10)
+    cert = certificate_for(problem)
+
+    gamma, local_steps, rounds = 1.0 / (4.0 * cert.big_l), 3, 200
+    config = RunConfig(gamma=gamma, local_steps=local_steps, rounds=rounds)
+    assert all(config.stepsize_diagnostics(cert.mu, cert.big_l).values())
+    starts = [(ChainState.zeros(d, n_clients),
+               ChainState(np.random.default_rng(1000 + seed).standard_normal(d),
+                          np.zeros((n_clients, d))))
+              for seed in range(20)]
+    mean_d = np.mean(algorithms.coupled_run(problem, config, range(20), starts), axis=0)
+    rate = (1.0 - gamma * cert.mu / 4.0) ** local_steps
+    bound = mean_d[0] * rate ** np.arange(rounds + 1)
+    max_ratio = float(np.max(mean_d[1:] / bound[1:]))
+    fitted_rate = float(np.exp(np.polyfit(np.arange(rounds + 1), np.log(mean_d), 1)[0]))
+    ok = bool(np.all(mean_d <= bound * (1.0 + 1e-12)))
+    report("contraction-in-regime", ok, f"max D/bound ratio over t >= 1 {max_ratio:.4f}, "
            f"fitted rate per round {fitted_rate:.4f} vs bound {rate:.4f}")
     assert ok
 

@@ -230,6 +230,16 @@ class TestRun:
                                make_config(logistic_problem, rounds=5, seed=34))
         assert not np.array_equal(a, other)
 
+    def test_sweep_without_seeds_raises(self, quad_problem):
+        with pytest.raises(ValueError, match="need at least one chain"):
+            algorithms.run_sweep(quad_problem, np.zeros(quad_problem.d),
+                                 make_config(quad_problem), ["scaffold"], [])
+
+    def test_sweep_without_algorithms_raises(self, quad_problem):
+        with pytest.raises(ValueError, match="need at least one algorithm"):
+            algorithms.run_sweep(quad_problem, np.zeros(quad_problem.d),
+                                 make_config(quad_problem), [], [0])
+
 
 class TestCoupledRun:
     def test_identical_chains_stay_identical(self, quad_problem):
@@ -275,6 +285,10 @@ class TestCoupledRun:
         for pair in ((a, bad), (bad, a)):
             with pytest.raises(ValueError, match=rf"shapes \({d},\) and \({n}, {d}\)"):
                 algorithms.coupled_run(quad_problem, config, [0, 1], [(a, a), pair])
+
+    def test_no_seeds_raises(self, quad_problem):
+        with pytest.raises(ValueError, match="need at least one chain"):
+            algorithms.coupled_run(quad_problem, make_config(quad_problem), [], [])
 
 
 class TestRaggedClients:
@@ -684,7 +698,7 @@ class TestChainBlock:
         problem = random_problem(loss, n_clients=4, n_records=12, d=3, batch_size=2)
         config = make_config(problem, deterministic=True, local_steps=2)
         (rows, features, targets), = algorithms.ChainBlock([(problem, config)]).groups
-        assert rows == slice(None) and features.shape == (4, 12, 3)
+        assert np.array_equal(rows, np.arange(4)) and features.shape == (4, 12, 3)
         assert np.shares_memory(features, problem.features)
         assert np.shares_memory(targets, problem.targets)
         # two chains of one problem repeat its rows: those are gathered

@@ -592,6 +592,73 @@ class TestRunners:
         assert harness.aggregate_path("plain") == "plain.agg"
 
 
+def _more_seeds(config):
+    return config.seeds + [max(config.seeds) + 1]
+
+
+def _larger_count(config):
+    return config.n_clients + [max(config.n_clients) + 2]
+
+
+_ESTIMATOR_KEYS = {"burn_in": 7, "n_samples": 150, "thinning": 3}
+_UNUSED_RUN_KEYS = {"rounds": 9, "algorithms": ["fedavg"]}
+
+# For each task, every key that README and `--help` say it ignores, with a
+# changed value: the other loss's data key, the estimator keys outside the
+# stationary tasks, `rounds` outside figure1 and coupling, `algorithms`
+# outside figure1, `epsilon` outside complexity, the seeds after the first
+# and the client counts above the smallest where only the first seed or
+# the smallest count is read, and complexity's `gamma` and `local_steps`.
+# A callable maps the golden config to the value.
+IGNORED_KEYS = {
+    "figure1": {"noise_std": 3.0, "epsilon": 0.01, **_ESTIMATOR_KEYS},
+    "speedup": {"class_sep": 2.0, "epsilon": 0.01, **_UNUSED_RUN_KEYS, "seeds": _more_seeds},
+    "coupling": {"noise_std": 3.0, "epsilon": 0.01, **_ESTIMATOR_KEYS,
+                 "algorithms": ["fedavg"], "n_clients": _larger_count},
+    "stationary": {"noise_std": 3.0, "epsilon": 0.01, **_UNUSED_RUN_KEYS,
+                   "seeds": _more_seeds, "n_clients": _larger_count},
+    "predict": {"noise_std": 3.0, "epsilon": 0.01, **_ESTIMATOR_KEYS, **_UNUSED_RUN_KEYS,
+                "seeds": [7, 8], "n_clients": _larger_count},
+    "complexity": {"noise_std": 3.0, **_ESTIMATOR_KEYS, **_UNUSED_RUN_KEYS,
+                   "seeds": [7, 8], "gamma": 0.07, "local_steps": 9},
+}
+
+# One key per task that it reads, with a changed value; for the tasks that
+# read part of a list, the part they read.
+READ_KEYS = {
+    "figure1": ("rounds", 7),
+    "speedup": ("seeds", [4]),
+    "coupling": ("n_clients", [6]),
+    "stationary": ("seeds", [6]),
+    "predict": ("n_clients", [8]),
+    "complexity": ("epsilon", 0.01),
+}
+
+
+def _golden_config(tmp_path, task):
+    path = tmp_path / "golden.txt"
+    path.write_text(f"[experiment]\ntask = {task}\n" + CONFIGS[task])
+    return parse_config(path)
+
+
+class TestKeyReads:
+    @pytest.mark.parametrize("task", sorted(IGNORED_KEYS))
+    def test_ignored_keys_keep_the_bytes(self, tmp_path, task):
+        config = _golden_config(tmp_path, task)
+        text = harness.run_task(config)
+        for key, value in IGNORED_KEYS[task].items():
+            value = value(config) if callable(value) else value
+            changed = dataclasses.replace(config, **{key: value}).validate()
+            assert harness.run_task(changed) == text, (key, value)
+
+    @pytest.mark.parametrize("task", sorted(READ_KEYS))
+    def test_read_key_changes_the_bytes(self, tmp_path, task):
+        config = _golden_config(tmp_path, task)
+        key, value = READ_KEYS[task]
+        changed = dataclasses.replace(config, **{key: value}).validate()
+        assert harness.run_task(changed) != harness.run_task(config)
+
+
 class TestCli:
     def test_print_config_round_trip(self, tmp_path, capsys):
         path = write_config(tmp_path, "figure1")

@@ -566,7 +566,7 @@ class TestRecordGroups:
         (clients, x, y), = objectives.record_groups(
             quad_problem.features, quad_problem.targets,
             quad_problem.first_rows, quad_problem.record_counts)
-        assert clients == slice(None)
+        assert np.array_equal(clients, np.arange(3))
         assert x.shape == (3, 30, 4) and y.shape == (3, 30)
         assert np.shares_memory(x, quad_problem.features)
         assert np.shares_memory(y, quad_problem.targets)
@@ -590,7 +590,7 @@ class TestRecordGroups:
         counts = np.tile(quad_problem.record_counts, 2)
         (clients, x, _), = objectives.record_groups(
             quad_problem.features, quad_problem.targets, first, counts)
-        assert clients == slice(None) and x.shape == (6, 30, 4)
+        assert np.array_equal(clients, np.arange(6)) and x.shape == (6, 30, 4)
         assert not np.shares_memory(x, quad_problem.features)
         assert np.array_equal(x[3:], x[:3])
         assert np.array_equal(x[:3].reshape(-1, 4), quad_problem.features)
