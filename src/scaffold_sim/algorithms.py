@@ -284,10 +284,15 @@ def run_sweep(problem: Problem, theta_star, config: RunConfig, algorithms, seeds
     seed share every minibatch draw and gather.  Each result equals that of
     a separate `run` bit for bit.  Returns {(algorithm, seed): mse}, where
     mse[t] is the squared distance of theta to `theta_star` after round t,
-    length T+1.  Raises ValueError for an empty `algorithms` or `seeds`.
+    length T+1.  Raises ValueError for an empty `algorithms` or `seeds`, or
+    for a repeated entry in either, whose chains would share one key.
     """
     if not algorithms:
         raise ValueError("need at least one algorithm")
+    for name, entries in (("algorithms", algorithms), ("seeds", seeds)):
+        for k, entry in enumerate(entries):
+            if entry in entries[:k]:
+                raise ValueError(f"repeated {name} entry {entry!r}")
     for algorithm in algorithms:
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")

@@ -11,42 +11,50 @@ from __future__ import annotations
 
 import argparse
 import sys
+import textwrap
+from dataclasses import MISSING, fields
 
 from .algorithms import DivergenceError
-from .harness import TASKS, ConfigError, format_config, parse_config, run_task
+from .harness import TASKS, ConfigError, ExperimentConfig, format_config, parse_config, run_task
 from .optimum import SolverError
 
-_EPILOG = """\
-config file format (strict `key = value` lines under [section] headers):
 
-  [experiment]
-  task = figure1            one of: figure1 speedup coupling stationary
-                            predict complexity
+def _entry(f):
+    """One key of `--help`: `  key = default`, then its declared notes from column 28."""
+    meta, default = f.metadata, f.default
+    if f.default_factory is not MISSING:
+        default = ",".join(str(x) for x in f.default_factory())
+    unread = [task for task in TASKS if task not in meta["tasks"]]
+    notes = [default is MISSING and "required",
+             meta["choices"] and "one of: " + " | ".join(meta["choices"]),
+             unread and (f"all but {', '.join(unread)}" if len(unread) < len(meta["tasks"])
+                         else f"{', '.join(meta['tasks'])} only"),
+             meta["loss"] and f"{meta['loss']} loss only", meta["help"]]
+    text = textwrap.fill("; ".join(note for note in notes if note), 79,
+                         initial_indent=" " * 28, subsequent_indent=" " * 28)
+    if isinstance(default, float):
+        default = f"{default:g}"
+    head = f"  {meta['key'] or f.name} = {'' if default in (None, MISSING) else default}"
+    return f"{head:27} {text[28:]}".rstrip()
 
-  [problem]                 all optional, defaults shown
-  loss = logistic           quadratic | logistic
-  l2_weight = 0.1
-  n_features = 20
-  records_per_client = 200
-  informative = 2,10        informative-feature counts of the two sources
-  generator_seeds = 123,456 seeds of the two sources
-  noise_std = 10            regression target noise
-  class_sep = 1             classification center separation
 
-  [run]                     all optional, defaults shown
-  gamma = 0.05              or gamma_over_L = <x> to set gamma = x / L (not both)
-  local_steps = 100
-  rounds = 100              figure1 and coupling only
-  batch_size = 10
-  n_clients = 10,100        coupling, stationary, predict: the smallest only
-  seeds = 0,1,2             figure1, coupling: all; speedup, stationary: first
-  algorithms = scaffold,fedavg
-                            figure1 only
-  burn_in =                 stationary tasks; default ceil(16/(gamma*mu*H))
-  n_samples = 1000          stationary tasks
-  thinning = 1              stationary tasks
-  epsilon =                 required for the complexity task
-"""
+def _epilog():
+    """The config grammar of `--help`, generated from the `ExperimentConfig` fields.
+
+    A key with neither a default nor a note is named in another key's note.
+    """
+    lines = ["config file format: strict `key = value` lines under [section] headers;",
+             "a key that the task (or the loss) does not read is an error"]
+    for section in dict.fromkeys(f.metadata["section"] for f in fields(ExperimentConfig)):
+        keys = [f for f in fields(ExperimentConfig) if f.metadata["section"] == section]
+        optional = all((f.default, f.default_factory) != (MISSING, MISSING) for f in keys)
+        header = f"  [{section}]"
+        lines += ["", f"{header:28}all optional, defaults shown" if optional else header]
+        lines += [_entry(f) for f in keys if f.default is not None or f.metadata["help"]]
+    return "\n".join(lines) + "\n"
+
+
+_EPILOG = _epilog()
 
 
 def _build_parser():

@@ -3,10 +3,10 @@
 Configs are line-oriented ``key = value`` files with ``[section]`` headers
 (sections: experiment, problem, run).  Parsing is strict: unknown sections
 or keys, repeated keys, bad types, empty list entries, repeated grid
-entries and invalid values are each rejected with a distinct error naming
-the offender.  All outputs are CSV with 17-significant-digit floats and
-deterministically ordered rows, so identical configs produce
-byte-identical files at any thread count.
+entries, invalid values and a key that the task or loss does not read are
+each rejected with a distinct error naming the offender.  All outputs are
+CSV with 17-significant-digit floats and deterministically ordered rows,
+so identical configs produce byte-identical files at any thread count.
 """
 
 from __future__ import annotations
@@ -40,6 +40,9 @@ __all__ = [
 ]
 
 TASKS = ("figure1", "speedup", "coupling", "stationary", "predict", "complexity")
+# complexity derives its own step size and local steps
+_STEP_TASKS = tuple(task for task in TASKS if task != "complexity")
+_ESTIMATOR_TASKS = ("speedup", "stationary")
 
 
 class ConfigError(ValueError):
@@ -75,19 +78,20 @@ def _parse_str_list(key, value):
     return [v.strip() for v in _entries(key, value)]
 
 
-def _key(section, default, parse, name=None, low=None, below=None, positive=False,
-         choices=None, length=None, distinct=False):
+def _key(section, default, parse, key=None, low=None, below=None, positive=False,
+         choices=None, length=None, distinct=False, tasks=TASKS, loss=None, help=None):
     """A field that owns its config key: [section], parser, default and rules.
 
-    `name` is the key in the file where it differs from the attribute.  The
+    `key` is the key in the file where it differs from the attribute.  The
     rules hold for a scalar or for every entry of a list: `value >= low`,
     `value < below`, `value > 0` with `positive`, `value in choices`, and a
     float is finite.  A list is nonempty, has `length` entries if given
     and, with `distinct`, no repeated entry.  None values (an unset
-    optional key) are not checked.
+    optional key) are not checked.  Only the `tasks` read the key (under
+    `loss` alone, if given); a file that gives it otherwise is rejected.
+    `help` is a `--help` note for what the rules cannot say.
     """
-    metadata = dict(section=section, key=name, parse=parse, low=low, below=below,
-                    positive=positive, choices=choices, length=length, distinct=distinct)
+    metadata = {name: value for name, value in locals().items() if name != "default"}
     if isinstance(default, list):
         return field(default_factory=lambda: list(default), metadata=metadata)
     return field(default=default, metadata=metadata)
@@ -97,8 +101,8 @@ def _key(section, default, parse, name=None, low=None, below=None, positive=Fals
 class ExperimentConfig:
     """Validated experiment description (one task plus its parameters).
 
-    Each field owns one config key (`_key`); `_SCHEMA` and the single-key
-    rules of `validate` are read from the fields.
+    Each field owns one config key (`_key`); `_SCHEMA`, the rules, the tasks
+    that read each key and `--help` are read from the fields.
     """
 
     task: str = _key("experiment", MISSING, str, choices=TASKS)
@@ -106,25 +110,32 @@ class ExperimentConfig:
     l2_weight: float = _key("problem", 0.1, _parse_float, low=0)
     n_features: int = _key("problem", 20, _parse_int, low=1)
     records_per_client: int = _key("problem", 200, _parse_int, low=1)
-    informative: list = _key("problem", [2, 10], _parse_int_list, low=1, length=2)
-    generator_seeds: list = _key("problem", [123, 456], _parse_int_list, low=0, length=2)
-    noise_std: float = _key("problem", 10.0, _parse_float, low=0)
-    class_sep: float = _key("problem", 1.0, _parse_float, low=0)
-    gamma: float | None = _key("run", 0.05, _parse_float, positive=True)
-    gamma_over_l: float | None = _key("run", None, _parse_float, name="gamma_over_L",
-                                      positive=True)
-    local_steps: int = _key("run", 100, _parse_int, low=1)
-    rounds: int = _key("run", 100, _parse_int, low=0)
+    informative: list = _key("problem", [2, 10], _parse_int_list, low=1, length=2,
+                             help="informative-feature counts of the two sources")
+    generator_seeds: list = _key("problem", [123, 456], _parse_int_list, low=0, length=2,
+                                 help="seeds of the two sources")
+    noise_std: float = _key("problem", 10.0, _parse_float, low=0, loss="quadratic")
+    class_sep: float = _key("problem", 1.0, _parse_float, low=0, loss="logistic")
+    gamma: float | None = _key("run", 0.05, _parse_float, positive=True, tasks=_STEP_TASKS,
+                               help="or gamma_over_L = <x> to set gamma = x / L (not both)")
+    gamma_over_l: float | None = _key("run", None, _parse_float, key="gamma_over_L",
+                                      positive=True, tasks=_STEP_TASKS)
+    local_steps: int = _key("run", 100, _parse_int, low=1, tasks=_STEP_TASKS)
+    rounds: int = _key("run", 100, _parse_int, low=0, tasks=("figure1", "coupling"))
     batch_size: int = _key("run", 10, _parse_int, low=1)
-    n_clients: list = _key("run", [10, 100], _parse_int_list, low=2, distinct=True)
+    n_clients: list = _key("run", [10, 100], _parse_int_list, low=2, distinct=True,
+                           help="coupling, stationary, predict: the smallest only")
     seeds: list = _key("run", [0, 1, 2], _parse_int_list, low=0, below=2 ** 64,
-                       distinct=True)
+                       distinct=True, tasks=("figure1", "coupling") + _ESTIMATOR_TASKS,
+                       help="speedup, stationary: the first only")
     algorithms: list = _key("run", ["scaffold", "fedavg"], _parse_str_list,
-                            choices=ALGORITHMS, distinct=True)
-    burn_in: int | None = _key("run", None, _parse_int, low=0)
-    n_samples: int = _key("run", 1000, _parse_int, low=100)
-    thinning: int = _key("run", 1, _parse_int, low=1)
-    epsilon: float | None = _key("run", None, _parse_float, positive=True)
+                            choices=ALGORITHMS, distinct=True, tasks=("figure1",))
+    burn_in: int | None = _key("run", None, _parse_int, low=0, tasks=_ESTIMATOR_TASKS,
+                               help="default ceil(16/(gamma*mu*H))")
+    n_samples: int = _key("run", 1000, _parse_int, low=100, tasks=_ESTIMATOR_TASKS)
+    thinning: int = _key("run", 1, _parse_int, low=1, tasks=_ESTIMATOR_TASKS)
+    epsilon: float | None = _key("run", None, _parse_float, positive=True,
+                                 tasks=("complexity",), help="required")
 
     def validate(self):
         for f in fields(self):
@@ -179,13 +190,22 @@ class ExperimentConfig:
 def _schema():
     # {section: {key: (attr, parser)}}, in field order
     schema = {}
-    for f in fields(ExperimentConfig):
-        schema.setdefault(f.metadata["section"], {})[f.metadata["key"] or f.name] = (
-            f.name, f.metadata["parse"])
+    for key, f in _FIELDS.items():
+        schema.setdefault(f.metadata["section"], {})[key] = (f.name, f.metadata["parse"])
     return schema
 
 
+_FIELDS = {f.metadata["key"] or f.name: f for f in fields(ExperimentConfig)}
 _SCHEMA = _schema()
+
+
+def _unread(key, config):
+    """Why `config`'s task or loss does not read `key`, or None if it does."""
+    meta = _FIELDS[key].metadata
+    if config.task not in meta["tasks"]:
+        return f"the {config.task} task does not read it"
+    if meta["loss"] not in (None, config.loss):
+        return f"the {config.loss} loss does not read it"
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -227,21 +247,27 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError("missing required key `task` in section [experiment]")
     if values.get("gamma_over_l") is not None and "gamma" not in values:
         values["gamma"] = None
-    return ExperimentConfig(**values).validate()
+    config = ExperimentConfig(**values).validate()
+    for key, lineno in lines_of.items():
+        why = _unread(key, config)
+        if why:
+            raise ConfigError(f"key `{key}`: given on line {lineno}, but {why}")
+    return config
 
 
 def format_config(config: ExperimentConfig) -> str:
     """Emit the normalized config; `parse_config(format_config(c)) == c`.
 
-    Writes every `_SCHEMA` key whose value is not None, in schema order:
-    floats with 17 significant digits, lists joined by commas.
+    Holds for every config `parse_config` returns.  Writes each key that the
+    task and loss read and whose value is not None, in schema order: floats
+    with 17 significant digits, lists joined by commas.
     """
     sections = []
     for section, keys in _SCHEMA.items():
         lines = [f"[{section}]"]
         for key, (attr, conv) in keys.items():
             value = getattr(config, attr)
-            if value is None:
+            if value is None or _unread(key, config):
                 continue
             if conv is _parse_float:
                 value = f"{value:.17g}"

@@ -240,6 +240,16 @@ class TestRun:
             algorithms.run_sweep(quad_problem, np.zeros(quad_problem.d),
                                  make_config(quad_problem), [], [0])
 
+    @pytest.mark.parametrize("algos, seeds, message", [
+        (["scaffold", "fedavg", "scaffold"], [0], "repeated algorithms entry 'scaffold'"),
+        (["scaffold"], [3, 0, 3], "repeated seeds entry 3"),
+    ], ids=["algorithms", "seeds"])
+    def test_sweep_with_repeated_entry_raises(self, quad_problem, algos, seeds, message):
+        # two chains under one (algorithm, seed) key would leave one unreported
+        with pytest.raises(ValueError, match=message):
+            algorithms.run_sweep(quad_problem, np.zeros(quad_problem.d),
+                                 make_config(quad_problem), algos, seeds)
+
 
 class TestCoupledRun:
     def test_identical_chains_stay_identical(self, quad_problem):

@@ -43,8 +43,10 @@ seeds = 0,1
 
 
 def write_config(tmp_path, task, extra_run="", body=None):
-    text = f"[experiment]\ntask = {task}\n" + (body or SMALL_PROBLEM) \
-        + SMALL_RUN + extra_run
+    # the [run] lines that `task` reads: a key it ignores is rejected
+    run = "".join(line for line in (SMALL_RUN + extra_run).splitlines(keepends=True)
+                  if line.partition(" =")[0] not in _unread_keys(task))
+    text = f"[experiment]\ntask = {task}\n" + (body or SMALL_PROBLEM) + run
     path = tmp_path / "config.txt"
     path.write_text(text)
     return path
@@ -64,7 +66,7 @@ def _valid_configs(draw):
     gamma = draw(st.none() | st.floats(1e-300, 1e3))
     gamma_over_l = draw(st.floats(1e-300, 1e3)) if gamma is None else None
     positive = st.floats(1e-300, 1e3)
-    return ExperimentConfig(
+    config = ExperimentConfig(
         task=task,
         loss=draw(st.sampled_from(["quadratic", "logistic"])),
         l2_weight=draw(st.floats(0.0, 1e3)),
@@ -88,13 +90,20 @@ def _valid_configs(draw):
         thinning=draw(st.integers(1, 100)),
         epsilon=draw(positive if task == "complexity" else st.none() | positive),
     )
+    # a key the task or loss does not read keeps its default: no file can set it
+    default = ExperimentConfig(task=task)
+    return dataclasses.replace(config, **{f.name: getattr(default, f.name)
+                                          for key, f in harness._FIELDS.items()
+                                          if harness._unread(key, config)})
 
 
 def _reference_format_config(config):
-    # the hand-written writer that the loop over `_SCHEMA` replaced
+    # the hand-written writer that the loop over `_SCHEMA` replaced, writing
+    # the keys that the task and loss read
     def join(xs):
         return ",".join(str(x) for x in xs)
 
+    task = config.task
     lines = [
         "[experiment]",
         f"task = {config.task}",
@@ -106,30 +115,35 @@ def _reference_format_config(config):
         f"records_per_client = {config.records_per_client}",
         f"informative = {join(config.informative)}",
         f"generator_seeds = {join(config.generator_seeds)}",
-        f"noise_std = {config.noise_std:.17g}",
-        f"class_sep = {config.class_sep:.17g}",
+        f"noise_std = {config.noise_std:.17g}" if config.loss == "quadratic"
+        else f"class_sep = {config.class_sep:.17g}",
         "",
         "[run]",
     ]
-    if config.gamma is not None:
-        lines.append(f"gamma = {config.gamma:.17g}")
-    if config.gamma_over_l is not None:
-        lines.append(f"gamma_over_L = {config.gamma_over_l:.17g}")
+    if task != "complexity":
+        if config.gamma is not None:
+            lines.append(f"gamma = {config.gamma:.17g}")
+        if config.gamma_over_l is not None:
+            lines.append(f"gamma_over_L = {config.gamma_over_l:.17g}")
+        lines.append(f"local_steps = {config.local_steps}")
+    if task in ("figure1", "coupling"):
+        lines.append(f"rounds = {config.rounds}")
     lines += [
-        f"local_steps = {config.local_steps}",
-        f"rounds = {config.rounds}",
         f"batch_size = {config.batch_size}",
         f"n_clients = {join(config.n_clients)}",
-        f"seeds = {join(config.seeds)}",
-        f"algorithms = {join(config.algorithms)}",
     ]
-    if config.burn_in is not None:
-        lines.append(f"burn_in = {config.burn_in}")
-    lines += [
-        f"n_samples = {config.n_samples}",
-        f"thinning = {config.thinning}",
-    ]
-    if config.epsilon is not None:
+    if task in ("figure1", "coupling", "speedup", "stationary"):
+        lines.append(f"seeds = {join(config.seeds)}")
+    if task == "figure1":
+        lines.append(f"algorithms = {join(config.algorithms)}")
+    if task in ("speedup", "stationary"):
+        if config.burn_in is not None:
+            lines.append(f"burn_in = {config.burn_in}")
+        lines += [
+            f"n_samples = {config.n_samples}",
+            f"thinning = {config.thinning}",
+        ]
+    if task == "complexity":
         lines.append(f"epsilon = {config.epsilon:.17g}")
     return "\n".join(lines) + "\n"
 
@@ -404,11 +418,24 @@ class TestConfigRanges:
         assert config.seeds == [0, 2 ** 64 - 1] and config.generator_seeds == [0, 0]
 
     def test_zero_noise_and_separation_accepted(self, tmp_path):
+        # each under the loss that reads it
         path = tmp_path / "c.txt"
         path.write_text("[experiment]\ntask = stationary\n"
-                        "[problem]\nnoise_std = 0\nclass_sep = 0\n")
-        config = parse_config(path)
-        assert (config.noise_std, config.class_sep) == (0.0, 0.0)
+                        "[problem]\nloss = quadratic\nnoise_std = 0\n")
+        assert parse_config(path).noise_std == 0.0
+        path.write_text("[experiment]\ntask = stationary\n"
+                        "[problem]\nloss = logistic\nclass_sep = 0\n")
+        assert parse_config(path).class_sep == 0.0
+
+    @pytest.mark.parametrize("loss, line", [("logistic", "noise_std = 3"),
+                                            ("quadratic", "class_sep = 2")])
+    def test_key_the_loss_does_not_read_rejected(self, tmp_path, loss, line):
+        path = tmp_path / "c.txt"
+        path.write_text(f"[experiment]\ntask = predict\n[problem]\nloss = {loss}\n{line}\n")
+        key = line.partition(" =")[0]
+        message = f"key `{key}`: given on line 5, but the {loss} loss does not read it"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(path)
 
 
 class TestBuildProblem:
@@ -603,13 +630,12 @@ def _larger_count(config):
 _ESTIMATOR_KEYS = {"burn_in": 7, "n_samples": 150, "thinning": 3}
 _UNUSED_RUN_KEYS = {"rounds": 9, "algorithms": ["fedavg"]}
 
-# For each task, every key that README and `--help` say it ignores, with a
-# changed value: the other loss's data key, the estimator keys outside the
-# stationary tasks, `rounds` outside figure1 and coupling, `algorithms`
-# outside figure1, `epsilon` outside complexity, the seeds after the first
-# and the client counts above the smallest where only the first seed or
-# the smallest count is read, and complexity's `gamma` and `local_steps`.
-# A callable maps the golden config to the value.
+# For each task, every key it ignores on its golden config, with a changed
+# value: the whole keys that the `_key` declarations say the task or the
+# golden config's loss does not read (`test_declarations_name_the_ignored_keys`
+# holds the two lists equal), plus the seeds after the first and the client
+# counts above the smallest where only the first seed or the smallest count
+# is read.  A callable maps the golden config to the value.
 IGNORED_KEYS = {
     "figure1": {"noise_std": 3.0, "epsilon": 0.01, **_ESTIMATOR_KEYS},
     "speedup": {"class_sep": 2.0, "epsilon": 0.01, **_UNUSED_RUN_KEYS, "seeds": _more_seeds},
@@ -620,8 +646,14 @@ IGNORED_KEYS = {
     "predict": {"noise_std": 3.0, "epsilon": 0.01, **_ESTIMATOR_KEYS, **_UNUSED_RUN_KEYS,
                 "seeds": [7, 8], "n_clients": _larger_count},
     "complexity": {"noise_std": 3.0, **_ESTIMATOR_KEYS, **_UNUSED_RUN_KEYS,
-                   "seeds": [7, 8], "gamma": 0.07, "local_steps": 9},
+                   "seeds": [7, 8], "gamma": 0.07, "gamma_over_l": 0.3, "local_steps": 9},
 }
+
+
+def _unread_keys(task):
+    """The whole keys `task` ignores on its golden config, by attribute name."""
+    return {key for key, value in IGNORED_KEYS[task].items() if not callable(value)}
+
 
 # One key per task that it reads, with a changed value; for the tasks that
 # read part of a list, the part they read.
@@ -648,8 +680,27 @@ class TestKeyReads:
         text = harness.run_task(config)
         for key, value in IGNORED_KEYS[task].items():
             value = value(config) if callable(value) else value
-            changed = dataclasses.replace(config, **{key: value}).validate()
+            # gamma_over_L sets the step size in place of gamma
+            step = {"gamma": None} if key == "gamma_over_l" else {}
+            changed = dataclasses.replace(config, **step, **{key: value}).validate()
             assert harness.run_task(changed) == text, (key, value)
+
+    @pytest.mark.parametrize("task", sorted(IGNORED_KEYS))
+    def test_declarations_name_the_ignored_keys(self, tmp_path, task):
+        # a declaration that claims a read the bytes do not show, or misses
+        # one they do, fails here or in the test above
+        config = _golden_config(tmp_path, task)
+        declared = {f.name for f in dataclasses.fields(ExperimentConfig)
+                    if task not in f.metadata["tasks"]
+                    or f.metadata["loss"] not in (None, config.loss)}
+        assert _unread_keys(task) == declared
+
+    @pytest.mark.parametrize("task", sorted(CONFIGS))
+    def test_print_config_reparses_the_golden(self, tmp_path, task):
+        config = _golden_config(tmp_path, task)
+        path = tmp_path / "printed.txt"
+        path.write_text(format_config(config))
+        assert parse_config(path) == config
 
     @pytest.mark.parametrize("task", sorted(READ_KEYS))
     def test_read_key_changes_the_bytes(self, tmp_path, task):
@@ -768,6 +819,27 @@ class TestCli:
             shown.add(key)
         assert shown == (set(harness._SCHEMA["problem"]) | set(harness._SCHEMA["run"])) \
             - {"gamma_over_L"}
+
+    @pytest.mark.parametrize("task, line", [
+        ("figure1", "thinning = 2"), ("speedup", "algorithms = fedavg"),
+        ("coupling", "burn_in = 5"), ("stationary", "rounds = 5"),
+        ("predict", "seeds = 7"), ("complexity", "local_steps = 9"),
+    ])
+    def test_key_the_task_does_not_read_exits_2(self, tmp_path, capsys, task, line):
+        # the task alone parses (complexity needs its epsilon); one key it
+        # ignores fails, naming the key and the task
+        head = f"[experiment]\ntask = {task}\n[run]\n"
+        head += "epsilon = 0.1\n" if task == "complexity" else ""
+        path = tmp_path / "c.txt"
+        path.write_text(head)
+        assert cli_main(["print-config", "--config", str(path)]) == 0
+        capsys.readouterr()
+        path.write_text(head + line + "\n")
+        assert cli_main([task, "--config", str(path)]) == 2
+        key = line.partition(" =")[0]
+        lineno = head.count("\n") + 1
+        assert capsys.readouterr().err == (f"ConfigError: key `{key}`: given on line {lineno}, "
+                                           f"but the {task} task does not read it\n")
 
     def test_stdout_without_out(self, tmp_path, capsys):
         path = write_config(tmp_path, "complexity",
