@@ -310,7 +310,8 @@ def _setup(config: ExperimentConfig, n_clients, pool=None):
     """(problem, certificate) for `n_clients` clients, as `build_problem`.
 
     Every task but `figure1` (which needs only theta*) sets up here; all go
-    through the module attributes, so wrapping them times all set-up.
+    through the module attributes, so wrapping them times all set-up but
+    the certificate's scalar constants, computed where they are first read.
     """
     problem = build_problem(config, n_clients, pool)
     return problem, build_certificate(problem, solve_optimum(problem))

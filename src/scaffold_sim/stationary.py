@@ -352,9 +352,19 @@ def complexity_recipe(certificate: OptimumCertificate, epsilon, n_clients) -> Co
 def _write_matrix_block(lines, name, matrix):
     lines.append(f"# {name}")
     matrix = np.atleast_2d(matrix)
+    n = matrix.shape[1]
     # "%.17g" gives a float the same bytes as f"{np.float64:.17g}"; one
     # template per row replaces a format call per entry
-    row_format = ",".join(["%.17g"] * matrix.shape[1])
+    if matrix.shape[0] == n and matrix.tobytes() == matrix.T.tobytes():
+        # bitwise symmetric (np.array_equal takes -0.0 for 0.0, which prints
+        # differently): row i's tail from the diagonal is formatted once and
+        # gives column i of the rows below
+        tails = [(",".join(["%.17g"] * (n - i)) % tuple(row[i:])).split(",")
+                 for i, row in enumerate(matrix.tolist())]
+        lines.extend(",".join([tails[j][i - j] for j in range(i)] + tails[i])
+                     for i in range(n))
+        return
+    row_format = ",".join(["%.17g"] * n)
     lines.extend(row_format % tuple(row) for row in matrix.tolist())
 
 

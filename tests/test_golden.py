@@ -110,6 +110,15 @@ batch_size = 4
 n_clients = 6
 """
 
+# The predict path with a fixed gamma: no scalar constant of the
+# certificate is read, so none is computed.
+FIXED_GAMMA_PREDICT = _PROBLEM_LOGISTIC + """\
+[run]
+gamma = 0.05
+local_steps = 7
+n_clients = 6
+"""
+
 # The figure1 path that derives gamma from L: the only figure1 set-up that
 # builds a certificate.
 FIGURE1_GAMMA_OVER_L = _PROBLEM_LOGISTIC + """\
@@ -142,6 +151,8 @@ DIGESTS = {
 STAGGERED_SPEEDUP_DIGEST = "4e66e2de1f1a4825cf38ff3aadee5361da23aec5e8a404a5aca8d01836f6b8ff"
 # Recorded from the code that looped over clients for every derivative.
 QUADRATIC_PREDICT_DIGEST = "7a2a49f424c5f567e1812fcb3114fcfc25556d76cc508b4c1570d45f35c0796b"
+# Recorded from the code that computed every certificate constant eagerly.
+FIXED_GAMMA_PREDICT_DIGEST = "e95e2a29ba47f7d09fad68779c8c86e2a3b6f0d49a5f7c99133c3a64ebf99151"
 # Recorded from the code that built a certificate for every figure1 client count.
 FIGURE1_GAMMA_OVER_L_DIGESTS = {
     "figure1.csv": "02ae62a3e60e6564efd6d84a50485d3dc18779d356c112847b07044cab1e14fb",
@@ -175,6 +186,11 @@ def test_quadratic_predict_bytes_match_golden(tmp_path):
     assert got == {"predict.csv": QUADRATIC_PREDICT_DIGEST}
 
 
+def test_fixed_gamma_predict_bytes_match_golden(tmp_path):
+    got = _outputs("predict", tmp_path, FIXED_GAMMA_PREDICT)
+    assert got == {"predict.csv": FIXED_GAMMA_PREDICT_DIGEST}
+
+
 def test_figure1_gamma_over_l_bytes_match_golden(tmp_path):
     got = _outputs("figure1", tmp_path, FIGURE1_GAMMA_OVER_L)
     assert got == FIGURE1_GAMMA_OVER_L_DIGESTS
@@ -189,5 +205,7 @@ if __name__ == "__main__":
         pprint.pprint({task: _outputs(task, pathlib.Path(tmp)) for task in sorted(CONFIGS)})
         print("staggered speedup:", _outputs("speedup", pathlib.Path(tmp), STAGGERED_SPEEDUP))
         print("quadratic predict:", _outputs("predict", pathlib.Path(tmp), QUADRATIC_PREDICT))
+        print("fixed-gamma predict:",
+              _outputs("predict", pathlib.Path(tmp), FIXED_GAMMA_PREDICT))
         print("figure1 gamma_over_L:",
               _outputs("figure1", pathlib.Path(tmp), FIGURE1_GAMMA_OVER_L))

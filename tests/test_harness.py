@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_golden import CONFIGS, FIGURE1_GAMMA_OVER_L
+from test_optimum import _count_table_passes
 
 import scaffold_sim
 from scaffold_sim import algorithms, cli, harness, stationary
@@ -568,6 +569,13 @@ class TestRunners:
         out = harness.run_predict(config)
         assert "bias_pred_norm = 0\n" in out  # quadratic loss: zero bias
         assert "# cov_theta_pred" in out
+
+    def test_fixed_gamma_predict_computes_no_scalar_constant(self, monkeypatch):
+        kernels = _count_table_passes(monkeypatch)
+        harness.run_predict(small_config(task="predict", loss="logistic"))
+        # Newton, the certificate's arrays and the bias; no Gram or cubed-norm pass
+        assert set(kernels) == {"_gradient_stack", "_hessian_stack", "_noise_stack",
+                                "_third_stack"}
 
     def test_complexity_rows(self):
         config = small_config(task="complexity", epsilon=0.1, n_clients=[2, 4])

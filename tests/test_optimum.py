@@ -125,6 +125,42 @@ class TestBuildCertificate:
         assert len(calls) == 1
 
 
+def _count_table_passes(monkeypatch):
+    """The kernel name of every `objectives.per_client` pass from now on."""
+    kernels = []
+    original = objectives.per_client
+
+    def counting(problem, kernel, *args):
+        kernels.append(kernel.__name__)
+        return original(problem, kernel, *args)
+
+    monkeypatch.setattr(objectives, "per_client", counting)
+    return kernels
+
+
+class TestConstantsOnFirstRead:
+    def test_build_makes_three_table_passes(self, logistic_problem, monkeypatch):
+        theta_star = optimum.solve_optimum(logistic_problem)
+        kernels = _count_table_passes(monkeypatch)
+        optimum.build_certificate(logistic_problem, theta_star)
+        assert kernels == ["_gradient_stack", "_hessian_stack", "_noise_stack"]
+
+    @pytest.mark.parametrize("loss, q_passes", [("quadratic", 0), ("logistic", 1)])
+    def test_each_constant_is_computed_once(self, loss, q_passes, monkeypatch):
+        problem = random_problem(loss, seed=4)
+        cert = optimum.build_certificate(problem, optimum.solve_optimum(problem))
+        kernels = _count_table_passes(monkeypatch)
+        first = cert.big_l
+        assert len(kernels) == 1  # the Gram pass
+        q_bound = cert.third_deriv_bound
+        assert len(kernels) == 1 + q_passes  # the cubed-norm pass, logistic only
+        others = [cert.mu, cert.zeta1, cert.zeta2, cert.sigma_star_sq]
+        assert len(kernels) == 1 + q_passes
+        assert cert.big_l is first and cert.third_deriv_bound is q_bound
+        assert [cert.mu, cert.zeta1, cert.zeta2, cert.sigma_star_sq] == others
+        assert len(kernels) == 1 + q_passes
+
+
 # Reference: the certificate constants as the per-client loops computed them.
 def _reference_certificate(problem, theta_star):
     n, lam = problem.n_clients, problem.l2_weight

@@ -563,6 +563,45 @@ class TestMatrixBlock:
         ref = ["# m"] + [",".join(f"{v:.17g}" for v in row) for row in m]
         assert lines == ref
 
+    @staticmethod
+    def _lines(matrix):
+        lines = []
+        stationary._write_matrix_block(lines, "m", matrix)
+        return lines
+
+    @staticmethod
+    def _plain(matrix):
+        return ["# m"] + [",".join("%.17g" % v for v in row)
+                          for row in np.atleast_2d(matrix).tolist()]
+
+    def test_signed_zero_pair_is_not_mirrored(self):
+        m = np.array([[1.0, 0.0], [-0.0, 2.0]])
+        assert np.array_equal(m, m.T)  # equal as numbers, not as bits
+        assert self._lines(m) == ["# m", "1,0", "-0,2"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 7))
+    def test_symmetric_blocks_match_row_formatting(self, data, n):
+        values = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf]))
+        m = np.array(data.draw(st.lists(values, min_size=n * n, max_size=n * n))).reshape(n, n)
+        lower = np.tril_indices(n, -1)
+        m[lower] = m.T[lower]
+        if n > 1 and data.draw(st.booleans()):
+            i, j = sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                             unique=True)))
+            m[i, j], m[j, i] = 0.0, -0.0
+        assert self._lines(m) == self._plain(m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), shape=st.one_of(
+        st.tuples(st.integers(1, 6)),  # a vector, as `bias`, written 1 x d
+        st.tuples(st.integers(1, 6), st.integers(1, 6))))
+    def test_other_blocks_match_row_formatting(self, data, shape):
+        size = int(np.prod(shape))
+        m = np.array(data.draw(st.lists(st.floats(), min_size=size, max_size=size)))
+        m = m.reshape(shape)
+        assert self._lines(m) == self._plain(m)
+
 
 class TestTableWidePrediction:
     @pytest.mark.parametrize("counts", [[20] * 4, [6, 20, 3, 20]])
