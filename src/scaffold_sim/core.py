@@ -20,6 +20,7 @@ __all__ = [
     "ChainState",
     "RunConfig",
     "batch_uniform_indices",
+    "check_int",
     "lambda_norm_sq",
 ]
 
@@ -97,6 +98,17 @@ def batch_uniform_indices(root_seed, round_idx, client_ids, n_steps, n_records, 
             # every value ends below n_records, so the int64 view is exact
             block %= divisor
     return words.view(np.int64)
+
+
+def check_int(name, value, low):
+    """Raise a ValueError naming `name` unless `value` is an integer >= low.
+
+    Python and numpy integers pass; a bool or a float fails, even a whole one.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 @dataclass
@@ -182,11 +194,10 @@ class RunConfig:
     def __post_init__(self):
         if not self.gamma > 0:  # NaN fails too
             raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.local_steps < 1:
-            raise ValueError(f"local_steps must be >= 1, got {self.local_steps}")
-        if self.rounds < 0:
-            raise ValueError(f"rounds must be >= 0, got {self.rounds}")
-        if not (0 <= int(self.seed) < 2 ** 64):
+        check_int("local_steps", self.local_steps, 1)
+        check_int("rounds", self.rounds, 0)
+        check_int("seed", self.seed, 0)
+        if self.seed >= 2 ** 64:
             raise ValueError("seed must fit in 64 unsigned bits")
 
     def stepsize_diagnostics(self, mu, big_l):

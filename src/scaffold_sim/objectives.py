@@ -147,13 +147,15 @@ def stacked_minibatch_gradient(features, targets, thetas, loss, l2_weight):
     features: (N, m, d), targets: (N, m), thetas: (..., N, d); returns
     (..., N, d).  Leading axes of `thetas` are chains that share the
     gathered stack; each of their rows equals the one-chain result bit for
-    bit.  The two contractions run as one 2-D einsum per chain (a 2-D
-    `thetas` is one call each), which sums each entry as the one-chain call
-    does and skips numpy's slow broadcast over a leading axis; the loss
-    weights and the tail are one pass over the whole stack.  The round simulator and the exact client gradients
-    share this kernel; `stochastic_gradient` in tests/reference.py is its
-    one-client minibatch case, which a one-client simulation reproduces
-    bit for bit.
+    bit.  The two contractions run as one 2-D einsum per chain, which sums
+    each entry as the one-chain call does and skips numpy's slow broadcast
+    over a leading axis; the loss weights and the tail are one pass over
+    the whole stack.  A 2-D `thetas` (the estimator's rounds) is one call
+    each without the loop: folded into it, the `speedup` task's narrow
+    rounds measured slower in every pair.  The round simulator and the
+    exact client gradients share this kernel; `stochastic_gradient` in
+    tests/reference.py is its one-client minibatch case, which a
+    one-client simulation reproduces bit for bit.
     """
     if thetas.ndim == 2:
         margin = np.einsum("nmd,nd->nm", features, thetas)

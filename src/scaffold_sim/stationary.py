@@ -17,7 +17,7 @@ import numpy as np
 from . import objectives
 # `scaffold_round` stays importable here: perfbench/spans.py wraps it
 from .algorithms import ChainBlock, DivergenceError, block_rounds, scaffold_round  # noqa: F401
-from .core import RunConfig
+from .core import RunConfig, check_int
 from .optimum import OptimumCertificate
 
 __all__ = [
@@ -132,12 +132,10 @@ def estimate_stationary_sweep(chains, burn_in=None, n_samples=1000, thinning=1, 
     """
     if not chains:
         raise ValueError("need at least one chain")
-    if n_samples < 100:
-        raise ValueError(f"need n_samples >= 100, got {n_samples}")
-    if burn_in is not None and burn_in < 0:
-        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
-    if thinning < 1:
-        raise ValueError(f"thinning must be >= 1, got {thinning}")
+    check_int("n_samples", n_samples, 100)
+    if burn_in is not None:
+        check_int("burn_in", burn_in, 0)
+    check_int("thinning", thinning, 1)
     burn_ins = []
     for _, certificate, config in chains:
         burn_ins.append(default_burn_in(config.gamma, certificate.mu, config.local_steps)
@@ -188,10 +186,7 @@ def estimate_stationary_sweep(chains, burn_in=None, n_samples=1000, thinning=1, 
         for lo, hi, active in zip(bounds, bounds[1:], blocks):
             thetas = np.concatenate([thetas, np.zeros((len(active.slices) - len(thetas), d))])
             xis = np.concatenate([xis, np.zeros((active.n_rows - len(xis), d))])
-            if lo == 0:
-                rounds = range(hi)  # every row starts at 0: one index for all rows
-            else:
-                rounds = (it - row_starts[:active.n_rows] for it in range(lo, hi))
+            rounds = (it - row_starts[:active.n_rows] for it in range(lo, hi))
             states = block_rounds(active, 1, thetas, xis, rounds)
             for it, (thetas, xis) in enumerate(states, lo):
                 if it < sampling or (it - sampling + 1) % thinning:

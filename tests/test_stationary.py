@@ -111,6 +111,36 @@ class TestEstimateStationary:
         assert rel < 0.25
 
 
+def _estimate(problem, **values):
+    # an estimate whose RunConfig and estimator integers default to small ones
+    run = {key: values.pop(key, default)
+           for key, default in (("local_steps", 2), ("rounds", 1), ("seed", 0))}
+    config = RunConfig(gamma=0.02, **run)
+    values = {"burn_in": 0, "n_samples": 100, "thinning": 1, **values}
+    return stationary.estimate_stationary(problem, certificate_for(problem), config, **values)
+
+
+class TestIntegerArguments:
+    # a float or a bool used to run as its integer part, or to fail inside
+    # range or islice with an error that did not name the argument
+    @pytest.mark.parametrize("value", [1.5, True])
+    @pytest.mark.parametrize("name", ["seed", "local_steps", "rounds",
+                                      "n_samples", "burn_in", "thinning"])
+    def test_float_or_bool_rejected_naming_the_argument(self, quad_problem, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+            _estimate(quad_problem, **{name: value})
+
+    def test_numpy_integers_and_the_largest_seed_accepted(self, quad_problem):
+        plain = _estimate(quad_problem, seed=3, burn_in=4, thinning=2)
+        typed = _estimate(quad_problem, **{
+            key: np.int64(value) for key, value in
+            (("seed", 3), ("local_steps", 2), ("rounds", 1),
+             ("n_samples", 100), ("burn_in", 4), ("thinning", 2))})
+        for field in ("bias_theta", "cov_theta", "cov_theta_xi", "se_bias"):
+            assert np.array_equal(getattr(plain, field), getattr(typed, field))
+        assert _estimate(quad_problem, seed=2 ** 64 - 1).n_samples == 100
+
+
 class TestPredictFirstOrder:
     def test_quadratic_bias_is_zero(self, quad_problem):
         cert = certificate_for(quad_problem)
