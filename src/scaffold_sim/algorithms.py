@@ -250,7 +250,7 @@ def scaffold_round(state: ChainState, problem: Problem, config: RunConfig,
     """
     [(thetas, xis)] = block_rounds(ChainBlock([(problem, config)]), 1, state.theta[None],
                                    state.xis, [round_index])
-    return ChainState.unchecked(thetas[0], xis)
+    return ChainState(thetas[0], xis)
 
 
 def fedavg_round(theta, problem: Problem, config: RunConfig, round_index: int):
@@ -341,6 +341,6 @@ def coupled_run(problem: Problem, config: RunConfig, seeds, starts):
     states = chain([(thetas, xis)], block_rounds(block, 1, thetas, xis, range(config.rounds)))
     for t, (thetas, xis) in enumerate(states):
         for k, pair in enumerate(zip(thetas.reshape(-1, 2, d), xis.reshape(-1, 2, n, d))):
-            a, b = map(ChainState.unchecked, *pair)
+            a, b = map(ChainState, *pair)
             dist[k, t] = lambda_norm_sq(a, b, config.gamma, config.local_steps)
     return dist

@@ -11,6 +11,7 @@ per-client work is scheduled.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -21,6 +22,7 @@ __all__ = [
     "RunConfig",
     "batch_uniform_indices",
     "check_int",
+    "check_real",
     "lambda_norm_sq",
 ]
 
@@ -111,6 +113,16 @@ def check_int(name, value, low):
         raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
+def check_real(name, value):
+    """Raise a ValueError naming `name` unless `value` is a finite real number.
+
+    Python and numpy integers and floats pass; a bool, NaN or an infinity fails.
+    """
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or not math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass
 class ChainState:
     """State of the coupled chain: global parameter plus N control variates.
@@ -144,18 +156,6 @@ class ChainState:
     @property
     def n_clients(self):
         return self.xis.shape[0]
-
-    @classmethod
-    def unchecked(cls, theta, xis):
-        """Wrap float64 arrays of shapes (d,) and (N, d) without validation.
-
-        For the round operator, which builds states from arrays of known
-        shape and checks their finiteness itself once per round.
-        """
-        state = object.__new__(cls)
-        state.theta = theta
-        state.xis = xis
-        return state
 
     @classmethod
     def zeros(cls, d, n_clients):
@@ -192,7 +192,8 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.gamma > 0:  # NaN fails too
+        check_real("gamma", self.gamma)
+        if self.gamma <= 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         check_int("local_steps", self.local_steps, 1)
         check_int("rounds", self.rounds, 0)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import check_int, check_real
 from .datagen import ClientDataset
 
 __all__ = [
@@ -68,10 +69,10 @@ class Problem:
     def __post_init__(self):
         if self.loss not in _LOSSES:
             raise ValueError(f"loss must be one of {_LOSSES}, got {self.loss!r}")
+        check_real("l2_weight", self.l2_weight)
         if self.l2_weight < 0:
             raise ValueError(f"l2_weight must be >= 0, got {self.l2_weight}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        check_int("batch_size", self.batch_size, 1)
         if not self.clients:
             raise ValueError("need at least one client")
         d = self.clients[0].d
@@ -89,6 +90,10 @@ class Problem:
                 raise ValueError(
                     f"client {c.client_id}: logistic targets must be in {{-1, +1}}"
                 )
+        ids, repeats = np.unique(self.client_ids, return_counts=True)
+        if repeats.max() > 1:
+            raise ValueError(f"client id {ids[repeats.argmax()]} is repeated: clients "
+                             "with one id draw the same minibatch rows")
         # shallow copies, so the caller's datasets keep their arrays; their
         # records were validated when they were made
         self.clients = [copy.copy(c) for c in self.clients]

@@ -8,7 +8,6 @@ A : M -> X solving  Hf X + X Hf = M  at the optimum's average Hessian.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -64,8 +63,16 @@ def sylvester_solve(hessian_star, rhs):
     return x
 
 
+def _check_mu(mu, remedy):
+    # mu = 0 when a client Hessian is singular and there is no l2 weight
+    if not mu > 0:
+        raise ValueError(f"mu must be positive, got {mu}: a client loss is not strongly "
+                         f"convex at theta_star; {remedy}")
+
+
 def default_burn_in(gamma, mu, local_steps):
     """Four 1/e-times of the geometric rate (1 - gamma*mu/4)^H, in rounds."""
+    _check_mu(mu, "set l2_weight > 0, or give burn_in to the estimator")
     return math.ceil(16.0 / (gamma * mu * local_steps))
 
 
@@ -117,18 +124,19 @@ def estimate_stationary_sweep(chains, burn_in=None, n_samples=1000, thinning=1, 
 
     The chains advance in lockstep as one block through one round kernel:
     each local step makes one gather for all of them, and one draw covers
-    the minibatches of many rounds.  Chain
-    g (burn-in b_g, default from its own step size and certificate) runs
-    its round 0 at iteration max(b) - b_g, so every chain samples at the
-    same iterations, and each moment sum is one array for all chains.
-    Each estimate equals a separate `estimate_stationary` call bit for
-    bit.  Every chain runs Scaffold; the chains must share the loss, l2
-    weight, local steps and batch width, and read one record table (one
-    problem, or re-splits of one pool, as `ChainBlock`).  Returns one
-    StationaryEstimate per chain, in order.  With `xi_moments=False` only
-    the theta moments are accumulated: `cov_theta_xi` and `cov_xi` are
-    None, every other field is unchanged, and only a non-finite theta sum
-    raises DivergenceError.
+    the minibatches of many rounds.  Chain g (burn-in b_g, default from its
+    own step size and certificate) runs its round 0 at iteration
+    max(b) - b_g, and until then replays its round 0 from zero, so every
+    chain samples at the same iterations, and each moment sum is one array
+    for all chains.  Each estimate equals a separate `estimate_stationary`
+    call bit for bit, and a DivergenceError carries the round index that
+    the diverged chain's separate call reports.  Every chain runs
+    Scaffold; the chains must share the loss, l2 weight, local steps and
+    batch width, and read one record table (one problem, or re-splits of
+    one pool, as `ChainBlock`).  Returns one StationaryEstimate per chain,
+    in order.  With `xi_moments=False` only the theta moments are
+    accumulated: `cov_theta_xi` and `cov_xi` are None, every other field
+    is unchanged, and only a non-finite theta sum raises DivergenceError.
     """
     if not chains:
         raise ValueError("need at least one chain")
@@ -142,20 +150,10 @@ def estimate_stationary_sweep(chains, burn_in=None, n_samples=1000, thinning=1, 
                         if burn_in is None else burn_in)
         config.stepsize_diagnostics(certificate.mu, certificate.big_l)
 
-    # longest burn-in first, so the chains running at any iteration are a
-    # prefix of the block and its rows
-    order = sorted(range(len(chains)), key=lambda g: -burn_ins[g])
-    chains = [chains[g] for g in order]
-    burn_ins = [burn_ins[g] for g in order]
-    sampling = burn_ins[0]
-    starts = [sampling - b for b in burn_ins]
-    # one segment of iterations per distinct start, run by the block of the
-    # chains started by then, from zero; the last block is the full layout
-    bounds = sorted(set(starts)) + [sampling + n_samples * thinning]
-    blocks = [ChainBlock([(p, c) for p, _, c in chains[:bisect.bisect_right(starts, lo)]])
-              for lo in bounds[:-1]]
-    block = blocks[-1]
-    sizes = [problem.n_clients for problem, _, _ in chains]
+    sampling = max(burn_ins)
+    starts = np.array([sampling - b for b in burn_ins])
+    block = ChainBlock([(p, c) for p, _, c in chains])
+    sizes = block.counts.tolist()
     row_starts = np.repeat(starts, sizes)  # iteration of each row's round 0
     d = block.d
     theta_star = np.stack([certificate.theta_star for _, certificate, _ in chains])
@@ -178,36 +176,37 @@ def estimate_stationary_sweep(chains, burn_in=None, n_samples=1000, thinning=1, 
     batch_size = n_samples // N_SE_BATCHES
     batch_means = np.zeros((len(chains), N_SE_BATCHES, d))
 
-    thetas = np.zeros((0, d))
-    xis = np.zeros((0, d))
+    thetas = np.zeros((len(chains), d))
+    xis = np.zeros((block.n_rows, d))
+    rounds = (np.maximum(it - row_starts, 0) for it in range(sampling + n_samples * thinning))
     # a finite but huge state overflows the sums before the chain itself
     # diverges; that is reported once, below, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi, active in zip(bounds, bounds[1:], blocks):
-            thetas = np.concatenate([thetas, np.zeros((len(active.slices) - len(thetas), d))])
-            xis = np.concatenate([xis, np.zeros((active.n_rows - len(xis), d))])
-            rounds = (it - row_starts[:active.n_rows] for it in range(lo, hi))
-            states = block_rounds(active, 1, thetas, xis, rounds)
-            for it, (thetas, xis) in enumerate(states, lo):
-                if it < sampling or (it - sampling + 1) % thinning:
-                    continue
-                k = (it - sampling) // thinning
-                dtheta = thetas - theta_star
-                sum_dtheta += dtheta
-                sum_outer_theta += dtheta[:, :, None] * dtheta[:, None, :]
-                if xi_moments:
-                    dxi = xis - xi_star
-                    sum_theta_xi += (np.repeat(dtheta, block.counts, axis=0)[:, :, None]
-                                     * dxi[:, None, :])
-                    sum_xi += dxi[pair_c][:, :, None] * dxi[pair_cp][:, None, :]
-                batch_means[:, min(k // batch_size, N_SE_BATCHES - 1)] += dtheta
+        for it, (thetas, xis) in enumerate(block_rounds(block, 1, thetas, xis, rounds)):
+            if it < sampling:
+                # a chain not started yet replays its round 0 from zero: the
+                # kernel starts the next round from these arrays
+                thetas[starts > it] = 0.0
+                xis[row_starts > it] = 0.0
+                continue
+            if (it - sampling + 1) % thinning:
+                continue
+            k = (it - sampling) // thinning
+            dtheta = thetas - theta_star
+            sum_dtheta += dtheta
+            sum_outer_theta += dtheta[:, :, None] * dtheta[:, None, :]
+            if xi_moments:
+                dxi = xis - xi_star
+                sum_theta_xi += (np.repeat(dtheta, block.counts, axis=0)[:, :, None]
+                                 * dxi[:, None, :])
+                sum_xi += dxi[pair_c][:, :, None] * dxi[pair_cp][:, None, :]
+            batch_means[:, min(k // batch_size, N_SE_BATCHES - 1)] += dtheta
 
     # trailing samples beyond 20*batch_size fold into the last batch
     counts = np.full(N_SE_BATCHES, batch_size, dtype=float)
     counts[-1] += n_samples - N_SE_BATCHES * batch_size
     estimates = []
-    for g in np.argsort(order):  # input order: the first diverged chain raises
-        rows = block.slices[g]
+    for g, rows in enumerate(block.slices):  # the first diverged chain raises
         sums = (sum_dtheta[g], sum_outer_theta[g], sum_theta_xi[rows], sum_xi[pair_rows[g]],
                 batch_means[g])
         if not all(np.isfinite(x).all() for x in sums):
@@ -311,6 +310,7 @@ def complexity_recipe(certificate: OptimumCertificate, epsilon, n_clients) -> Co
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     mu, big_l = certificate.mu, certificate.big_l
+    _check_mu(mu, "set l2_weight > 0")
     zeta1, zeta2 = certificate.zeta1, certificate.zeta2
     sigma_sq = certificate.sigma_star_sq
     q = certificate.third_deriv_bound

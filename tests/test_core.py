@@ -1,3 +1,5 @@
+import math
+import re
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scaffold_sim import core
+from scaffold_sim import core, datagen, objectives
 from scaffold_sim.core import (
     ChainState,
     RunConfig,
@@ -297,6 +299,23 @@ class TestRunConfig:
         cfg2 = RunConfig(gamma=0.01, local_steps=5, rounds=1)
         flags = cfg2.stepsize_diagnostics(mu=1.0, big_l=10.0)
         assert flags["gamma_le_inv_2L"] and flags["gammaH_le_inv_Lmu"]
+
+
+class TestArgumentsFailWhereTheyEnter:
+    # each was accepted: gamma=True ran at step size 1, gamma=inf failed
+    # only at round 0, and batch_size=2.5 entered the first-order prediction
+    @pytest.mark.parametrize("name, value", [
+        ("gamma", True), ("gamma", math.inf), ("batch_size", 2.5), ("batch_size", True),
+        ("l2_weight", True), ("l2_weight", math.nan), ("l2_weight", math.inf),
+    ])
+    def test_argument_rejected_naming_it(self, name, value):
+        kind = "an integer" if name == "batch_size" else "a finite number"
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be {kind}, got {value!r}")):
+            if name == "gamma":
+                RunConfig(gamma=value, local_steps=1, rounds=1)
+            else:
+                client = datagen.ClientDataset(np.ones((4, 2)), np.ones(4))
+                objectives.Problem([client], "quadratic", **{name: value})
 
 
 # Reference for the counter-based RNG: the allocate-per-operation functions

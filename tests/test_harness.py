@@ -849,6 +849,32 @@ class TestCli:
         assert capsys.readouterr().err == (f"ConfigError: key `{key}`: given on line {lineno}, "
                                            f"but the {task} task does not read it\n")
 
+    # every client Hessian is singular (10 records, 20 features) and there
+    # is no l2 weight, so mu is 0; the default burn-in and the complexity
+    # recipe divide by it
+    _MU_ZERO = ("[problem]\nloss = quadratic\nl2_weight = 0\nn_features = 20\n"
+                "records_per_client = 10\n[run]\n")
+
+    @pytest.mark.filterwarnings("ignore:step-size conditions")
+    @pytest.mark.parametrize("task", ["stationary", "speedup", "complexity"])
+    def test_mu_zero_exits_2_naming_mu(self, tmp_path, capsys, task):
+        run = {"stationary": "n_samples = 100\n", "speedup": "n_clients = 2,4\nn_samples = 100\n",
+               "complexity": "epsilon = 0.1\n"}[task]
+        path = tmp_path / "c.txt"
+        path.write_text(f"[experiment]\ntask = {task}\n" + self._MU_ZERO + run)
+        assert cli_main([task, "--config", str(path)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("ValueError: mu must be positive, got 0.0: a client loss is "
+                               "not strongly convex at theta_star; set l2_weight > 0")
+
+    @pytest.mark.filterwarnings("ignore:step-size conditions")
+    def test_mu_zero_runs_with_an_explicit_burn_in(self, tmp_path, capsys):
+        path = tmp_path / "c.txt"
+        path.write_text("[experiment]\ntask = stationary\n" + self._MU_ZERO
+                        + "local_steps = 2\nburn_in = 5\nn_samples = 100\n")
+        assert cli_main(["stationary", "--config", str(path)]) == 0
+        assert "burn_in_rounds = 5\n" in capsys.readouterr().out
+
     def test_stdout_without_out(self, tmp_path, capsys):
         path = write_config(tmp_path, "complexity",
                             extra_run="epsilon = 0.1\n")

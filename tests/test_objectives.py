@@ -241,6 +241,13 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="dimension"):
             objectives.Problem([a, b], "quadratic", 0.1, 1)
 
+    def test_repeated_client_id_rejected(self):
+        # minibatch streams are keyed on the id: both clients drew the same rows
+        a = datagen.ClientDataset(np.ones((10, 2)), np.ones(10), client_id=3)
+        b = datagen.ClientDataset(np.zeros((10, 2)), np.ones(10), client_id=3)
+        with pytest.raises(ValueError, match="client id 3 is repeated"):
+            objectives.Problem([a, b], "quadratic", 0.1, 2)
+
     def test_unknown_loss(self):
         a = datagen.ClientDataset(np.ones((2, 2)), np.ones(2))
         with pytest.raises(ValueError, match="loss"):

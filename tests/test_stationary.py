@@ -396,8 +396,8 @@ class TestEstimateStationarySweep:
         for chain, est in zip(chains, estimates):
             _assert_estimates_equal(est, _reference_estimate(*chain, est.burn_in_rounds, 100))
 
-    def test_one_block_per_segment(self, monkeypatch):
-        # the block grows at each distinct start; one chain is one block
+    def test_one_block_per_estimate(self, monkeypatch):
+        # late chains join the one block at iteration 0; one chain is one block
         built = []
 
         class CountingBlock(stationary.ChainBlock):
@@ -409,10 +409,22 @@ class TestEstimateStationarySweep:
         chains = _speedup_chains()
         estimates = stationary.estimate_stationary_sweep(chains, n_samples=100)
         assert len({est.burn_in_rounds for est in estimates}) == 3
-        assert built == [1, 2, 3]
+        assert built == [3]
         built.clear()
         stationary.estimate_stationary(*chains[0], n_samples=100)
         assert built == [1]
+
+    def test_late_chain_overflowing_at_its_round_0(self):
+        # the shortest burn-in (1 round): the chain replays its round 0 from
+        # iteration 0 on, and that round overflows
+        chains = _speedup_chains(n_list=(2, 4, 8))
+        problem, cert, config = chains[2]
+        chains[2] = (problem, cert, replace(config, gamma=1e200 * config.gamma))
+        with pytest.raises(DivergenceError) as alone:
+            stationary.estimate_stationary(*chains[2], n_samples=100)
+        with pytest.raises(DivergenceError) as info:
+            stationary.estimate_stationary_sweep(chains, n_samples=100)
+        assert alone.value.round_index == info.value.round_index == 0
 
     def test_explicit_burn_in(self):
         _sweep_matches_separate_calls(_speedup_chains(seed=4), burn_in=5, n_samples=110)
