@@ -15,7 +15,6 @@ from scaffold_sim.harness import ExperimentConfig, run_figure1
 
 def main():
     config = ExperimentConfig(task="figure1", rounds=60, seeds=[0, 1])
-    config.validate()
     _, agg = run_figure1(config, threads=4)
 
     series = {}

@@ -18,7 +18,7 @@ def main():
         records_per_client=100, informative=[2, 6], noise_std=5.0,
         batch_size=10, gamma=None, gamma_over_l=1.0 / 24.0, local_steps=10,
         n_clients=[2, 4, 8], seeds=[0], n_samples=4000,
-    ).validate()
+    )
 
     print("shared step size gamma = 1/(24 L) of the N = 8 certificate, H = 10")
     print(f"{'N':>4} {'trace(cov)':>12} {'predicted':>12} {'N*trace':>12}")

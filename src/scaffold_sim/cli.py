@@ -4,7 +4,8 @@ Subcommands mirror the experiment tasks (figure1, speedup, coupling,
 stationary, predict, complexity) plus print-config.  All state flows
 through the config file and flags; environment variables are ignored.
 Exit code 0 on success; on failure, one machine-parsable line
-`<ErrorClass>: <message>` goes to stderr and the exit code is nonzero.
+`<ErrorClass>: <message>` goes to stderr and the exit code is nonzero;
+a warning prints as one `<WarningClass>: <message>` line and the run goes on.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 import textwrap
+import warnings
 from dataclasses import MISSING, fields
 
 from .algorithms import DivergenceError
@@ -76,30 +78,34 @@ def _build_parser():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    try:
-        if args.threads < 1:
-            raise ValueError(f"--threads must be >= 1, got {args.threads}")
-        if args.threads > 1 and args.command != "figure1":
-            raise ValueError(f"--threads {args.threads}: only figure1 runs in parallel")
-        config = parse_config(args.config)
-        if args.command == "print-config":
-            text = format_config(config)
-            if args.out:
-                with open(args.out, "w") as fh:
-                    fh.write(text)
-        elif args.command != config.task:
-            raise ConfigError(
-                f"key `task`: config says {config.task!r} but the "
-                f"`{args.command}` subcommand was invoked"
-            )
-        else:
-            text = run_task(config, out_path=args.out, threads=args.threads)
-        if not args.out:
-            sys.stdout.write(text)
-        return 0
-    except (ConfigError, SolverError, DivergenceError, OSError, ValueError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        # one line per warning; the caller's filters still decide what is shown
+        warnings.showwarning = lambda message, category, *_: print(
+            f"{category.__name__}: {message}", file=sys.stderr)
+        try:
+            if args.threads < 1:
+                raise ValueError(f"--threads must be >= 1, got {args.threads}")
+            if args.threads > 1 and args.command != "figure1":
+                raise ValueError(f"--threads {args.threads}: only figure1 runs in parallel")
+            config = parse_config(args.config)
+            if args.command == "print-config":
+                text = format_config(config)
+                if args.out:
+                    with open(args.out, "w") as fh:
+                        fh.write(text)
+            elif args.command != config.task:
+                raise ConfigError(
+                    f"key `task`: config says {config.task!r} but the "
+                    f"`{args.command}` subcommand was invoked"
+                )
+            else:
+                text = run_task(config, out_path=args.out, threads=args.threads)
+            if not args.out:
+                sys.stdout.write(text)
+            return 0
+        except (ConfigError, SolverError, DivergenceError, OSError, ValueError) as exc:
+            print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -97,12 +97,13 @@ def _key(section, default, parse, key=None, low=None, below=None, positive=False
     return field(default=default, metadata=metadata)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description (one task plus its parameters).
 
-    Each field owns one config key (`_key`); `_SCHEMA`, the rules, the tasks
-    that read each key and `--help` are read from the fields.
+    Each field owns one config key (`_key`), read by the parser and `--help`.
+    Building a config, also through `dataclasses.replace`, checks every rule;
+    a built config is frozen.
     """
 
     task: str = _key("experiment", MISSING, str, choices=TASKS)
@@ -137,7 +138,7 @@ class ExperimentConfig:
     epsilon: float | None = _key("run", None, _parse_float, positive=True,
                                  tasks=("complexity",), help="required")
 
-    def validate(self):
+    def __post_init__(self):
         for f in fields(self):
             value, meta = getattr(self, f.name), f.metadata
             if value is None:
@@ -184,19 +185,9 @@ class ExperimentConfig:
             )
         if self.task == "complexity" and self.epsilon is None:
             raise ConfigError("key `epsilon`: required for the complexity task")
-        return self
-
-
-def _schema():
-    # {section: {key: (attr, parser)}}, in field order
-    schema = {}
-    for key, f in _FIELDS.items():
-        schema.setdefault(f.metadata["section"], {})[key] = (f.name, f.metadata["parse"])
-    return schema
 
 
 _FIELDS = {f.metadata["key"] or f.name: f for f in fields(ExperimentConfig)}
-_SCHEMA = _schema()
 
 
 def _unread(key, config):
@@ -224,7 +215,7 @@ def parse_config(path) -> ExperimentConfig:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in _SCHEMA:
+            if all(f.metadata["section"] != section for f in _FIELDS.values()):
                 raise ConfigError(f"line {lineno}: unknown section `{section}`")
             continue
         if "=" not in line:
@@ -233,21 +224,22 @@ def parse_config(path) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: key outside any [section]")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _SCHEMA[section]:
+        f = _FIELDS.get(key)
+        if f is None or f.metadata["section"] != section:
             raise ConfigError(f"line {lineno}: unknown key `{key}` in section [{section}]")
         if value == "":
             raise ConfigError(f"line {lineno}: empty value for key `{key}`")
         if key in lines_of:
             raise ConfigError(f"key `{key}`: given twice, on lines {lines_of[key]} and {lineno}")
         lines_of[key] = lineno
-        attr, conv = _SCHEMA[section][key]
-        values[attr] = value if conv is str else conv(key, value)
+        conv = f.metadata["parse"]
+        values[f.name] = value if conv is str else conv(key, value)
 
     if "task" not in values:
         raise ConfigError("missing required key `task` in section [experiment]")
     if values.get("gamma_over_l") is not None and "gamma" not in values:
         values["gamma"] = None
-    config = ExperimentConfig(**values).validate()
+    config = ExperimentConfig(**values)
     for key, lineno in lines_of.items():
         why = _unread(key, config)
         if why:
@@ -259,23 +251,22 @@ def format_config(config: ExperimentConfig) -> str:
     """Emit the normalized config; `parse_config(format_config(c)) == c`.
 
     Holds for every config `parse_config` returns.  Writes each key that the
-    task and loss read and whose value is not None, in schema order: floats
-    with 17 significant digits, lists joined by commas.
+    task and loss read and whose value is not None, under its section, in
+    field order: floats with 17 significant digits, lists joined by commas.
     """
-    sections = []
-    for section, keys in _SCHEMA.items():
-        lines = [f"[{section}]"]
-        for key, (attr, conv) in keys.items():
-            value = getattr(config, attr)
-            if value is None or _unread(key, config):
-                continue
-            if conv is _parse_float:
-                value = f"{value:.17g}"
-            elif conv in (_parse_int_list, _parse_str_list):
-                value = ",".join(str(x) for x in value)
-            lines.append(f"{key} = {value}")
-        sections.append("\n".join(lines))
-    return "\n\n".join(sections) + "\n"
+    sections = {}
+    for key, f in _FIELDS.items():
+        section = f.metadata["section"]
+        lines = sections.setdefault(section, [f"[{section}]"])
+        value, conv = getattr(config, f.name), f.metadata["parse"]
+        if value is None or _unread(key, config):
+            continue
+        if conv is _parse_float:
+            value = f"{value:.17g}"
+        elif conv in (_parse_int_list, _parse_str_list):
+            value = ",".join(str(x) for x in value)
+        lines.append(f"{key} = {value}")
+    return "\n\n".join("\n".join(lines) for lines in sections.values()) + "\n"
 
 
 def build_problem(config: ExperimentConfig, n_clients, pool=None) -> Problem:

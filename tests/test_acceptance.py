@@ -180,7 +180,7 @@ def test_linear_speedup(report):
     config = dataclasses.replace(
         quad_desk_config(), task="speedup", n_clients=[2, 8, 32], gamma=None,
         gamma_over_l=0.125, local_steps=10, seeds=[0], n_samples=20000,
-    ).validate()
+    )
     rows = [row.split(",") for row in run_speedup(config).splitlines()[1:]]
     scaled = [int(n) * float(trace) for n, trace, _ in rows]
     spread = (max(scaled) - min(scaled)) / min(scaled)

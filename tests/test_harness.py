@@ -6,6 +6,7 @@ import importlib.util
 import math
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +56,7 @@ def write_config(tmp_path, task, extra_run="", body=None):
 
 @st.composite
 def _valid_configs(draw):
-    """Random configs that pass `validate`, built valid rather than filtered."""
+    """Random configs that pass every rule, built valid rather than filtered."""
     task = draw(st.sampled_from(harness.TASKS))
     n_features = draw(st.integers(1, 50))
     n_clients = draw(st.lists(st.integers(1, 100).map(lambda k: 2 * k), min_size=1, max_size=5,
@@ -92,14 +93,14 @@ def _valid_configs(draw):
         epsilon=draw(positive if task == "complexity" else st.none() | positive),
     )
     # a key the task or loss does not read keeps its default: no file can set it
-    default = ExperimentConfig(task=task)
+    default = ExperimentConfig(task="figure1")
     return dataclasses.replace(config, **{f.name: getattr(default, f.name)
                                           for key, f in harness._FIELDS.items()
                                           if harness._unread(key, config)})
 
 
 def _reference_format_config(config):
-    # the hand-written writer that the loop over `_SCHEMA` replaced, writing
+    # the hand-written writer that the loop over the fields replaced, writing
     # the keys that the task and loss read
     def join(xs):
         return ",".join(str(x) for x in xs)
@@ -270,7 +271,7 @@ class TestParseConfig:
             parse_config(path)
         assert cli_main(["print-config", "--config", str(path)]) == 2
         with pytest.raises(ConfigError, match=r"`gamma` or `gamma_over_L`"):
-            ExperimentConfig(task="predict", gamma_over_l=0.5).validate()
+            ExperimentConfig(task="predict", gamma_over_l=0.5)
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "c.txt"
@@ -300,7 +301,6 @@ class TestParseConfig:
     def test_round_trip_property(self, config):
         # gamma_over_L without gamma, optional burn_in / epsilon,
         # list-valued keys and 17-digit floats all survive the round trip
-        config.validate()
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "c.txt"
             path.write_text(format_config(config))
@@ -378,9 +378,31 @@ class TestConfigRanges:
 
     def test_bounds_checked_on_a_built_config(self):
         with pytest.raises(ConfigError, match="key `n_features`: must be >= 1, got 0"):
-            ExperimentConfig(task="stationary", n_features=0).validate()
+            ExperimentConfig(task="stationary", n_features=0)
         with pytest.raises(ConfigError, match="key `burn_in`: must be >= 0, got -1"):
-            ExperimentConfig(task="stationary", burn_in=-1).validate()
+            ExperimentConfig(task="stationary", burn_in=-1)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(n_clients=[2, 2]), "key `n_clients`: repeated entry"),
+        (dict(informative=[2, 4, 6]), "key `informative`: need exactly 2 entries"),
+        (dict(generator_seeds=[1]), "key `generator_seeds`: need exactly 2 entries"),
+        (dict(gamma_over_l=0.5), "exactly one of `gamma` or `gamma_over_L`"),
+        (dict(gamma=None), "exactly one of `gamma` or `gamma_over_L`"),
+        (dict(task="complexity"), "key `epsilon`: required for the complexity task"),
+        (dict(task="figure2"), "key `task`: must be one of"),
+    ], ids=["repeated-n_clients", "three-informative", "one-generator-seed", "both-steps",
+            "no-step", "complexity-without-epsilon", "unknown-task"])
+    def test_every_rule_checked_when_built(self, kwargs, message):
+        # a config built in code meets the rules a parsed one does
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ExperimentConfig(**{"task": "figure1", **kwargs})
+
+    def test_replace_rechecks_and_assignment_fails(self):
+        config = ExperimentConfig(task="figure1")
+        with pytest.raises(ConfigError, match="key `n_clients`: repeated entry"):
+            dataclasses.replace(config, n_clients=[4, 4])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.n_clients = [4, 4]
 
     @pytest.mark.parametrize("text, key, lines", [
         ("[run]\nrounds = 2\nrounds = 3\n", "rounds", "4 and 5"),
@@ -473,7 +495,7 @@ def small_config(**kwargs):
                     algorithms=["scaffold", "fedavg"], n_samples=100,
                     burn_in=20)
     defaults.update(kwargs)
-    return ExperimentConfig(**defaults).validate()
+    return ExperimentConfig(**defaults)
 
 
 class TestRunners:
@@ -591,7 +613,7 @@ class TestRunners:
     def test_complexity_rounds_never_negative(self, logistic, epsilon):
         # with eps^2 >= psi0 the accuracy holds at round 0: the recipe asks
         # for no rounds, not for a negative count from log(psi0 / eps^2) < 0
-        config = (ExperimentConfig(task="complexity", epsilon=epsilon).validate() if logistic
+        config = (ExperimentConfig(task="complexity", epsilon=epsilon) if logistic
                   else small_config(task="complexity", epsilon=epsilon))
         lines = harness.run_complexity(config).splitlines()[1:]
         assert len(lines) == len(config.n_clients)
@@ -690,7 +712,7 @@ class TestKeyReads:
             value = value(config) if callable(value) else value
             # gamma_over_L sets the step size in place of gamma
             step = {"gamma": None} if key == "gamma_over_l" else {}
-            changed = dataclasses.replace(config, **step, **{key: value}).validate()
+            changed = dataclasses.replace(config, **step, **{key: value})
             assert harness.run_task(changed) == text, (key, value)
 
     @pytest.mark.parametrize("task", sorted(IGNORED_KEYS))
@@ -714,7 +736,7 @@ class TestKeyReads:
     def test_read_key_changes_the_bytes(self, tmp_path, task):
         config = _golden_config(tmp_path, task)
         key, value = READ_KEYS[task]
-        changed = dataclasses.replace(config, **{key: value}).validate()
+        changed = dataclasses.replace(config, **{key: value})
         assert harness.run_task(changed) != harness.run_task(config)
 
 
@@ -788,9 +810,9 @@ class TestCli:
     def test_help_and_schema_name_the_same_keys(self):
         # every `key =` line of `scaffold-sim --help` is a config key, and
         # every config key is shown, with its default where it has one;
-        # the field loop below covers every `_SCHEMA` key
+        # the field loop below covers every `_FIELDS` key
         epilog = cli._build_parser().epilog
-        keys = {key for section in harness._SCHEMA.values() for key in section}
+        keys = set(harness._FIELDS)
         assert keys == {f.metadata["key"] or f.name for f in dataclasses.fields(ExperimentConfig)}
         for line in epilog.splitlines():
             entry = re.match(r"  (\w+) =", line)
@@ -821,12 +843,14 @@ class TestCli:
             if section is None or entry is None:
                 continue
             key, value = entry.groups()
-            attr, conv = harness._SCHEMA[section][key]
+            f = harness._FIELDS[key]
+            assert f.metadata["section"] == section, key
+            attr, conv = f.name, f.metadata["parse"]
             parsed = None if value == "" else value if conv is str else conv(key, value)
             assert parsed == defaults[attr], key
             shown.add(key)
-        assert shown == (set(harness._SCHEMA["problem"]) | set(harness._SCHEMA["run"])) \
-            - {"gamma_over_L"}
+        assert shown == {key for key, f in harness._FIELDS.items()
+                         if f.metadata["section"] in ("problem", "run")} - {"gamma_over_L"}
 
     @pytest.mark.parametrize("task, line", [
         ("figure1", "thinning = 2"), ("speedup", "algorithms = fedavg"),
@@ -874,6 +898,35 @@ class TestCli:
                         + "local_steps = 2\nburn_in = 5\nn_samples = 100\n")
         assert cli_main(["stationary", "--config", str(path)]) == 0
         assert "burn_in_rounds = 5\n" in capsys.readouterr().out
+
+    def _warning_config(self, tmp_path):
+        # the golden speedup config at H = 10: gamma*H*(L+mu) = 1.25(1 + mu/L) > 1
+        path = tmp_path / "c.txt"
+        path.write_text("[experiment]\ntask = speedup\n"
+                        + CONFIGS["speedup"].replace("local_steps = 4", "local_steps = 10"))
+        return path
+
+    def test_warning_prints_as_one_line(self, tmp_path, capsys):
+        argv = ["speedup", "--config", str(self._warning_config(tmp_path))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert cli_main(argv) == 0
+        quiet = capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")
+            assert cli_main(argv) == 0
+        shown = capsys.readouterr()
+        assert shown.out == quiet.out and quiet.err == ""
+        lines = shown.err.splitlines()
+        assert lines
+        assert all(line.startswith("RuntimeWarning: step-size conditions violated")
+                   for line in lines), lines
+
+    def test_warning_still_raises_under_the_suites_error_filter(self, tmp_path):
+        # `filterwarnings = ["error"]` makes the warning an exception; the
+        # one-line printer must not swallow it
+        with pytest.raises(RuntimeWarning, match="step-size conditions violated"):
+            cli_main(["speedup", "--config", str(self._warning_config(tmp_path))])
 
     def test_stdout_without_out(self, tmp_path, capsys):
         path = write_config(tmp_path, "complexity",

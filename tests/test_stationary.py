@@ -564,7 +564,7 @@ class TestThetaOnlySweep:
             task="speedup", loss="quadratic", l2_weight=0.5, n_features=3,
             records_per_client=4, informative=[2, 3], noise_std=2.0, batch_size=2,
             n_clients=[2, 4], gamma=None, gamma_over_l=0.125, local_steps=3, seeds=[0],
-            n_samples=100).validate()
+            n_samples=100)
         sweep = stationary.estimate_stationary_sweep
         calls = []
 
