@@ -141,7 +141,10 @@ def _endpoints(block, thetas, corrections, idx):
     that share the block's rows, and with them each gathered batch.  `idx`
     (H, R, b) holds the round's minibatch rows in the block's record
     table, or is None for exact gradients, which run on the block's
-    `groups`.  The endpoints have the shape of `corrections`.
+    `groups`.  The endpoints have the shape of `corrections`.  Each step
+    updates the round's own copy of the rows' parameters in place, with
+    the IEEE operations of `thetas - gamma * (grads + corrections)`; the
+    given arrays are not written.
     """
     thetas = np.repeat(thetas, block.counts, axis=-2)
     gamma, loss, l2_weight = block.gamma, block.loss, block.l2_weight
@@ -160,7 +163,9 @@ def _endpoints(block, thetas, corrections, idx):
                     flat_x.take(idx[h], axis=0), flat_y.take(idx[h]), thetas,
                     loss, l2_weight,
                 )
-            thetas = thetas - gamma * (grads + corrections)
+            grads += corrections
+            grads *= gamma
+            thetas -= grads
     return thetas
 
 

@@ -24,8 +24,8 @@ from .optimum import SolverError
 def _entry(f):
     """One key of `--help`: `  key = default`, then its declared notes from column 28."""
     meta, default = f.metadata, f.default
-    if f.default_factory is not MISSING:
-        default = ",".join(str(x) for x in f.default_factory())
+    if isinstance(default, tuple):
+        default = ",".join(str(x) for x in default)
     unread = [task for task in TASKS if task not in meta["tasks"]]
     notes = [default is MISSING and "required",
              meta["choices"] and "one of: " + " | ".join(meta["choices"]),
@@ -49,7 +49,7 @@ def _epilog():
              "a key that the task (or the loss) does not read is an error"]
     for section in dict.fromkeys(f.metadata["section"] for f in fields(ExperimentConfig)):
         keys = [f for f in fields(ExperimentConfig) if f.metadata["section"] == section]
-        optional = all((f.default, f.default_factory) != (MISSING, MISSING) for f in keys)
+        optional = all(f.default is not MISSING for f in keys)
         header = f"  [{section}]"
         lines += ["", f"{header:28}all optional, defaults shown" if optional else header]
         lines += [_entry(f) for f in keys if f.default is not None or f.metadata["help"]]

@@ -71,11 +71,11 @@ def _entries(key, value):
 
 
 def _parse_int_list(key, value):
-    return [_parse_int(key, v) for v in _entries(key, value)]
+    return tuple(_parse_int(key, v) for v in _entries(key, value))
 
 
 def _parse_str_list(key, value):
-    return [v.strip() for v in _entries(key, value)]
+    return tuple(v.strip() for v in _entries(key, value))
 
 
 def _key(section, default, parse, key=None, low=None, below=None, positive=False,
@@ -83,17 +83,16 @@ def _key(section, default, parse, key=None, low=None, below=None, positive=False
     """A field that owns its config key: [section], parser, default and rules.
 
     `key` is the key in the file where it differs from the attribute.  The
-    rules hold for a scalar or for every entry of a list: `value >= low`,
-    `value < below`, `value > 0` with `positive`, `value in choices`, and a
-    float is finite.  A list is nonempty, has `length` entries if given
-    and, with `distinct`, no repeated entry.  None values (an unset
-    optional key) are not checked.  Only the `tasks` read the key (under
-    `loss` alone, if given); a file that gives it otherwise is rejected.
+    rules hold for a scalar or for every entry of a list (a tuple):
+    `value >= low`, `value < below`, `value > 0` with `positive`, `value in
+    choices`, and a float is finite.  A list is nonempty, has `length`
+    entries if given and, with `distinct`, no repeated entry.  None values
+    (an unset optional key) are not checked.  Only the `tasks` read the key
+    (under `loss` alone, if given); a file that gives it otherwise is
+    rejected.
     `help` is a `--help` note for what the rules cannot say.
     """
     metadata = {name: value for name, value in locals().items() if name != "default"}
-    if isinstance(default, list):
-        return field(default_factory=lambda: list(default), metadata=metadata)
     return field(default=default, metadata=metadata)
 
 
@@ -103,7 +102,8 @@ class ExperimentConfig:
 
     Each field owns one config key (`_key`), read by the parser and `--help`.
     Building a config, also through `dataclasses.replace`, checks every rule;
-    a built config is frozen.
+    a built config is frozen, and holds each list key as a tuple (a list
+    given for one is stored as a tuple), so no entry can be changed either.
     """
 
     task: str = _key("experiment", MISSING, str, choices=TASKS)
@@ -111,9 +111,9 @@ class ExperimentConfig:
     l2_weight: float = _key("problem", 0.1, _parse_float, low=0)
     n_features: int = _key("problem", 20, _parse_int, low=1)
     records_per_client: int = _key("problem", 200, _parse_int, low=1)
-    informative: list = _key("problem", [2, 10], _parse_int_list, low=1, length=2,
+    informative: tuple = _key("problem", (2, 10), _parse_int_list, low=1, length=2,
                              help="informative-feature counts of the two sources")
-    generator_seeds: list = _key("problem", [123, 456], _parse_int_list, low=0, length=2,
+    generator_seeds: tuple = _key("problem", (123, 456), _parse_int_list, low=0, length=2,
                                  help="seeds of the two sources")
     noise_std: float = _key("problem", 10.0, _parse_float, low=0, loss="quadratic")
     class_sep: float = _key("problem", 1.0, _parse_float, low=0, loss="logistic")
@@ -124,12 +124,12 @@ class ExperimentConfig:
     local_steps: int = _key("run", 100, _parse_int, low=1, tasks=_STEP_TASKS)
     rounds: int = _key("run", 100, _parse_int, low=0, tasks=("figure1", "coupling"))
     batch_size: int = _key("run", 10, _parse_int, low=1)
-    n_clients: list = _key("run", [10, 100], _parse_int_list, low=2, distinct=True,
+    n_clients: tuple = _key("run", (10, 100), _parse_int_list, low=2, distinct=True,
                            help="coupling, stationary, predict: the smallest only")
-    seeds: list = _key("run", [0, 1, 2], _parse_int_list, low=0, below=2 ** 64,
+    seeds: tuple = _key("run", (0, 1, 2), _parse_int_list, low=0, below=2 ** 64,
                        distinct=True, tasks=("figure1", "coupling") + _ESTIMATOR_TASKS,
                        help="speedup, stationary: the first only")
-    algorithms: list = _key("run", ["scaffold", "fedavg"], _parse_str_list,
+    algorithms: tuple = _key("run", ("scaffold", "fedavg"), _parse_str_list,
                             choices=ALGORITHMS, distinct=True, tasks=("figure1",))
     burn_in: int | None = _key("run", None, _parse_int, low=0, tasks=_ESTIMATOR_TASKS,
                                help="default ceil(16/(gamma*mu*H))")
@@ -144,13 +144,18 @@ class ExperimentConfig:
             if value is None:
                 continue
             key, length = meta["key"] or f.name, meta["length"]
-            entries = value if isinstance(value, list) else [value]
+            if isinstance(value, list):
+                value = tuple(value)
+                object.__setattr__(self, f.name, value)
+            entries = value if isinstance(value, tuple) else (value,)
             if not entries:
                 raise ConfigError(f"key `{key}`: list must be nonempty")
+            # messages print a list key in brackets
             if length is not None and len(entries) != length:
-                raise ConfigError(f"key `{key}`: need exactly {length} entries, got {value}")
+                raise ConfigError(f"key `{key}`: need exactly {length} entries, "
+                                  f"got {list(value)}")
             if meta["distinct"] and len(set(entries)) < len(entries):
-                raise ConfigError(f"key `{key}`: repeated entry in {value}")
+                raise ConfigError(f"key `{key}`: repeated entry in {list(value)}")
             for v in entries:
                 if meta["parse"] is _parse_float and not math.isfinite(v):
                     raise ConfigError(f"key `{key}`: must be finite, got {v}")
@@ -166,7 +171,8 @@ class ExperimentConfig:
             raise ConfigError("exactly one of `gamma` or `gamma_over_L` is required, got "
                               f"gamma = {self.gamma}, gamma_over_L = {self.gamma_over_l}")
         if any(n % 2 for n in self.n_clients):
-            raise ConfigError(f"key `n_clients`: entries must be even, got {self.n_clients}")
+            raise ConfigError(f"key `n_clients`: entries must be even, "
+                              f"got {list(self.n_clients)}")
         if self.task == "speedup":
             # every N re-splits one pool of records_per_client * max(N) / 2
             # records per source into N/2 equal shards
@@ -181,7 +187,7 @@ class ExperimentConfig:
         if max(self.informative) > self.n_features:
             raise ConfigError(
                 f"key `informative`: counts must be <= n_features={self.n_features}, "
-                f"got {self.informative}"
+                f"got {list(self.informative)}"
             )
         if self.task == "complexity" and self.epsilon is None:
             raise ConfigError("key `epsilon`: required for the complexity task")

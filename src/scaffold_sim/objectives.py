@@ -133,17 +133,27 @@ def _table(parts, first_rows):
 
 def _sigmoid(z):
     # exp(-|z|) is exp(-z) where z >= 0 and exp(z) elsewhere, so each branch
-    # sees the same IEEE operations as a masked evaluation, and never overflows
-    ez = np.exp(-np.abs(z))
-    den = 1.0 + ez
-    return np.where(z >= 0, 1.0 / den, ez / den)
+    # sees the same IEEE operations as a masked evaluation, and never
+    # overflows; the numerator (1.0 where z >= 0, else exp(z)) overwrites
+    # exp(-|z|), so one division pass serves both branches
+    s = np.abs(z)
+    np.negative(s, out=s)
+    np.exp(s, out=s)
+    den = s + 1.0
+    np.copyto(s, 1.0, where=z >= 0)
+    s /= den
+    return s
 
 
 def _loss_weights(margin, targets, loss):
     """Per-record derivative of the data loss with respect to the margin."""
     if loss == "quadratic":
         return margin - targets
-    return -targets * (1.0 - _sigmoid(targets * margin))
+    # -targets * (1.0 - s), with the product's operands swapped: same bits
+    w = _sigmoid(targets * margin)
+    np.subtract(1.0, w, out=w)
+    w *= -targets
+    return w
 
 
 def stacked_minibatch_gradient(features, targets, thetas, loss, l2_weight):
@@ -155,7 +165,10 @@ def stacked_minibatch_gradient(features, targets, thetas, loss, l2_weight):
     bit.  The two contractions run as one 2-D einsum per chain, which sums
     each entry as the one-chain call does and skips numpy's slow broadcast
     over a leading axis; the loss weights and the tail are one pass over
-    the whole stack.  A 2-D `thetas` (the estimator's rounds) is one call
+    the whole stack, written in place into the kernel's own fresh arrays
+    with the IEEE operations, in order, of `grads / m + l2_weight * thetas`
+    and of the logistic weight `-y (1 - sigmoid(y margin))`; no argument
+    is written.  A 2-D `thetas` (the estimator's rounds) is one call
     each without the loop: folded into it, the `speedup` task's narrow
     rounds measured slower in every pair.  The round simulator and the
     exact client gradients share this kernel; `stochastic_gradient` in
@@ -175,7 +188,9 @@ def stacked_minibatch_gradient(features, targets, thetas, loss, l2_weight):
         for w, out in zip(weights, grads):
             np.einsum("nm,nmd->nd", w, features, out=out)
         grads = grads.reshape(thetas.shape)
-    return grads / features.shape[1] + l2_weight * thetas
+    grads /= features.shape[1]
+    grads += l2_weight * thetas
+    return grads
 
 
 def record_groups(features, targets, first_rows, record_counts):

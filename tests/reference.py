@@ -4,8 +4,10 @@ The simulator computes these in vectorized form: the counter-based stream
 of one (seed, round, client, step) tuple and its words, one client's
 minibatch gradient, loss and per-record gradients, and the sum-zero check
 of a chain state.  `broadcast_minibatch_gradient` is the gradient kernel's
-earlier form over a leading chain axis.  Tests import this module the way
-they import `conftest`.
+earlier form over a leading chain axis.  `sigmoid`, `loss_weights`,
+`minibatch_gradient`, `local_step` and `endpoints` are the local step as
+allocating expressions, which the simulator computes in place with the same
+IEEE operations.  Tests import this module the way they import `conftest`.
 """
 
 from __future__ import annotations
@@ -15,11 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from scaffold_sim.core import _GAMMA64, _U64, SUM_ZERO_TOL, _finalize, _mix_key
-from scaffold_sim.objectives import (
-    _loss_weights,
-    _record_gradient_stack,
-    stacked_minibatch_gradient,
-)
+from scaffold_sim.objectives import _record_gradient_stack, stacked_minibatch_gradient
 
 
 @dataclass(frozen=True)
@@ -110,9 +108,62 @@ def broadcast_minibatch_gradient(features, targets, thetas, loss, l2_weight):
     must give the same bits.
     """
     margin = np.einsum("nmd,...nd->...nm", features, thetas)
-    weights = _loss_weights(margin, targets, loss)
+    weights = loss_weights(margin, targets, loss)
     grads = np.einsum("...nm,nmd->...nd", weights, features) / features.shape[1]
     return grads + l2_weight * thetas
+
+
+def sigmoid(z):
+    """The logistic sigmoid as three arrays: exp(-|z|), its sum with 1, a select."""
+    ez = np.exp(-np.abs(z))
+    den = 1.0 + ez
+    return np.where(z >= 0, 1.0 / den, ez / den)
+
+
+def loss_weights(margin, targets, loss):
+    """Per-record derivative of the data loss with respect to the margin."""
+    if loss == "quadratic":
+        return margin - targets
+    return -targets * (1.0 - sigmoid(targets * margin))
+
+
+def minibatch_gradient(features, targets, thetas, loss, l2_weight):
+    """`stacked_minibatch_gradient` with the allocating loss weights and tail.
+
+    Each chain of a leading axis runs the kernel's two 2-D einsums; the
+    loss weights and the tail are each one expression over the whole stack,
+    as in the kernel: where both operands of a sum are NaN, numpy's loops
+    pick the result's sign by the element's place in the array.
+    """
+    chains = thetas.reshape(-1, *thetas.shape[-2:])
+    margin = np.stack([np.einsum("nmd,nd->nm", features, theta) for theta in chains])
+    weights = loss_weights(margin, targets, loss)
+    sums = np.stack([np.einsum("nm,nmd->nd", w, features) for w in weights])
+    return sums.reshape(thetas.shape) / features.shape[1] + l2_weight * thetas
+
+
+def local_step(thetas, grads, corrections, gamma):
+    """One corrected local step of every row."""
+    return thetas - gamma * (grads + corrections)
+
+
+def endpoints(block, thetas, corrections, idx):
+    """`algorithms._endpoints` with `minibatch_gradient` and `local_step`."""
+    thetas = np.repeat(thetas, block.counts, axis=-2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for h in range(block.local_steps):
+            if idx is None:
+                grads = np.empty_like(thetas)
+                for rows, features, targets in block.groups:
+                    grads[..., rows, :] = minibatch_gradient(
+                        features, targets, thetas.take(rows, axis=-2), block.loss,
+                        block.l2_weight)
+            else:
+                grads = minibatch_gradient(
+                    block.flat_x.take(idx[h], axis=0), block.flat_y.take(idx[h]), thetas,
+                    block.loss, block.l2_weight)
+            thetas = local_step(thetas, grads, corrections, block.gamma)
+    return thetas
 
 
 def per_record_gradients(problem, client, theta):

@@ -13,6 +13,8 @@ from conftest import certificate_for, random_problem
 from reference import (
     broadcast_minibatch_gradient,
     derive_stream,
+    endpoints,
+    minibatch_gradient,
     on_state_space,
     stochastic_gradient,
 )
@@ -412,16 +414,6 @@ def _coupled_scaffold_rounds(problem, config, a, b):
 
 # Reference for the block round kernel: the per-chain loop it replaced, with
 # the one-chain gradient einsums, so each chain is drawn and gathered alone.
-def _reference_gradient(features, targets, thetas, loss, l2_weight):
-    margin = np.einsum("nmd,nd->nm", features, thetas)
-    if loss == "quadratic":
-        weights = margin - targets
-    else:
-        weights = -targets * (1.0 - objectives._sigmoid(targets * margin))
-    grads = np.einsum("nm,nmd->nd", weights, features) / features.shape[1]
-    return grads + l2_weight * thetas
-
-
 def _reference_endpoints(problem, theta, corrections, round_index, config):
     features = np.stack([c.features for c in problem.clients])
     targets = np.stack([c.targets for c in problem.clients])
@@ -433,8 +425,8 @@ def _reference_endpoints(problem, theta, corrections, round_index, config):
     thetas = np.tile(theta, (problem.n_clients, 1))
     with np.errstate(over="ignore", invalid="ignore"):
         for h in range(config.local_steps):
-            grads = _reference_gradient(features[rows, idx[h]], targets[rows, idx[h]],
-                                        thetas, problem.loss, problem.l2_weight)
+            grads = minibatch_gradient(features[rows, idx[h]], targets[rows, idx[h]],
+                                       thetas, problem.loss, problem.l2_weight)
             thetas = thetas - config.gamma * (grads + corrections)
     return thetas
 
@@ -969,3 +961,80 @@ class TestConfigOwnership:
                          for c in range(quad_problem.n_clients)], axis=0)
         out = algorithms.fedavg_round(theta, quad_problem, config, 0)
         assert np.allclose(out, theta - config.gamma * exact, atol=1e-15)
+
+
+def _step_block(loss, batch_size, gammas, counts=(6, 11, 6, 3)):
+    # two chains of one problem of clients with `counts` records, at step
+    # sizes `gammas`; batch_size None gives exact gradients over
+    # record-count groups
+    rng = np.random.default_rng(43)
+    clients = [datagen.ClientDataset(rng.standard_normal((n, 4)),
+                                     np.sign(rng.standard_normal(n)), client_id=2 * i + 1)
+               for i, n in enumerate(counts)]
+    problem = objectives.Problem(clients, loss, 0.1, batch_size=batch_size or 3)
+    config = make_config(problem, local_steps=4, deterministic=batch_size is None)
+    return algorithms.ChainBlock([(problem, replace(config, seed=s, gamma=g))
+                                  for s, g in zip((0, 9), gammas)])
+
+
+class TestInPlaceLocalStep:
+    # the local step updates its own copy of the parameters in place;
+    # reference.endpoints is the allocating form, compared byte for byte
+    @pytest.mark.parametrize("loss", ["quadratic", "logistic"])
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    @pytest.mark.parametrize("gammas", [(0.3, 0.3), (0.3, 0.1)], ids=["scalar", "per-row"])
+    @pytest.mark.parametrize("batch_size", [4, None], ids=["minibatch", "exact"])
+    def test_endpoints_equal_allocating_form(self, loss, lead, gammas, batch_size):
+        block = _step_block(loss, batch_size, gammas)
+        assert np.ndim(block.gamma) == (0 if gammas[0] == gammas[1] else 2)
+        rng = np.random.default_rng(len(lead))
+        thetas = 3.0 * rng.standard_normal(lead + (2, block.d))
+        thetas[..., 0, 0] = -0.0
+        corrections = rng.standard_normal(lead + (block.n_rows, block.d))
+        if lead:
+            corrections[-1] = 0.0  # FedAvg chains add all-zero corrections
+        idx = None if batch_size is None else algorithms._draw(block, [5])[0]
+        before = thetas.copy(), corrections.copy()
+        for a in (thetas, corrections):
+            a.flags.writeable = False
+        got = algorithms._endpoints(block, thetas, corrections, idx)
+        assert got.tobytes() == endpoints(block, thetas, corrections, idx).tobytes()
+        assert thetas.tobytes() == before[0].tobytes()
+        assert corrections.tobytes() == before[1].tobytes()
+
+    @pytest.mark.parametrize("batch_size", [4, None], ids=["minibatch", "exact"])
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    @pytest.mark.parametrize("counts", [(6, 11, 6, 3), (6,)], ids=["ragged", "one-client"])
+    def test_rounds_write_no_given_or_yielded_state(self, batch_size, lead, counts):
+        # read-only start arrays raise if a round writes them, and each
+        # yielded state keeps its bytes while the later rounds run; with one
+        # client per chain the rows' parameters are the chains' own
+        block = _step_block("logistic", batch_size, (0.3, 0.1), counts)
+        rng = np.random.default_rng(7)
+        thetas = rng.standard_normal(lead + (2, block.d))
+        xis = rng.standard_normal(lead + (block.n_rows, block.d))
+        xis[1:] = 0.0  # a FedAvg chain behind the Scaffold one
+        for a in (thetas, xis):
+            a.flags.writeable = False
+        states, copies = [], []
+        for state in algorithms.block_rounds(block, 1, thetas, xis, range(4)):
+            states.append(state)
+            copies.append(tuple(a.tobytes() for a in state))
+        for state, saved in zip(states, copies):
+            assert tuple(a.tobytes() for a in state) == saved
+
+    def test_rows_zeroed_in_a_yielded_state_start_the_next_round(self):
+        # the estimator zeroes, in place, the rows of a chain that has not
+        # started yet; the next round starts from the zeroed state
+        block = _step_block("logistic", 4, (0.3, 0.1))
+        rng = np.random.default_rng(11)
+        thetas = rng.standard_normal((2, block.d))
+        xis = rng.standard_normal((block.n_rows, block.d))
+        rounds = algorithms.block_rounds(block, 1, thetas, xis, [3, 4])
+        first_theta, first_xis = next(rounds)
+        first_theta[1] = 0.0
+        first_xis[block.slices[1]] = 0.0
+        restart = next(algorithms.block_rounds(block, 1, first_theta.copy(),
+                                               first_xis.copy(), [4]))
+        for got, expected in zip(next(rounds), restart):
+            assert got.tobytes() == expected.tobytes()

@@ -228,7 +228,7 @@ class TestParseConfig:
         path = tmp_path / "c.txt"
         path.write_text("[experiment]\ntask = figure1\n[problem]\nn_features = 5\n"
                         "informative = 1,5\n")
-        assert parse_config(path).informative == [1, 5]
+        assert parse_config(path).informative == (1, 5)
 
     def test_speedup_pool_not_divisible_rejected(self, tmp_path):
         # 20 * 8 / 2 = 80 records per source do not split over 6 / 2 = 3 clients
@@ -238,10 +238,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="n_clients"):
             parse_config(path)
         path.write_text("[experiment]\ntask = speedup\n" + body.format("2,8"))
-        assert parse_config(path).n_clients == [2, 8]
+        assert parse_config(path).n_clients == (2, 8)
         # other tasks give each N its own pool, which always splits
         path.write_text("[experiment]\ntask = figure1\n" + body.format("6,8"))
-        assert parse_config(path).n_clients == [6, 8]
+        assert parse_config(path).n_clients == (6, 8)
 
     def test_empty_algorithm_list_rejected(self, tmp_path):
         # `format_config` would write it as `algorithms = `, which cannot be parsed
@@ -286,7 +286,7 @@ class TestParseConfig:
         assert config.local_steps == 100
         assert config.rounds == 100
         assert config.batch_size == 10
-        assert config.n_clients == [10, 100]
+        assert config.n_clients == (10, 100)
         assert config.loss == "logistic"
 
     def test_round_trip(self, tmp_path):
@@ -404,6 +404,28 @@ class TestConfigRanges:
         with pytest.raises(dataclasses.FrozenInstanceError):
             config.n_clients = [4, 4]
 
+    def test_list_keys_are_tuples_that_cannot_be_changed(self, tmp_path):
+        # a list given to the config is stored as a tuple, so neither the
+        # config nor the list the caller keeps can change the other
+        counts = [2, 8, 32]
+        config = dataclasses.replace(ExperimentConfig(task="figure1"), n_clients=counts)
+        counts.append(64)
+        assert config.n_clients == (2, 8, 32)
+        path = tmp_path / "c.txt"
+        path.write_text("[experiment]\ntask = figure1\n[run]\nseeds = 3,1\n")
+        parsed = parse_config(path)
+        for c in (config, parsed, ExperimentConfig(task="figure1")):
+            for name in ("informative", "generator_seeds", "n_clients", "seeds", "algorithms"):
+                value = getattr(c, name)
+                assert isinstance(value, tuple), name
+                with pytest.raises(AttributeError):
+                    value.append(value[0])
+        assert parsed.seeds == (3, 1)
+        assert parse_config(path) == parsed and hash(parse_config(path)) == hash(parsed)
+        # the messages show a list as the file's entries, in brackets
+        with pytest.raises(ConfigError, match=r"need exactly 2 entries, got \[2, 4, 6\]$"):
+            ExperimentConfig(task="figure1", informative=(2, 4, 6))
+
     @pytest.mark.parametrize("text, key, lines", [
         ("[run]\nrounds = 2\nrounds = 3\n", "rounds", "4 and 5"),
         # a second header of the same section opens no new scope
@@ -438,7 +460,7 @@ class TestConfigRanges:
         config = parse_config(path)
         assert (config.records_per_client, config.l2_weight, config.thinning,
                 config.burn_in) == (1, 0.0, 1, 0)
-        assert config.seeds == [0, 2 ** 64 - 1] and config.generator_seeds == [0, 0]
+        assert config.seeds == (0, 2 ** 64 - 1) and config.generator_seeds == (0, 0)
 
     def test_zero_noise_and_separation_accepted(self, tmp_path):
         # each under the loss that reads it
@@ -627,7 +649,7 @@ class TestRunners:
         problem, cert = harness._setup(small_config(), 4)
         config = RunConfig(gamma=0.02, local_steps=5, rounds=2)
         if name in algorithms.ALGORITHMS:
-            assert small_config(algorithms=[name]).algorithms == [name]
+            assert small_config(algorithms=[name]).algorithms == (name,)
             mse = algorithms.run_sweep(problem, cert.theta_star, config, [name], [0])[name, 0]
             assert mse.shape == (3,)
             return
@@ -650,11 +672,11 @@ class TestRunners:
 
 
 def _more_seeds(config):
-    return config.seeds + [max(config.seeds) + 1]
+    return [*config.seeds, max(config.seeds) + 1]
 
 
 def _larger_count(config):
-    return config.n_clients + [max(config.n_clients) + 2]
+    return [*config.n_clients, max(config.n_clients) + 2]
 
 
 _ESTIMATOR_KEYS = {"burn_in": 7, "n_samples": 150, "thinning": 3}
@@ -818,8 +840,8 @@ class TestCli:
             entry = re.match(r"  (\w+) =", line)
             assert entry is None or entry[1] in keys, line
         for f in dataclasses.fields(ExperimentConfig):
-            default = (f.default if f.default_factory is dataclasses.MISSING
-                       else ",".join(str(x) for x in f.default_factory()))
+            default = (",".join(str(x) for x in f.default) if isinstance(f.default, tuple)
+                       else f.default)
             if default in (None, dataclasses.MISSING):
                 shown = ""
             else:
@@ -987,7 +1009,7 @@ def test_figure1_setup_runs_through_the_benchmark_spans(tmp_path, body, certific
     path = tmp_path / "figure1.txt"
     path.write_text("[experiment]\ntask = figure1\n" + body)
     config = parse_config(path)
-    assert config.n_clients == [2, 6]
+    assert config.n_clients == (2, 6)
     tracer = spans.Tracer(scaffold_sim, spans.LIGHT_SITES)
     with tracer.installed():
         harness.run_figure1(config)

@@ -13,7 +13,10 @@ from reference import (
     broadcast_minibatch_gradient,
     derive_stream,
     loss_value,
+    loss_weights,
+    minibatch_gradient,
     per_record_gradients,
+    sigmoid,
     stochastic_gradient,
 )
 
@@ -352,6 +355,14 @@ def _masked_sigmoid(z):
     return out
 
 
+# Margins at the sigmoid's edges: signed zeros, subnormals, |z| = 36 (1 +
+# exp(-|z|) still above 1) and 40 (rounded to 1, so s is 1), 745 (exp(-|z|)
+# subnormal) and 800 (exp(-|z|) underflows to 0), infinities and NaN.
+EDGE_MARGINS = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 36.0, -36.0,
+                         40.0, -40.0, 745.0, -745.0, 800.0, -800.0, np.inf, -np.inf,
+                         np.nan, -np.nan])
+
+
 class TestSigmoid:
     def test_bitwise_equal_to_masked_reference(self):
         rng = np.random.default_rng(5)
@@ -368,6 +379,22 @@ class TestSigmoid:
         new, ref = objectives._sigmoid(z), _masked_sigmoid(z)
         assert np.array_equal(new, ref, equal_nan=True)
         assert np.isnan(new[0]) and np.isnan(new[2])
+
+    def test_edge_margins_equal_three_array_form(self):
+        # bytes, so the sign of a zero and a NaN's bits count
+        grid = np.stack([EDGE_MARGINS, EDGE_MARGINS[::-1]])
+        for z in (EDGE_MARGINS, grid, grid.T):
+            assert objectives._sigmoid(z).tobytes() == sigmoid(z).tobytes()
+
+    @pytest.mark.parametrize("loss", ["quadratic", "logistic"])
+    def test_edge_loss_weights_equal_allocating_form(self, loss):
+        # every edge margin under each label, alone and over a leading axis
+        margin = np.stack([EDGE_MARGINS, EDGE_MARGINS])
+        targets = np.ones_like(margin)
+        targets[1] = -1.0
+        for m in (margin, np.stack([margin, -margin])):
+            got = objectives._loss_weights(m, targets, loss)
+            assert got.tobytes() == loss_weights(m, targets, loss).tobytes()
 
 
 # Reference: the per-client derivative functions that the table kernels
@@ -566,6 +593,53 @@ class TestStackedGradient:
                                                                 loss, 0.1))
         assert np.array_equal(got[1, 2], objectives.stacked_minibatch_gradient(
             features, targets, np.ascontiguousarray(thetas[1, 2]), loss, 0.1))
+
+    @settings(max_examples=80, deadline=None)
+    @given(loss=st.sampled_from(["quadratic", "logistic"]), rows=st.integers(1, 5),
+           batch=st.integers(1, 7), d=st.integers(1, 6),
+           lead=st.sampled_from([(), (1,), (3,), (2, 2)]),
+           scale=st.sampled_from([0.0, 1e-3, 1.0, 40.0, 1e3]),
+           l2_weight=st.sampled_from([0.0, 0.1, 1.5]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_property_equals_allocating_form_and_writes_no_argument(
+            self, loss, rows, batch, d, lead, scale, l2_weight, seed):
+        # the loss weights and the tail run in place; read-only arguments
+        # raise if the kernel writes one
+        features, targets = _stack(loss, rows, batch, d, seed)
+        thetas = scale * np.random.default_rng(seed + 1).standard_normal(lead + (rows, d))
+        before = [a.copy() for a in (features, targets, thetas)]
+        for a in (features, targets, thetas):
+            a.flags.writeable = False
+        got = objectives.stacked_minibatch_gradient(features, targets, thetas, loss, l2_weight)
+        expected = minibatch_gradient(features, targets, thetas, loss, l2_weight)
+        assert got.shape == thetas.shape and got.tobytes() == expected.tobytes()
+        for a, b in zip((features, targets, thetas), before):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("loss", ["quadratic", "logistic"])
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    def test_non_finite_and_signed_zero_parameters(self, loss, lead):
+        # infinite margins, NaN and -0.0 parameters, and a zero l2 term
+        features, targets = _stack(loss, 4, 3, 5, seed=8)
+        thetas = np.random.default_rng(9).standard_normal(lead + (4, 5))
+        thetas[..., 0, :] = -0.0
+        thetas[..., 1, 0], thetas[..., 2, 1], thetas[..., 3, 2] = np.inf, -np.inf, np.nan
+        for l2_weight in (0.0, 0.1):
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = objectives.stacked_minibatch_gradient(features, targets, thetas, loss,
+                                                            l2_weight)
+                expected = minibatch_gradient(features, targets, thetas, loss, l2_weight)
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("loss", ["quadratic", "logistic"])
+    def test_exact_gradient_groups_equal_allocating_form(self, loss):
+        # the exact gradients run the kernel on record-count groups of clients
+        problem = ragged_problem(loss, _SHAPES["ragged"], d=6, seed=3)
+        theta = 2.0 * np.random.default_rng(4).standard_normal(problem.d)
+        got = objectives.client_gradients(problem, theta)
+        for c, ds in enumerate(problem.clients):
+            expected = minibatch_gradient(ds.features[None], ds.targets[None], theta[None],
+                                          problem.loss, problem.l2_weight)[0]
+            assert got[c].tobytes() == expected.tobytes()
 
 
 class TestRecordGroups:

@@ -445,6 +445,20 @@ class TestEstimateStationarySweep:
         estimates = _sweep_matches_separate_calls(chains, n_samples=100)
         assert estimates[1].burn_in_rounds > estimates[0].burn_in_rounds
 
+    def test_staggered_logistic_chains_equal_the_round_loop(self, logistic_problem):
+        # the chain with the shorter burn-in replays its round 0 from rows
+        # the estimator zeroes in place in a yielded state; each estimate
+        # equals the one-chain loop over scaffold_round bit for bit
+        cert = certificate_for(logistic_problem)
+        gamma = 1.0 / (16.0 * cert.big_l)
+        chains = [(logistic_problem, cert, RunConfig(gamma=g, local_steps=5, rounds=1, seed=s))
+                  for g, s in ((gamma, 3), (gamma / 2.0, 4))]
+        estimates = _sweep_matches_separate_calls(chains, n_samples=100, thinning=2)
+        assert estimates[1].burn_in_rounds > estimates[0].burn_in_rounds
+        for chain, est in zip(chains, estimates):
+            _assert_estimates_equal(est, _reference_estimate(*chain, est.burn_in_rounds, 100,
+                                                             thinning=2))
+
     def test_exact_gradients(self):
         chains = _speedup_chains(n_list=(2, 4, 8), deterministic=True)
         chains.append((chains[0][0], chains[0][1], replace(chains[0][2], gamma=0.5 * chains[0][2].gamma)))
