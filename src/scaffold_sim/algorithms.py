@@ -79,7 +79,11 @@ class ChainBlock:
     gradients the block holds every record of every row in `groups` of
     rows with equal record count (`record_groups`), each with the index
     array of its rows: views of the table when the rows are one problem's
-    equal-size clients in order, else gathered once per block.
+    equal-size clients in order, else gathered once per block.  For
+    minibatches, local steps gather from `step_table`: the record table
+    for a quadratic loss, and for a logistic loss the label-signed
+    features `flat_x * flat_y[:, None]` with None for the labels (see
+    `stacked_minibatch_gradient`), so a step gathers and multiplies no labels.
 
     The chains must share the loss, l2 weight, local steps, dimension and
     batch width (or all use exact gradients); a mismatch raises a
@@ -129,6 +133,8 @@ class ChainBlock:
             self.groups = record_groups(self.flat_x, self.flat_y, first, self.n_records)
             return
 
+        self.step_table = ((self.flat_x, self.flat_y) if self.loss == "quadratic"
+                           else (self.flat_x * self.flat_y[:, None], None))
         self.first_rows = first[:, None]
         self.seed = np.repeat(np.array([c.seed for _, c in chains], dtype=np.uint64), sizes)
 
@@ -148,7 +154,6 @@ def _endpoints(block, thetas, corrections, idx):
     """
     thetas = np.repeat(thetas, block.counts, axis=-2)
     gamma, loss, l2_weight = block.gamma, block.loss, block.l2_weight
-    flat_x, flat_y = block.flat_x, block.flat_y
     with np.errstate(over="ignore", invalid="ignore"):
         for h in range(block.local_steps):
             if idx is None:
@@ -158,9 +163,10 @@ def _endpoints(block, thetas, corrections, idx):
                         features, targets, thetas.take(rows, axis=-2), loss, l2_weight)
             else:
                 # each step gathers its (R, b) batch, shared by every chain
-                # of a leading axis, with a single take from the table
+                # of a leading axis, with a single take from the step table
+                x, y = block.step_table
                 grads = stacked_minibatch_gradient(
-                    flat_x.take(idx[h], axis=0), flat_y.take(idx[h]), thetas,
+                    x.take(idx[h], axis=0), None if y is None else y.take(idx[h]), thetas,
                     loss, l2_weight,
                 )
             grads += corrections

@@ -80,8 +80,11 @@ def batch_uniform_indices(root_seed, round_idx, client_ids, n_steps, n_records, 
     n_clients) draws B rounds at once, shape (B, n_steps, n_clients,
     batch), each equal to its own call.  The keys are mixed in one pass;
     the words are generated and reduced in place, in blocks of whole steps
-    of about _BLOCK_WORDS words, so each pass stays in cache.  `raw_words`
-    in tests/reference.py generates one key's words in one piece.
+    of about _BLOCK_WORDS words, so each pass stays in cache.  A record
+    count that every column shares, as a scalar or an array, reduces the
+    words as one scalar divisor; mixed counts take the per-column
+    remainder; both give the same words.  `raw_words` in
+    tests/reference.py generates one key's words in one piece.
     """
     client_ids = np.asarray(client_ids, dtype=_U64)
     steps = np.arange(n_steps, dtype=_U64)
@@ -89,8 +92,11 @@ def batch_uniform_indices(root_seed, round_idx, client_ids, n_steps, n_records, 
     words = np.empty(keys.shape + (batch,), dtype=_U64)
     n_cols = keys.shape[-1]
     keys, blocks = keys.reshape(-1, n_cols, 1), words.reshape(-1, n_cols, batch)
-    divisor = np.asarray(n_records, dtype=_U64)[..., None]
+    divisor = np.asarray(n_records, dtype=_U64)
+    shared = divisor.size and (divisor == divisor.flat[0]).all()
+    divisor = divisor.flat[0] if shared else divisor[..., None]
     step = max(1, _BLOCK_WORDS // (n_cols * batch))
+    quotient = np.empty_like(blocks[:step]) if shared else None
     # word j of a stream is finalize(key + (j + 1) * gamma)
     ctr = np.arange(1, batch + 1, dtype=_U64)
     with np.errstate(over="ignore"):
@@ -98,7 +104,14 @@ def batch_uniform_indices(root_seed, round_idx, client_ids, n_steps, n_records, 
         for lo in range(0, len(keys), step):
             block = _finalize(np.add(keys[lo:lo + step], ctr, out=blocks[lo:lo + step]))
             # every value ends below n_records, so the int64 view is exact
-            block %= divisor
+            if shared:
+                # word - (word // n) * n: numpy's floor_divide by one scalar
+                # n multiplies (libdivide), where `%` divides every word
+                q = np.floor_divide(block, divisor, out=quotient[:len(block)])
+                q *= divisor
+                block -= q
+            else:
+                block %= divisor
     return words.view(np.int64)
 
 

@@ -135,20 +135,29 @@ def _sigmoid(z):
     # exp(-|z|) is exp(-z) where z >= 0 and exp(z) elsewhere, so each branch
     # sees the same IEEE operations as a masked evaluation, and never
     # overflows; the numerator (1.0 where z >= 0, else exp(z)) overwrites
-    # exp(-|z|), so one division pass serves both branches
+    # exp(-|z|), so one division pass serves both branches.  It is
+    # max(exp(-|z|), z >= 0): exp(-|z|) <= 1, and a NaN stays the NaN
     s = np.abs(z)
     np.negative(s, out=s)
     np.exp(s, out=s)
     den = s + 1.0
-    np.copyto(s, 1.0, where=z >= 0)
+    np.maximum(s, z >= 0, out=s)
     s /= den
     return s
 
 
 def _loss_weights(margin, targets, loss):
-    """Per-record derivative of the data loss with respect to the margin."""
+    """Per-record derivative of the data loss with respect to the margin.
+
+    A logistic `targets` of None means the margin is already `y x'theta`
+    (label-signed features, see `stacked_minibatch_gradient`).
+    """
     if loss == "quadratic":
         return margin - targets
+    if targets is None:
+        w = _sigmoid(margin)
+        w -= 1.0
+        return w
     # -targets * (1.0 - s), with the product's operands swapped: same bits
     w = _sigmoid(targets * margin)
     np.subtract(1.0, w, out=w)
@@ -174,13 +183,19 @@ def stacked_minibatch_gradient(features, targets, thetas, loss, l2_weight):
     exact client gradients share this kernel; `stochastic_gradient` in
     tests/reference.py is its one-client minibatch case, which a
     one-client simulation reproduces bit for bit.
+
+    A logistic `targets` of None means label-signed features `y x` (see
+    `ChainBlock`).  As labels are +-1, `(y x)'theta` is `y (x'theta)` and
+    `(sigmoid - 1) (y x)` is `-y (1 - sigmoid) x`, product by product, up
+    to a zero product's sign, which the einsums' sums (started at +0)
+    never show.
     """
     if thetas.ndim == 2:
         margin = np.einsum("nmd,nd->nm", features, thetas)
         grads = np.einsum("nm,nmd->nd", _loss_weights(margin, targets, loss), features)
     else:
         chains = thetas.reshape(-1, *thetas.shape[-2:])
-        margin = np.empty(chains.shape[:-1] + targets.shape[-1:])
+        margin = np.empty(chains.shape[:-1] + features.shape[1:2])
         for theta, out in zip(chains, margin):
             np.einsum("nmd,nd->nm", features, theta, out=out)
         weights = _loss_weights(margin, targets, loss)

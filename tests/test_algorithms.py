@@ -963,44 +963,86 @@ class TestConfigOwnership:
         assert np.allclose(out, theta - config.gamma * exact, atol=1e-15)
 
 
-def _step_block(loss, batch_size, gammas, counts=(6, 11, 6, 3)):
+def _step_block(loss, batch_size, gammas, counts=(6, 11, 6, 3), records=None):
     # two chains of one problem of clients with `counts` records, at step
-    # sizes `gammas`; batch_size None gives exact gradients over
-    # record-count groups
+    # sizes `gammas`; the clients split `records` (x, y) in order, or draw
+    # random ones; batch_size None gives exact gradients over record-count
+    # groups
     rng = np.random.default_rng(43)
-    clients = [datagen.ClientDataset(rng.standard_normal((n, 4)),
-                                     np.sign(rng.standard_normal(n)), client_id=2 * i + 1)
-               for i, n in enumerate(counts)]
+    if records is None:
+        parts = [(rng.standard_normal((n, 4)), np.sign(rng.standard_normal(n)))
+                 for n in counts]
+    else:
+        assert len(records[1]) == sum(counts)
+        parts = zip(*(np.split(a, np.cumsum(counts)[:-1]) for a in records))
+    clients = [datagen.ClientDataset(x, y, client_id=2 * i + 1)
+               for i, (x, y) in enumerate(parts)]
     problem = objectives.Problem(clients, loss, 0.1, batch_size=batch_size or 3)
     config = make_config(problem, local_steps=4, deterministic=batch_size is None)
     return algorithms.ChainBlock([(problem, replace(config, seed=s, gamma=g))
                                   for s, g in zip((0, 9), gammas)])
 
 
+# Records at the logistic weight's edges, each under both labels: signed
+# zeros, subnormal features, and rows whose margins at _EDGE_THETAS reach
+# 740 (exp(-|z|) subnormal) and +-900 (exp(-|z|) is 0); at the first
+# chain the last client's three records all saturate, so every product of
+# its gradient sums is a zero
+_EDGE_ROWS = np.array([[0.0, -0.0, 5e-324, -5e-324], [-0.0, 0.0, -0.0, 0.0],
+                       [1e-310, -1e-310, 0.0, 30.0], [24.0, 0.0, 25.0, 25.0],
+                       [-30.0, -0.0, -30.0, -30.0], [30.0, -30.0, 30.0, 1e-310]])
+_EDGE_THETAS = np.array([[10.0, -0.0, 10.0, 10.0], [-10.0, 10.0, -0.0, -10.0]])
+
+
+def _edge_block(loss, batch_size, gammas):
+    # `_step_block` on a table of `_EDGE_ROWS`
+    records = (np.concatenate([np.tile(_EDGE_ROWS, (4, 1))[:23], np.full((3, 4), 30.0)]),
+               np.append(np.repeat([1.0, -1.0], 12)[:23], np.ones(3)))
+    return _step_block(loss, batch_size, gammas, records=records)
+
+
 class TestInPlaceLocalStep:
-    # the local step updates its own copy of the parameters in place;
-    # reference.endpoints is the allocating form, compared byte for byte
+    # the local step updates its own copy of the parameters in place, and a
+    # logistic minibatch step gathers label-signed records;
+    # reference.endpoints is the allocating form on the record table,
+    # compared byte for byte
     @pytest.mark.parametrize("loss", ["quadratic", "logistic"])
     @pytest.mark.parametrize("lead", [(), (3,)])
     @pytest.mark.parametrize("gammas", [(0.3, 0.3), (0.3, 0.1)], ids=["scalar", "per-row"])
     @pytest.mark.parametrize("batch_size", [4, None], ids=["minibatch", "exact"])
     def test_endpoints_equal_allocating_form(self, loss, lead, gammas, batch_size):
-        block = _step_block(loss, batch_size, gammas)
-        assert np.ndim(block.gamma) == (0 if gammas[0] == gammas[1] else 2)
         rng = np.random.default_rng(len(lead))
-        thetas = 3.0 * rng.standard_normal(lead + (2, block.d))
-        thetas[..., 0, 0] = -0.0
-        corrections = rng.standard_normal(lead + (block.n_rows, block.d))
-        if lead:
-            corrections[-1] = 0.0  # FedAvg chains add all-zero corrections
-        idx = None if batch_size is None else algorithms._draw(block, [5])[0]
-        before = thetas.copy(), corrections.copy()
-        for a in (thetas, corrections):
-            a.flags.writeable = False
-        got = algorithms._endpoints(block, thetas, corrections, idx)
-        assert got.tobytes() == endpoints(block, thetas, corrections, idx).tobytes()
-        assert thetas.tobytes() == before[0].tobytes()
-        assert corrections.tobytes() == before[1].tobytes()
+        # random records and parameters, then the edge table; along a
+        # leading axis the chains alternate in sign, and the last is FedAvg
+        signs = (-1.0) ** np.arange(lead[0])[:, None, None] if lead else 1.0
+        for make_block, start in ((_step_block, None), (_edge_block, _EDGE_THETAS * signs)):
+            block = make_block(loss, batch_size, gammas)
+            assert np.ndim(block.gamma) == (0 if gammas[0] == gammas[1] else 2)
+            if batch_size is None:
+                assert not hasattr(block, "step_table")
+            elif loss == "quadratic":
+                # no second table: the steps gather from the record table
+                assert block.step_table[0] is block.flat_x
+                assert block.step_table[1] is block.flat_y
+            else:
+                assert block.step_table[1] is None
+                assert np.array_equal(block.step_table[0], block.flat_x * block.flat_y[:, None])
+            if start is None:
+                thetas = 3.0 * rng.standard_normal(lead + (2, block.d))
+                thetas[..., 0, 0] = -0.0
+            else:
+                thetas = start.copy()
+            corrections = rng.standard_normal(lead + (block.n_rows, block.d))
+            if lead:
+                corrections[-1] = 0.0  # FedAvg chains add all-zero corrections
+            idx = None if batch_size is None else algorithms._draw(block, [5])[0]
+            before = thetas.copy(), corrections.copy()
+            for a in (thetas, corrections):
+                a.flags.writeable = False
+            got = algorithms._endpoints(block, thetas, corrections, idx)
+            assert got.tobytes() == endpoints(block, thetas, corrections, idx).tobytes()
+            assert thetas.tobytes() == before[0].tobytes()
+            assert corrections.tobytes() == before[1].tobytes()
 
     @pytest.mark.parametrize("batch_size", [4, None], ids=["minibatch", "exact"])
     @pytest.mark.parametrize("lead", [(), (2,)])

@@ -132,6 +132,25 @@ class TestDeriveStream:
             assert np.array_equal(batch[:, i:i + 1], alone)
             assert batch[:, i].max() < sizes[i]
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 200, 2 ** 31 - 1, 2 ** 40 + 3])
+    def test_shared_record_count_equals_per_column_remainder(self, n):
+        # one count for every column is reduced by a scalar divisor; given as
+        # a scalar, a one-entry array or a full column it gives the words of
+        # the per-column remainder (forced by one more column of another
+        # count) and of each column's own stream
+        ids = np.array([4, 0, 9], dtype=np.uint64)
+        rounds = np.array([12, 2 ** 40], dtype=np.uint64).reshape(2, 1, 1)
+        mixed = batch_uniform_indices(77, rounds, np.append(ids, 5), 5,
+                                      np.array([n, n, n, n + 1]), 8)[..., :3, :]
+        for n_records in (n, np.array([n]), np.full(3, n)):
+            got = batch_uniform_indices(77, rounds, ids, 5, n_records, 8)
+            assert got.tobytes() == mixed.tobytes()
+        for r, round_idx in enumerate(rounds.ravel().tolist()):
+            for h in range(5):
+                for i, c in enumerate(ids.tolist()):
+                    expected = derive_stream(77, round_idx, c, h).uniform_indices(n, 8)
+                    assert np.array_equal(got[r, h, i], expected)
+
     @pytest.mark.parametrize("seed, round_idx, n_clients, n_steps, n_records, batch", [
         (5, 7, 2, 10, 3200, 10),
         (np.repeat(np.array([9, 10, 11], dtype=np.uint64), 100), 0, 300, 100, 200, 10),
