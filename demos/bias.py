@@ -41,7 +41,7 @@ def main():
     ]
     biases = []
     for gamma, est in zip(gammas, estimate_stationary_sweep(chains, n_samples=20000)):
-        pred = predict_first_order(problem, cert, gamma, 5)
+        pred = predict_first_order(cert, gamma, 5)
         b, bp = est.bias_theta, pred.bias_theta
         cos = b @ bp / (np.linalg.norm(b) * np.linalg.norm(bp))
         biases.append(np.linalg.norm(b))

@@ -126,14 +126,17 @@ def check_int(name, value, low):
         raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
-def check_real(name, value):
+def check_real(name, value, positive=False):
     """Raise a ValueError naming `name` unless `value` is a finite real number.
 
-    Python and numpy integers and floats pass; a bool, NaN or an infinity fails.
+    Python and numpy integers and floats pass; a bool, NaN or an infinity
+    fails, and with `positive` so does a number <= 0.
     """
     if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
             or not math.isfinite(value)):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if positive and value <= 0:
+        raise ValueError(f"{name} must be positive, got {value}")
 
 
 @dataclass
@@ -205,9 +208,7 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_real("gamma", self.gamma)
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        check_real("gamma", self.gamma, positive=True)
         check_int("local_steps", self.local_steps, 1)
         check_int("rounds", self.rounds, 0)
         check_int("seed", self.seed, 0)

@@ -401,8 +401,7 @@ def run_speedup(config: ExperimentConfig):
 
     rows = ["N,trace_cov_theta,predicted_trace"]
     for n, est in zip(n_list, estimates):
-        problem, cert = setups[n]
-        pred = stationary.predict_first_order(problem, cert, gamma, config.local_steps)
+        pred = stationary.predict_first_order(setups[n][1], gamma, config.local_steps)
         rows.append(
             f"{n},{float(np.trace(est.cov_theta)):.17g},"
             f"{float(np.trace(pred.cov_theta)):.17g}"
@@ -441,8 +440,8 @@ def run_stationary(config: ExperimentConfig):
 
 def run_predict(config: ExperimentConfig):
     """First-order predicted covariances and bias for the first client count."""
-    problem, cert, gamma = _first_setup(config)
-    pred = stationary.predict_first_order(problem, cert, gamma, config.local_steps)
+    _, cert, gamma = _first_setup(config)
+    pred = stationary.predict_first_order(cert, gamma, config.local_steps)
     return stationary.prediction_report(pred)
 
 

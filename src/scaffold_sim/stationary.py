@@ -16,7 +16,7 @@ import numpy as np
 from . import objectives
 # `scaffold_round` stays importable here: perfbench/spans.py wraps it
 from .algorithms import ChainBlock, DivergenceError, block_rounds, scaffold_round  # noqa: F401
-from .core import RunConfig, check_int
+from .core import RunConfig, check_int, check_real
 from .optimum import OptimumCertificate
 
 __all__ = [
@@ -137,6 +137,15 @@ def estimate_stationary_sweep(chains, burn_in=None, n_samples=1000, thinning=1, 
     in order.  With `xi_moments=False` only the theta moments are
     accumulated: `cov_theta_xi` and `cov_xi` are None, every other field
     is unchanged, and only a non-finite theta sum raises DivergenceError.
+
+    Unlike `predict_first_order`, each chain names its problem apart from
+    its certificate: the chain runs on the problem, and its moments are
+    taken about the certificate's optimum, which may belong to another
+    problem of the same shape (the quadratic twin of a logistic chain runs
+    with the logistic certificate).  A certificate whose (clients, d)
+    differs from its problem's raises a ValueError naming the chain.
+    `perfbench/spans.py` reads `estimate_stationary`'s arguments by
+    position, so their order stays.
     """
     if not chains:
         raise ValueError("need at least one chain")
@@ -145,7 +154,11 @@ def estimate_stationary_sweep(chains, burn_in=None, n_samples=1000, thinning=1, 
         check_int("burn_in", burn_in, 0)
     check_int("thinning", thinning, 1)
     burn_ins = []
-    for _, certificate, config in chains:
+    for g, (problem, certificate, config) in enumerate(chains):
+        if certificate.xi_star.shape != (problem.n_clients, problem.d):
+            raise ValueError(f"chain {g}: a certificate of shape (clients, d) = "
+                             f"{certificate.xi_star.shape} does not fit its problem's "
+                             f"{(problem.n_clients, problem.d)}")
         burn_ins.append(default_burn_in(config.gamma, certificate.mu, config.local_steps)
                         if burn_in is None else burn_in)
         config.stepsize_diagnostics(certificate.mu, certificate.big_l)
@@ -229,38 +242,48 @@ def estimate_stationary_sweep(chains, burn_in=None, n_samples=1000, thinning=1, 
 
 @dataclass
 class FirstOrderPrediction:
-    """Leading-order stationary covariances and bias."""
+    """Leading-order stationary covariances and bias.
+
+    The client count and the noise covariances that `cov_xi` reads come
+    from `certificate`, the one the prediction was made from.
+    """
 
     gamma: float
     local_steps: int
-    n_clients: int
     cov_theta: np.ndarray
     cov_theta_xi: np.ndarray  # (N, d, d)
     bias_theta: np.ndarray
-    _sigma_eps: np.ndarray = field(repr=False)
-    _sigma_eps_avg: np.ndarray = field(repr=False)
+    certificate: OptimumCertificate = field(repr=False, compare=False)
+
+    @property
+    def n_clients(self):
+        return self.certificate.n_clients
 
     def cov_xi(self, c, cp):
         """Leading-order control-variate covariance for the pair (c, c')."""
-        n, h = self.n_clients, self.local_steps
+        n, h, cert = self.n_clients, self.local_steps, self.certificate
+        sigma_eps, sigma_avg = cert.sigma_eps_per_client, cert.sigma_eps_avg
         if c == cp:
-            return (1.0 - 2.0 / n) / h * self._sigma_eps[c] \
-                + self._sigma_eps_avg / (n * h)
-        return (self._sigma_eps_avg - self._sigma_eps[c] - self._sigma_eps[cp]) / (n * h)
+            return (1.0 - 2.0 / n) / h * sigma_eps[c] + sigma_avg / (n * h)
+        return (sigma_avg - sigma_eps[c] - sigma_eps[cp]) / (n * h)
 
 
-def predict_first_order(problem, certificate: OptimumCertificate,
-                        gamma, local_steps) -> FirstOrderPrediction:
+def predict_first_order(certificate: OptimumCertificate, gamma,
+                        local_steps) -> FirstOrderPrediction:
     """Evaluate the first-order stationary covariance and bias formulas.
 
     All O(.) remainders are dropped; predictions are leading terms in the
-    step size only.
+    step size only.  The bias reads the third derivatives of
+    `certificate.problem`.  A step size that is not a positive finite
+    number, or a local step count that is not an integer >= 1, raises a
+    ValueError naming it.
     """
+    check_real("gamma", gamma, positive=True)
+    check_int("local_steps", local_steps, 1)
     n = certificate.n_clients
     hess_star = certificate.hessian_star
     sigma_eps = certificate.sigma_eps_per_client
     sigma_avg = certificate.sigma_eps_avg
-    theta_star = certificate.theta_star
 
     a_sigma = sylvester_solve(hess_star, sigma_avg)
     cov_theta = gamma / n * a_sigma
@@ -269,18 +292,17 @@ def predict_first_order(problem, certificate: OptimumCertificate,
         a_sigma @ (certificate.hessians - hess_star) + (sigma_eps - sigma_avg)
     )
 
-    third = objectives.client_third_derivatives(problem, theta_star, a_sigma).mean(axis=0)
+    third = objectives.client_third_derivatives(
+        certificate.problem, certificate.theta_star, a_sigma).mean(axis=0)
     bias = -gamma / (2.0 * n) * np.linalg.solve(hess_star, third)
 
     return FirstOrderPrediction(
         gamma=gamma,
         local_steps=local_steps,
-        n_clients=n,
         cov_theta=cov_theta,
         cov_theta_xi=cov_theta_xi,
         bias_theta=bias,
-        _sigma_eps=sigma_eps,
-        _sigma_eps_avg=sigma_avg,
+        certificate=certificate,
     )
 
 
@@ -305,10 +327,12 @@ def complexity_recipe(certificate: OptimumCertificate, epsilon, n_clients) -> Co
     (N L mu eps^2) clamped to >= 1, T ~ (L/mu) max(1, zeta2/mu)
     max(0, log(psi0/eps^2)), and the client-count ceiling from the
     third-derivative bound (infinite for quadratic problems).  With
-    eps^2 >= psi0 the bound holds at round 0, so T is 0.
+    eps^2 >= psi0 the bound holds at round 0, so T is 0.  An epsilon that
+    is not a positive finite number, or a client count that is not an
+    integer >= 1, raises a ValueError naming it.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    check_real("epsilon", epsilon, positive=True)
+    check_int("n_clients", n_clients, 1)
     mu, big_l = certificate.mu, certificate.big_l
     _check_mu(mu, "set l2_weight > 0")
     zeta1, zeta2 = certificate.zeta1, certificate.zeta2

@@ -63,7 +63,7 @@ def n8_setup():
     gamma = 1.0 / (8.0 * cert.big_l)
     config = RunConfig(gamma=gamma, local_steps=10, rounds=1, seed=0)
     est = stationary.estimate_stationary(problem, cert, config, n_samples=20000)
-    pred = stationary.predict_first_order(problem, cert, gamma, 10)
+    pred = stationary.predict_first_order(cert, gamma, 10)
     return problem, cert, gamma, est, pred
 
 
@@ -220,7 +220,7 @@ def test_bias_formula(report):
     # both step sizes run as one block of chains
     est = dict(zip(gammas, stationary.estimate_stationary_sweep(
         [(problem, cert, run_config(g)) for g in gammas], n_samples=100000)))
-    pred = {g: stationary.predict_first_order(problem, cert, g, 5) for g in gammas}
+    pred = {g: stationary.predict_first_order(cert, g, 5) for g in gammas}
 
     ratio = (np.linalg.norm(est[gamma0].bias_theta)
              / np.linalg.norm(est[gamma0 / 2.0].bias_theta))

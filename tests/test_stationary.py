@@ -106,7 +106,7 @@ class TestEstimateStationary:
         config = RunConfig(gamma=gamma, local_steps=10, rounds=1, seed=5)
         est = stationary.estimate_stationary(problem, cert, config,
                                              n_samples=4000)
-        pred = stationary.predict_first_order(problem, cert, gamma, 10)
+        pred = stationary.predict_first_order(cert, gamma, 10)
         rel = np.linalg.norm(est.cov_theta - pred.cov_theta) / np.linalg.norm(pred.cov_theta)
         assert rel < 0.25
 
@@ -144,18 +144,18 @@ class TestIntegerArguments:
 class TestPredictFirstOrder:
     def test_quadratic_bias_is_zero(self, quad_problem):
         cert = certificate_for(quad_problem)
-        pred = stationary.predict_first_order(quad_problem, cert, 0.05, 10)
+        pred = stationary.predict_first_order(cert, 0.05, 10)
         assert np.array_equal(pred.bias_theta, np.zeros(quad_problem.d))
 
     def test_cov_theta_is_scaled_resolvent(self, quad_problem):
         cert = certificate_for(quad_problem)
-        pred = stationary.predict_first_order(quad_problem, cert, 0.04, 10)
+        pred = stationary.predict_first_order(cert, 0.04, 10)
         a_sigma = stationary.sylvester_solve(cert.hessian_star,
                                              cert.sigma_eps_avg)
         n = quad_problem.n_clients
         assert np.allclose(pred.cov_theta, 0.04 / n * a_sigma)
         # doubling gamma doubles the parameter covariance
-        pred2 = stationary.predict_first_order(quad_problem, cert, 0.08, 10)
+        pred2 = stationary.predict_first_order(cert, 0.08, 10)
         assert np.allclose(pred2.cov_theta, 2.0 * pred.cov_theta)
 
     def test_homogeneous_clients_decouple(self):
@@ -168,7 +168,7 @@ class TestPredictFirstOrder:
                    for c in range(4)]
         problem = objectives.Problem(clients, "quadratic", 0.1, batch_size=3)
         cert = certificate_for(problem)
-        pred = stationary.predict_first_order(problem, cert, 0.05, 8)
+        pred = stationary.predict_first_order(cert, 0.05, 8)
         assert np.allclose(pred.cov_theta_xi, 0.0, atol=1e-12)
         sigma = cert.sigma_eps_per_client[0]
         assert np.allclose(pred.cov_xi(0, 1), -sigma / (4 * 8), atol=1e-12)
@@ -186,16 +186,16 @@ class TestPredictFirstOrder:
             quad_problem.loss, quad_problem.l2_weight, quad_problem.batch_size,
         )
         cert2 = certificate_for(doubled)
-        pred = stationary.predict_first_order(quad_problem, cert, 0.05, 10)
-        pred2 = stationary.predict_first_order(doubled, cert2, 0.05, 10)
+        pred = stationary.predict_first_order(cert, 0.05, 10)
+        pred2 = stationary.predict_first_order(cert2, 0.05, 10)
         assert np.allclose(pred2.cov_theta, 0.5 * pred.cov_theta, atol=1e-12)
 
     def test_logistic_bias_nonzero(self, logistic_problem):
         cert = certificate_for(logistic_problem)
-        pred = stationary.predict_first_order(logistic_problem, cert, 0.05, 10)
+        pred = stationary.predict_first_order(cert, 0.05, 10)
         assert np.linalg.norm(pred.bias_theta) > 0.0
         # bias is linear in gamma at leading order
-        pred2 = stationary.predict_first_order(logistic_problem, cert, 0.1, 10)
+        pred2 = stationary.predict_first_order(cert, 0.1, 10)
         assert np.allclose(pred2.bias_theta, 2.0 * pred.bias_theta)
 
 
@@ -232,6 +232,61 @@ class TestComplexityRecipe:
         cert = certificate_for(quad_problem)
         with pytest.raises(ValueError):
             stationary.complexity_recipe(cert, 0.0, 10)
+
+
+_VALID_THEORY_ARGS = {"predict_first_order": {"gamma": 0.05, "local_steps": 10},
+                      "complexity_recipe": {"epsilon": 0.1, "n_clients": 4}}
+
+
+class TestTheoryArguments:
+    # each of these used to run: a negative or NaN step size gave a
+    # negative or NaN covariance, n_clients = 0 raised ZeroDivisionError
+    # and a NaN epsilon passed `epsilon <= 0` and gave a NaN step size
+    @pytest.mark.parametrize("func, name, value", [
+        ("predict_first_order", "gamma", -0.1),
+        ("predict_first_order", "gamma", 0.0),
+        ("predict_first_order", "gamma", float("nan")),
+        ("predict_first_order", "gamma", float("inf")),
+        ("predict_first_order", "gamma", True),
+        ("predict_first_order", "local_steps", 0),
+        ("predict_first_order", "local_steps", 2.5),
+        ("predict_first_order", "local_steps", True),
+        ("complexity_recipe", "epsilon", float("nan")),
+        ("complexity_recipe", "epsilon", float("inf")),
+        ("complexity_recipe", "epsilon", True),
+        ("complexity_recipe", "n_clients", 0),
+        ("complexity_recipe", "n_clients", -3),
+        ("complexity_recipe", "n_clients", 2.5),
+        ("complexity_recipe", "n_clients", True),
+    ])
+    def test_rejected_naming_the_argument(self, quad_problem, func, name, value):
+        kwargs = {**_VALID_THEORY_ARGS[func], name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            getattr(stationary, func)(certificate_for(quad_problem), **kwargs)
+
+
+class TestCertificateFit:
+    def test_certificate_of_another_shape_names_the_chain(self, quad_problem):
+        # used to fail inside numpy: shapes (3,4) (5,4) could not be broadcast
+        other = certificate_for(random_problem("quadratic", n_clients=5, seed=4))
+        config = RunConfig(gamma=0.02, local_steps=2, rounds=1, seed=0)
+        chains = [(quad_problem, certificate_for(quad_problem), config),
+                  (quad_problem, other, config)]
+        with pytest.raises(ValueError, match=r"^chain 1: .*\(5, 4\).*\(3, 4\)$"):
+            stationary.estimate_stationary_sweep(chains, burn_in=0, n_samples=100)
+
+    def test_same_shaped_certificate_of_another_problem_runs(self, quad_problem,
+                                                              logistic_problem):
+        # a quadratic twin runs with its logistic chain's certificate: the
+        # chain is the problem's, the moments are about the certificate's optimum
+        own, other = certificate_for(quad_problem), certificate_for(logistic_problem)
+        config = RunConfig(gamma=0.02, local_steps=2, rounds=1, seed=0)
+        est_own, est_other = (stationary.estimate_stationary(quad_problem, cert, config,
+                                                             burn_in=0, n_samples=100)
+                              for cert in (own, other))
+        assert np.allclose(est_other.bias_theta,
+                           est_own.bias_theta + own.theta_star - other.theta_star)
+        assert np.isfinite(est_other.cov_theta_xi).all()
 
 
 class TestEstimateReport:
@@ -594,7 +649,7 @@ class TestThetaOnlySweep:
 class TestPredictionReport:
     def test_report_structure(self, logistic_problem):
         cert = certificate_for(logistic_problem)
-        pred = stationary.predict_first_order(logistic_problem, cert, 0.03, 5)
+        pred = stationary.predict_first_order(cert, 0.03, 5)
         lines = stationary.prediction_report(pred).splitlines()
         n, d = logistic_problem.n_clients, logistic_problem.d
         assert lines[:3] == ["gamma = 0.029999999999999999", "local_steps = 5",
@@ -667,7 +722,7 @@ class TestTableWidePrediction:
         problem = ragged_problem(loss, counts, d=4, seed=len(counts) + counts[0])
         cert = optimum.build_certificate(problem, optimum.solve_optimum(problem))
         gamma, n = 0.03, problem.n_clients
-        pred = stationary.predict_first_order(problem, cert, gamma, 5)
+        pred = stationary.predict_first_order(cert, gamma, 5)
         a_sigma = stationary.sylvester_solve(cert.hessian_star, cert.sigma_eps_avg)
         cov_theta_xi = np.empty((n, problem.d, problem.d))
         for c in range(n):
@@ -693,5 +748,5 @@ class TestTableWidePrediction:
             return original(*args)
 
         monkeypatch.setattr(objectives, "client_hessians", counting)
-        stationary.predict_first_order(logistic_problem, cert, 0.03, 5)
+        stationary.predict_first_order(cert, 0.03, 5)
         assert calls == []
