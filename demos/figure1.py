@@ -5,7 +5,7 @@ so FedAvg suffers client drift and plateaus high, while Scaffold's
 control variates cancel the drift and keep improving; more clients push
 the Scaffold plateau further down.  Prints plateau MSE per cell.
 
-Run:  python3 demos/figure1.py   (takes ~15 s)
+Run:  python3 demos/figure1.py   (takes about 2 s)
 """
 
 import numpy as np
@@ -15,7 +15,7 @@ from scaffold_sim.harness import ExperimentConfig, run_figure1
 
 def main():
     config = ExperimentConfig(task="figure1", rounds=60, seeds=[0, 1])
-    _, agg = run_figure1(config, threads=4)
+    _, agg = run_figure1(config)
 
     series = {}
     for row in agg.strip().splitlines()[1:]:

@@ -56,9 +56,6 @@ def _epilog():
     return "\n".join(lines) + "\n"
 
 
-_EPILOG = _epilog()
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="scaffold-sim",
@@ -76,8 +73,12 @@ def _build_parser():
     return parser
 
 
+_EPILOG = _epilog()
+_PARSER = _build_parser()
+
+
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     with warnings.catch_warnings():
         # one line per warning; the caller's filters still decide what is shown
         warnings.showwarning = lambda message, category, *_: print(

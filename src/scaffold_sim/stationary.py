@@ -260,8 +260,12 @@ class FirstOrderPrediction:
         return self.certificate.n_clients
 
     def cov_xi(self, c, cp):
-        """Leading-order control-variate covariance for the pair (c, c')."""
+        """Leading-order control-variate covariance for the pair (c, c'), integers in [0, N)."""
         n, h, cert = self.n_clients, self.local_steps, self.certificate
+        for name, index in (("c", c), ("cp", cp)):
+            check_int(name, index, 0)
+            if index >= n:
+                raise ValueError(f"{name} must be < n_clients = {n}, got {index}")
         sigma_eps, sigma_avg = cert.sigma_eps_per_client, cert.sigma_eps_avg
         if c == cp:
             return (1.0 - 2.0 / n) / h * sigma_eps[c] + sigma_avg / (n * h)

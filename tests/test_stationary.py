@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -197,6 +198,20 @@ class TestPredictFirstOrder:
         # bias is linear in gamma at leading order
         pred2 = stationary.predict_first_order(cert, 0.1, 10)
         assert np.allclose(pred2.bias_theta, 2.0 * pred.bias_theta)
+
+    # at N = 4, (-1, -1) used to return client 3's block, (True, True) an
+    # array of shape (1, 4, d, d), and (0, 7) an IndexError from numpy
+    @pytest.mark.parametrize("c, cp, message", [
+        (-1, -1, "c must be >= 0, got -1"),
+        (True, True, "c must be an integer, got True"),
+        (0, 7, "cp must be < n_clients = 4, got 7"),
+    ])
+    def test_cov_xi_rejects_a_client_index_outside_the_range(self, c, cp, message):
+        cert = certificate_for(random_problem("quadratic", n_clients=4))
+        pred = stationary.predict_first_order(cert, 0.05, 10)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            pred.cov_xi(c, cp)
+        assert np.array_equal(pred.cov_xi(np.int64(3), 0), pred.cov_xi(3, 0))
 
 
 class TestComplexityRecipe:
