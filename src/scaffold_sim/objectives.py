@@ -287,9 +287,15 @@ def _third_stack(features, targets, theta, matrix, loss):
     if loss == "quadratic":
         return np.zeros((len(features), d))
     s = _sigmoid(targets * _margins(features, theta))
-    # one contraction per client: at d = 2 a row's value depends on the
-    # rows that share the call
-    quad = np.stack([np.einsum("mi,ij,mj->m", x, matrix, x) for x in features])
+    if d == 2 and n <= 2:
+        # numpy orders a client's own call differently at this shape alone,
+        # so only that call reproduces its bits
+        quad = np.stack([np.einsum("mi,ij,mj->m", x, matrix, x) for x in features])
+    else:
+        # records innermost: each record's (x_i M_ij) x_j summed over (i, j)
+        # in row-major order from +0, as in a client's own call
+        rows = np.ascontiguousarray(features.reshape(-1, d).T)
+        quad = np.einsum("im,ij,jm->m", rows, matrix, rows).reshape(s.shape)
     weights = s * (1.0 - s) * (1.0 - 2.0 * s) * targets * quad
     return np.matmul(features.transpose(0, 2, 1), weights[..., None])[..., 0] / n
 
@@ -309,10 +315,21 @@ def _noise_stack(features, targets, theta, loss, l2_weight, batch_size):
     return 0.5 * (cov + cov.transpose(0, 2, 1))
 
 
-def _check_symmetric(matrix):
+# The table kernels below take a theta of shape (d,) and a finite symmetric
+# (d, d) M; anything else raises a ValueError naming theta or M.
+def _check_theta(problem, theta):
+    theta = np.asarray(theta, dtype=np.float64)
+    if theta.shape != (problem.d,):
+        raise ValueError(f"theta must have shape ({problem.d},), got {theta.shape}")
+    return theta
+
+
+def _check_symmetric(matrix, d):
     matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"M must be square, got shape {matrix.shape}")
+    if matrix.shape != (d, d):
+        raise ValueError(f"M must be square of size d = {d}, got shape {matrix.shape}")
+    if not np.isfinite(matrix).all():
+        raise ValueError("M must be finite")
     if not np.allclose(matrix, matrix.T, rtol=1e-10, atol=1e-12 * (1 + np.abs(matrix).max())):
         raise ValueError("M must be symmetric")
     return matrix
@@ -320,13 +337,13 @@ def _check_symmetric(matrix):
 
 def client_gradients(problem, theta):
     """Exact gradient of every client loss, including the l2 term; (N, d)."""
-    theta = np.asarray(theta, dtype=np.float64)
+    theta = _check_theta(problem, theta)
     return per_client(problem, _gradient_stack, theta, problem.loss, problem.l2_weight)
 
 
 def client_hessians(problem, theta):
     """Exact Hessian of every client loss; (N, d, d)."""
-    theta = np.asarray(theta, dtype=np.float64)
+    theta = _check_theta(problem, theta)
     return per_client(problem, _hessian_stack, theta, problem.loss, problem.l2_weight)
 
 
@@ -334,10 +351,10 @@ def client_third_derivatives(problem, theta, matrix):
     """Third derivative of every client loss contracted with M; (N, d).
 
     Row c has entries sum_{j,k} d^3 f_c / dtheta_i dtheta_j dtheta_k *
-    M_{jk}; zero for the quadratic loss.  M must be symmetric.
+    M_{jk}; zero for the quadratic loss.
     """
-    matrix = _check_symmetric(matrix)
-    theta = np.asarray(theta, dtype=np.float64)
+    matrix = _check_symmetric(matrix, problem.d)
+    theta = _check_theta(problem, theta)
     return per_client(problem, _third_stack, theta, matrix, problem.loss)
 
 
@@ -347,7 +364,7 @@ def client_noise_covariances(problem, theta):
     With-replacement sampling gives (1/b) [ (1/n) sum_i g_i g_i' - g g' ],
     where g_i are per-record gradients and g their mean.
     """
-    theta = np.asarray(theta, dtype=np.float64)
+    theta = _check_theta(problem, theta)
     return per_client(problem, _noise_stack, theta, problem.loss,
                       problem.l2_weight, problem.batch_size)
 

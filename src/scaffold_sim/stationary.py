@@ -71,7 +71,13 @@ def _check_mu(mu, remedy):
 
 
 def default_burn_in(gamma, mu, local_steps):
-    """Four 1/e-times of the geometric rate (1 - gamma*mu/4)^H, in rounds."""
+    """Four 1/e-times of the geometric rate (1 - gamma*mu/4)^H, in rounds.
+
+    A step size that is not a positive finite number, or a local step count
+    that is not an integer >= 1, raises a ValueError naming it.
+    """
+    check_real("gamma", gamma, positive=True)
+    check_int("local_steps", local_steps, 1)
     _check_mu(mu, "set l2_weight > 0, or give burn_in to the estimator")
     return math.ceil(16.0 / (gamma * mu * local_steps))
 

@@ -119,6 +119,21 @@ local_steps = 7
 n_clients = 6
 """
 
+# The predict path at d = 2 with two-record clients: the group shape whose
+# third derivative keeps one contraction per client.
+TWO_RECORD_PREDICT = """\
+[problem]
+loss = logistic
+n_features = 2
+records_per_client = 2
+informative = 1,2
+generator_seeds = 4,11
+[run]
+gamma_over_L = 0.1
+local_steps = 7
+n_clients = 4
+"""
+
 # The figure1 path that derives gamma from L: the only figure1 set-up that
 # builds a certificate.
 FIGURE1_GAMMA_OVER_L = _PROBLEM_LOGISTIC + """\
@@ -153,6 +168,8 @@ STAGGERED_SPEEDUP_DIGEST = "4e66e2de1f1a4825cf38ff3aadee5361da23aec5e8a404a5aca8
 QUADRATIC_PREDICT_DIGEST = "7a2a49f424c5f567e1812fcb3114fcfc25556d76cc508b4c1570d45f35c0796b"
 # Recorded from the code that computed every certificate constant eagerly.
 FIXED_GAMMA_PREDICT_DIGEST = "e95e2a29ba47f7d09fad68779c8c86e2a3b6f0d49a5f7c99133c3a64ebf99151"
+# Recorded from the code that ran one contraction per client for every third derivative.
+TWO_RECORD_PREDICT_DIGEST = "013d8bb2567036a551a97d9346366f6dcf49ccf2ba1d1410a6609df738af8f6a"
 # Recorded from the code that built a certificate for every figure1 client count.
 FIGURE1_GAMMA_OVER_L_DIGESTS = {
     "figure1.csv": "02ae62a3e60e6564efd6d84a50485d3dc18779d356c112847b07044cab1e14fb",
@@ -191,6 +208,11 @@ def test_fixed_gamma_predict_bytes_match_golden(tmp_path):
     assert got == {"predict.csv": FIXED_GAMMA_PREDICT_DIGEST}
 
 
+def test_two_record_predict_bytes_match_golden(tmp_path):
+    got = _outputs("predict", tmp_path, TWO_RECORD_PREDICT)
+    assert got == {"predict.csv": TWO_RECORD_PREDICT_DIGEST}
+
+
 def test_figure1_gamma_over_l_bytes_match_golden(tmp_path):
     got = _outputs("figure1", tmp_path, FIGURE1_GAMMA_OVER_L)
     assert got == FIGURE1_GAMMA_OVER_L_DIGESTS
@@ -207,5 +229,7 @@ if __name__ == "__main__":
         print("quadratic predict:", _outputs("predict", pathlib.Path(tmp), QUADRATIC_PREDICT))
         print("fixed-gamma predict:",
               _outputs("predict", pathlib.Path(tmp), FIXED_GAMMA_PREDICT))
+        print("two-record predict:",
+              _outputs("predict", pathlib.Path(tmp), TWO_RECORD_PREDICT))
         print("figure1 gamma_over_L:",
               _outputs("figure1", pathlib.Path(tmp), FIGURE1_GAMMA_OVER_L))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scaffold_sim import datagen, objectives
+from scaffold_sim import datagen, objectives, optimum
 from scaffold_sim.core import batch_uniform_indices
 
 from conftest import random_problem
@@ -473,6 +473,13 @@ def _assert_kernels_equal_loops(problem, theta, matrix):
 
 _SHAPES = {"equal": [40] * 6, "ragged": [7, 30, 7, 12, 30, 1, 12]}
 
+_TABLE_KERNELS = {
+    "client_gradients": lambda p, theta, m: objectives.client_gradients(p, theta),
+    "client_hessians": lambda p, theta, m: objectives.client_hessians(p, theta),
+    "client_third_derivatives": objectives.client_third_derivatives,
+    "client_noise_covariances": lambda p, theta, m: objectives.client_noise_covariances(p, theta),
+}
+
 
 class TestTableKernels:
     @pytest.mark.parametrize("shape", sorted(_SHAPES))
@@ -532,16 +539,58 @@ class TestTableKernels:
         ([1, 1, 2, 1], 2, "logistic", 0, 0.3),
         ([9, 9, 1], 16, "quadratic", 3469623439, 5.0),
         ([7, 30, 7, 12, 30, 1, 12, 1], 20, "logistic", 5, 0.5),
+        # d = 2 groups on both sides of the one-contraction-per-client shape
+        ([1, 2, 3, 2, 7], 2, "logistic", 1, 0.3),
+        ([1, 1, 2], 3, "logistic", 0, 0.3),
     ])
     def test_equal_loops_whatever_rows_share_a_product(self, counts, d, loss, seed, scale):
-        # one BLAS product over several clients' rows, or one contraction
-        # over them at d = 2, rounds some rows differently from each
-        # client's own product
+        # one BLAS product over several clients' rows rounds some rows
+        # differently from each client's own product, and so does one
+        # contraction over them when d = 2 and a client has 1 or 2 records
         problem = ragged_problem(loss, counts, d=d, batch_size=2, seed=seed)
         rng = np.random.default_rng(seed)
         theta = scale * rng.standard_normal(d)
         m = rng.standard_normal((d, d))
         _assert_kernels_equal_loops(problem, theta, m + m.T)
+
+    def test_one_contraction_per_chunk(self, monkeypatch):
+        # 200 clients of 200 records, d = 20: chunks of 8192 // 200 = 40 clients
+        problem = ragged_problem("logistic", [200] * 200, d=20, seed=9)
+        einsum, calls = np.einsum, []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return einsum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", counting)
+        objectives.client_third_derivatives(problem, np.linspace(-0.3, 0.3, 20), np.eye(20))
+        assert calls == ["im,ij,jm->m"] * 5
+
+    @pytest.mark.parametrize("theta", [0.1, np.zeros(3), np.zeros(5), np.zeros((1, 4)),
+                                       np.zeros((4, 1))])
+    @pytest.mark.parametrize("kernel", sorted(_TABLE_KERNELS))
+    def test_theta_of_another_shape_rejected(self, kernel, theta, logistic_problem):
+        assert logistic_problem.d == 4
+        with pytest.raises(ValueError, match=r"theta must have shape \(4,\)"):
+            _TABLE_KERNELS[kernel](logistic_problem, theta, np.eye(4))
+
+    @pytest.mark.parametrize("theta", [np.zeros(3), np.zeros((4, 1))])
+    def test_certificate_names_a_theta_of_another_shape(self, theta, logistic_problem):
+        with pytest.raises(ValueError, match="theta must have shape"):
+            optimum.build_certificate(logistic_problem, theta)
+
+    @pytest.mark.parametrize("matrix, match", [
+        (np.eye(3), "M must be square"),
+        (np.eye(5), "M must be square"),
+        (np.eye(4)[None], "M must be square"),
+        (np.diag([1.0, np.nan, 1.0, 1.0]), "M must be finite"),
+        (np.diag([1.0, np.inf, 1.0, 1.0]), "M must be finite"),
+    ])
+    def test_matrix_of_another_size_or_not_finite_rejected(self, matrix, match,
+                                                           logistic_problem):
+        # checked before np.allclose, whose tolerance a NaN would turn into a warning
+        with pytest.raises(ValueError, match=match):
+            objectives.client_third_derivatives(logistic_problem, np.zeros(4), matrix)
 
     def test_non_symmetric_matrix_rejected_once(self, logistic_problem):
         m = np.zeros((logistic_problem.d, logistic_problem.d))

@@ -48,6 +48,20 @@ class TestDefaultBurnIn:
         # ceiling, never zero
         assert stationary.default_burn_in(10.0, 10.0, 100) == 1
 
+    @pytest.mark.parametrize("gamma, local_steps, name", [
+        (-1.0, 16, "gamma"),
+        (float("inf"), 16, "gamma"),
+        (0.0, 16, "gamma"),
+        (float("nan"), 16, "gamma"),
+        (True, 16, "gamma"),
+        (0.1, 0, "local_steps"),
+        (0.1, 2.0, "local_steps"),
+        (0.1, True, "local_steps"),
+    ])
+    def test_bad_gamma_or_local_steps_named(self, gamma, local_steps, name):
+        with pytest.raises(ValueError, match=name):
+            stationary.default_burn_in(gamma, 1.0, local_steps)
+
 
 class TestEstimateStationary:
     def test_noise_free_chain_has_vanishing_moments(self, quad_problem):
